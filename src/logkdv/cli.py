@@ -26,91 +26,56 @@ from . import halfline, jacobi, lattice, reconstruct
 from .errors import NumericalError
 from .hermite import RealGrid, fit_loglog_slope, projection_sequence
 
-_DEFAULTS = {
+# Per subcommand, each config key maps to (default, range check).  The
+# default's type sets the flag type and whether values are cast to int;
+# a default of None means a float.
+_PARAMS = {
     "spectrum": {
-        "z_min": 0.05,
-        "z_max": 20.0,
-        "scan_step": 0.05,
-        "tol": 1e-6,
-        "n_max": 1000,
-        "trace_z": 1.0,
+        "z_min": (0.05, lambda v: 0 < v),
+        "z_max": (20.0, lambda v: 0 < v <= 100),
+        "scan_step": (0.05, lambda v: 0 < v <= 1),
+        "tol": (1e-6, lambda v: 0 < v <= 1e-2),
+        "n_max": (1000, lambda v: 10 <= v <= 200_000),
+        "trace_z": (1.0, lambda v: 0 < v),
     },
-    "projections": {"n_max": 100},
-    "coercivity": {"n_max": 400, "n_samples": 1000, "seed": 0},
-    "evolve": {
-        "n_modes": 400,
-        "T": 10.0,
-        "dt": 1e-3,
-        "sample_every": 10,
-        "method": "midpoint",
-        "preset": "gaussian",
-        "seed": 0,
-    },
-    "dissipate": {
-        "extent": 40.0,
-        "spacing": 0.02,
-        "T": 5.0,
-        "dt": 1e-3,
-        "method": "cn",
-        "sample_every": 10,
-        "center": -2.0,
-        "width": 1.0,
-        "b0": 0.0,
-    },
-    "reconstruct": {
-        "mode": "eigenvector",
-        "z": None,
-        "m_max": 500,
-        "x_max": 12.0,
-        "num_points": 2401,
-    },
-}
-
-_RANGES = {
-    "spectrum": {
-        "z_min": lambda v: 0 < v,
-        "z_max": lambda v: 0 < v <= 100,
-        "scan_step": lambda v: 0 < v <= 1,
-        "tol": lambda v: 0 < v <= 1e-2,
-        "n_max": lambda v: 10 <= v <= 200_000,
-        "trace_z": lambda v: 0 < v,
-    },
-    "projections": {"n_max": lambda v: 1 <= v <= 10_000_000},
+    "projections": {"n_max": (100, lambda v: 1 <= v <= 10_000_000)},
     "coercivity": {
-        "n_max": lambda v: 10 <= v <= 1_000_000,
-        "n_samples": lambda v: 1 <= v <= 1_000_000,
-        "seed": lambda v: True,
+        "n_max": (400, lambda v: 10 <= v <= 1_000_000),
+        "n_samples": (1000, lambda v: 1 <= v <= 1_000_000),
+        "seed": (0, lambda v: True),
     },
     "evolve": {
-        "n_modes": lambda v: 2 <= v <= 100_000,
-        "T": lambda v: abs(v) <= 1e4,
-        "dt": lambda v: 0 < v <= 1,
-        "sample_every": lambda v: v >= 1,
-        "method": lambda v: v in ("midpoint", "rk4"),
-        "preset": lambda v: v in ("gaussian", "random"),
-        "seed": lambda v: True,
+        "n_modes": (400, lambda v: 2 <= v <= 100_000),
+        "T": (10.0, lambda v: abs(v) <= 1e4),
+        "dt": (1e-3, lambda v: 0 < v <= 1),
+        "sample_every": (10, lambda v: v >= 1),
+        "method": ("midpoint", lambda v: v in ("midpoint", "rk4")),
+        "preset": ("gaussian", lambda v: v in ("gaussian", "random")),
+        "seed": (0, lambda v: True),
     },
     "dissipate": {
-        "extent": lambda v: v > 0,
-        "spacing": lambda v: v > 0,
-        "T": lambda v: 0 < v <= 1e4,
-        "dt": lambda v: 0 < v <= 1,
-        "method": lambda v: v in ("cn", "be"),
-        "sample_every": lambda v: v >= 1,
-        "center": lambda v: v < 0,
-        "width": lambda v: v > 0,
-        "b0": lambda v: True,
+        "extent": (40.0, lambda v: v > 0),
+        "spacing": (0.02, lambda v: v > 0),
+        "T": (5.0, lambda v: 0 < v <= 1e4),
+        "dt": (1e-3, lambda v: 0 < v <= 1),
+        "method": ("cn", lambda v: v in ("cn", "be")),
+        "sample_every": (10, lambda v: v >= 1),
+        "center": (-2.0, lambda v: v < 0),
+        "width": (1.0, lambda v: v > 0),
+        "b0": (0.0, lambda v: True),
     },
     "reconstruct": {
-        "mode": lambda v: v in ("eigenvector", "bump"),
-        "z": lambda v: v is None or v > 0,
-        "m_max": lambda v: 10 <= v <= 4999,  # basis indices reach 2 m_max + 1
-        "x_max": lambda v: 0 < v <= 100,
-        "num_points": lambda v: 32 <= v <= 10_000_000,
+        "mode": ("eigenvector", lambda v: v in ("eigenvector", "bump")),
+        "z": (None, lambda v: v is None or v > 0),
+        "m_max": (500, lambda v: 10 <= v <= 4999),  # basis indices reach 2 m_max + 1
+        "x_max": (12.0, lambda v: 0 < v <= 100),
+        "num_points": (2401, lambda v: 32 <= v <= 10_000_000),
     },
 }
 
-_INT_KEYS = {"n_max", "n_samples", "seed", "n_modes", "sample_every", "m_max", "num_points"}
+
+def _flag_type(default) -> type:
+    return float if default is None else type(default)
 
 
 def _fmt(value) -> str:
@@ -146,7 +111,8 @@ def _write_summary(outdir: Path, name: str, config: dict, scalars: dict,
 
 
 def _resolve_config(name: str, file_path: str | None, flag_values: dict) -> dict:
-    config = dict(_DEFAULTS[name])
+    params = _PARAMS[name]
+    config = {key: default for key, (default, _) in params.items()}
     if file_path is not None:
         try:
             with open(file_path) as fh:
@@ -163,9 +129,9 @@ def _resolve_config(name: str, file_path: str | None, flag_values: dict) -> dict
         if value is not None:
             config[key] = value
     for key, value in config.items():
-        if key in _INT_KEYS and value is not None:
+        default, check = params[key]
+        if _flag_type(default) is int and value is not None:
             config[key] = int(value)
-        check = _RANGES[name][key]
         if not check(config[key]):
             raise ValueError(f"config value out of range: {key}={config[key]!r}")
     return config
@@ -391,25 +357,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "log-KdV problem at the Gaussian solitary wave.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, defaults in _DEFAULTS.items():
+    for name, params in _PARAMS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON file with config overrides")
         p.add_argument("--outdir", help="output directory (default: $LOGKDV_OUTDIR or .)")
-        for key, default in defaults.items():
+        for key, (default, _) in params.items():
             flag = "--" + key.replace("_", "-")
-            if isinstance(default, str):
-                p.add_argument(flag, type=str, default=None)
-            elif key in _INT_KEYS:
-                p.add_argument(flag, type=int, default=None)
-            else:
-                p.add_argument(flag, type=float, default=None)
+            p.add_argument(flag, type=_flag_type(default), default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     name = args.subcommand
-    flag_values = {k: getattr(args, k) for k in _DEFAULTS[name]}
+    flag_values = {k: getattr(args, k) for k in _PARAMS[name]}
     try:
         config = _resolve_config(name, args.config, flag_values)
     except ValueError as exc:

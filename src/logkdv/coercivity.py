@@ -19,9 +19,10 @@ unique root in ``(0, 1/3)`` of the secular function
 
     phi(mu) = sum_{n>=1} f_n^2 / ((n - 1) - (n + 1) mu),
 
-which bisection locates in O(n_max) per evaluation.  A dense reference
-route (explicit orthogonal projection onto the constraint null space
-followed by a symmetric generalized eigensolve) is kept alongside.
+which ``scipy.optimize.brentq`` locates at O(n_max) per evaluation.  A
+dense reference route (explicit orthogonal projection onto the
+constraint null space followed by a symmetric generalized eigensolve)
+is kept alongside.
 
 The truncated minimum creeps downward like ``n_max**(-1/2)`` because the
 constraint vector has an ``n**(-1/4)`` tail.  ``coercivity_constant``
@@ -39,7 +40,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 from scipy.special import zeta
 
-from .hermite import projection_sequence
+from .hermite import power_tail_fit, projection_sequence
 
 
 @dataclass(frozen=True)
@@ -78,57 +79,57 @@ def c0_constant(n_max: int) -> float:
     return float(np.sum(f[2:] ** 2 / (n - 1.0)))
 
 
-def _fsq_tail_fit(f: np.ndarray, fit_fraction: float = 0.25):
-    """Fit ``f_n^2 ~ c n^{-1/2} + d n^{-3/2}`` over the tail of f."""
-    n_max = f.size - 1
-    n = np.arange(0, n_max + 1, dtype=float)
-    k0 = int((1.0 - fit_fraction) * n_max)
-    nn = n[k0:]
-    s = f[k0:] ** 2 * np.sqrt(nn)
-    design = np.stack([np.ones_like(nn), 1.0 / nn], axis=1)
-    coef, *_ = np.linalg.lstsq(design, s, rcond=None)
-    return float(coef[0]), float(coef[1])
+def _tail_model(fsq: np.ndarray):
+    """Remainder of the secular sum beyond ``n_max`` as a function of mu.
+
+    Fits ``f_n^2 ~ c n^{-1/2} + d n^{-3/2}`` over the tail of ``fsq``,
+    the squares ``f_n^2`` for n = 0..n_max.  The tail terms
+    ``(c k^{-1/2} + d k^{-3/2}) / ((1-mu) k - (1+mu))`` are expanded in
+    powers of 1/k and summed with Hurwitz zetas from ``n_max + 1``; the
+    returned function gives the c and d parts of that sum separately.
+    """
+    n_max = fsq.size - 1
+    c, d = power_tail_fit(fsq, np.arange(0.0, n_max + 1), 0.5)
+    z32 = zeta(1.5, n_max + 1)
+    z52 = zeta(2.5, n_max + 1)
+    z72 = zeta(3.5, n_max + 1)
+
+    def parts(mu):
+        r = (1.0 + mu) / (1.0 - mu)
+        return (c / (1.0 - mu) * (z32 + r * z52 + r * r * z72),
+                d / (1.0 - mu) * (z52 + r * z72))
+
+    return parts
 
 
 def c0_tail_estimate(n_max: int) -> float:
     """Estimated remainder of the C0 series beyond ``n_max``.
 
     The tail coefficient of ``f_n^2`` is fitted from the computed
-    sequence and summed exactly with Hurwitz zeta functions.  Note the
+    sequence and summed exactly with Hurwitz zeta functions; the C0
+    terms ``f_n^2 / (n - 1)`` are the secular terms at mu = 0.  Note the
     remainder is ~3e-2 at ``n_max = 1e5``; reaching 1e-3 by brute
     partial summation would require ``n_max ~ 1e8``, which is why
     tail-corrected values are reported instead.
     """
-    f = projection_sequence(n_max)
-    c, d = _fsq_tail_fit(f)
-    # sum_{n>n_max} (c n^{-1/2} + d n^{-3/2}) / (n-1)
-    #   = c [zeta(3/2) + zeta(5/2) + ...] + d [zeta(5/2) + ...]  (Hurwitz, from n_max+1)
-    z32 = zeta(1.5, n_max + 1)
-    z52 = zeta(2.5, n_max + 1)
-    z72 = zeta(3.5, n_max + 1)
-    return float(c * (z32 + z52 + z72) + d * (z52 + z72))
+    c_part, d_part = _tail_model(projection_sequence(n_max) ** 2)(0.0)
+    return float(c_part + d_part)
 
 
 def _secular_root(f: np.ndarray, tail_corrected: bool) -> float:
     """Root of the secular function in (0, 1/3)."""
     n_max = f.size - 1
     n = np.arange(2, n_max + 1, dtype=float)
-    fsq = f[2:] ** 2
-    if tail_corrected:
-        c, d = _fsq_tail_fit(f)
-        z32 = zeta(1.5, n_max + 1)
-        z52 = zeta(2.5, n_max + 1)
-        z72 = zeta(3.5, n_max + 1)
+    fsq = f ** 2
+    tail = _tail_model(fsq) if tail_corrected else None
 
     def phi(mu):
         # n = 1 term is f_1^2 / (0 - 2 mu) = -2/mu
-        val = -2.0 / mu + np.sum(fsq / ((n - 1.0) - (n + 1.0) * mu))
-        if tail_corrected:
-            # tail terms ~ (c k^{-1/2} + d k^{-3/2}) / ((1-mu) k - (1+mu)),
-            # expanded in powers of 1/k and summed with Hurwitz zetas
-            r = (1.0 + mu) / (1.0 - mu)
-            val += c / (1.0 - mu) * (z32 + r * z52 + r * r * z72)
-            val += d / (1.0 - mu) * (z52 + r * z72)
+        val = -2.0 / mu + np.sum(fsq[2:] / ((n - 1.0) - (n + 1.0) * mu))
+        if tail is not None:
+            c_part, d_part = tail(mu)
+            val += c_part  # one part at a time: the sum order is part of the result
+            val += d_part
         return val
 
     # phi is strictly increasing, -inf at 0+ and +inf at (1/3)-

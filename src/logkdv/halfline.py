@@ -120,34 +120,22 @@ def assemble_H(grid: HalfLineGrid) -> sp.csr_matrix:
     zh = z + 0.5 * h            # half nodes z_{j+1/2}
     qh = 0.25 * zh * zh
 
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    for j in range(1, J):
-        # -z w''
-        add(j, j - 1, -z[j] / h**2)
-        add(j, j, 2.0 * z[j] / h**2)
-        add(j, j + 1, -z[j] / h**2)
-        # -3 w'
-        add(j, j - 1, 3.0 / (2.0 * h))
-        add(j, j + 1, -3.0 / (2.0 * h))
-        # (q w)' as half-node flux differences
-        add(j, j, (qh[j] - qh[j - 1]) / (2.0 * h))
-        add(j, j + 1, qh[j] / (2.0 * h))
-        add(j, j - 1, -qh[j - 1] / (2.0 * h))
+    # Entries of rows 1..J-1 by column offset; the terms of each entry are
+    # summed in the order -z w'', -3 w', (q w)'.
+    zi, qlo, qhi = z[1:J], qh[: J - 1], qh[1:J]
+    lower = np.zeros(J)
+    diag = np.zeros(J + 1)
+    upper = np.zeros(J)
+    lower[: J - 1] = -zi / h**2 + 3.0 / (2.0 * h) + -qlo / (2.0 * h)
+    diag[1:J] = 2.0 * zi / h**2 + (qhi - qlo) / (2.0 * h)
+    upper[1:] = -zi / h**2 + -3.0 / (2.0 * h) + qhi / (2.0 * h)
     # z_J = 0: no diffusion term; one-sided second-order backward stencils
-    add(J, J, -3.0 * 3.0 / (2.0 * h))
-    add(J, J - 1, 3.0 * 4.0 / (2.0 * h))
-    add(J, J - 2, -3.0 / (2.0 * h))
-    # (q w)' with q_J = 0
-    add(J, J - 1, -4.0 * q[J - 1] / (2.0 * h))
-    add(J, J - 2, q[J - 2] / (2.0 * h))
-
-    return sp.csr_matrix((vals, (rows, cols)), shape=(J + 1, J + 1))
+    # for -3 w' and for (q w)' with q_J = 0
+    diag[J] = -3.0 * 3.0 / (2.0 * h)
+    lower[J - 1] = 3.0 * 4.0 / (2.0 * h) + -4.0 * q[J - 1] / (2.0 * h)
+    lower2 = np.zeros(J - 1)
+    lower2[J - 2] = -3.0 / (2.0 * h) + q[J - 2] / (2.0 * h)
+    return sp.diags([lower2, lower, diag, upper], [-2, -1, 0, 1], format="csr")
 
 
 def flux_boundary_value(h_matrix: sp.spmatrix, grid: HalfLineGrid, w) -> float:

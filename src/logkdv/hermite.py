@@ -25,7 +25,8 @@ stays inside double range.
 
 The module also provides the two closed-form scalar sequences that the
 rest of the package consumes: products of ``sqrt(2k - a)/sqrt(2k + b)``
-and the projections ``f_n = <antideriv(u_0), u_n>``.
+and the projections ``f_n = <antideriv(u_0), u_n>``, and the tail fits
+used to extrapolate sums and slopes of such sequences.
 """
 
 from __future__ import annotations
@@ -241,17 +242,24 @@ def projection_sequence(n_max: int) -> np.ndarray:
 
         f_0 = sqrt(2 pi),   f_1 = 2,
 
-    and obey ``f_{n+1} = sqrt(n/(n+1)) f_{n-1}``, which is how they are
-    generated here.  All entries are strictly positive and decay like
-    ``n**(-1/4)``.
+    and obey ``f_{n+1} = sqrt(n/(n+1)) f_{n-1}``.  The recurrence is run
+    as two running products, one per parity, each accumulated left to
+    right exactly as the step-by-step loop would.  All entries are
+    strictly positive and decay like ``n**(-1/4)``.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     f = np.empty(n_max + 1)
     f[0] = np.sqrt(2.0 * np.pi)
     f[1] = 2.0
-    for n in range(1, n_max):
-        f[n + 1] = np.sqrt(n / (n + 1.0)) * f[n - 1]
+    # f[n+1] first holds the ratio sqrt(n/(n+1)), built in place to keep
+    # the peak memory at one extra array
+    ratios = f[2:]
+    ratios[:] = np.arange(1.0, n_max)
+    ratios /= ratios + 1.0
+    np.sqrt(ratios, out=ratios)
+    np.cumprod(f[0::2], out=f[0::2])
+    np.cumprod(f[1::2], out=f[1::2])
     return f
 
 
@@ -296,3 +304,21 @@ def fit_loglog_slope(values, positions=None, tail_fraction: float = 0.5) -> floa
         raise ValueError("fewer than 10 usable tail points for a slope fit")
     slope = np.polyfit(np.log(positions[keep]), np.log(v[keep]), 1)[0]
     return float(slope)
+
+
+def power_tail_fit(values, positions, power: float, fit_fraction: float = 0.25):
+    """Fit ``values ~ c p^{-power} + d p^{-power-1}`` on the tail; returns (c, d).
+
+    ``positions`` are the consecutive integers p at which ``values`` are
+    sampled, ending at the truncation ``positions[-1]``.  The fit uses the
+    entries from index ``int((1 - fit_fraction) * positions[-1])`` on.
+    Callers sum the fitted model past the truncation with Hurwitz zetas.
+    """
+    values = np.asarray(values, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    k0 = int((1.0 - fit_fraction) * positions[-1])
+    p = positions[k0:]
+    scaled = values[k0:] * p ** power
+    design = np.stack([np.ones_like(p), 1.0 / p], axis=1)
+    (c, d), *_ = np.linalg.lstsq(design, scaled, rcond=None)
+    return float(c), float(d)

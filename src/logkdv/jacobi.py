@@ -41,7 +41,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import zeta
 
 from .errors import NumericalError
-from .hermite import fit_loglog_slope, product_sequence
+from .hermite import fit_loglog_slope, power_tail_fit, product_sequence
 
 
 def offdiag_weight(n) -> np.ndarray:
@@ -124,6 +124,24 @@ class ShootingState:
         return f
 
 
+def _shoot_rows(z, m_max: int):
+    """Yield ``(B_m, A_{m+1})`` for m = 1..m_max of the recursion in ShootingState.
+
+    ``z`` is a scalar or an array of parameter values; the rows have its
+    shape.  The step coefficients depend on m only and are computed once.
+    """
+    tm = 2.0 * np.arange(1, m_max + 1, dtype=float)
+    b_back = -np.sqrt((tm - 2.0) / (tm + 1.0))
+    b_norm = np.sqrt((tm - 1.0) * tm * (tm + 1.0))
+    a_back = -np.sqrt((tm - 1.0) / (tm + 2.0))
+    a_norm = np.sqrt(tm * (tm + 1.0) * (tm + 2.0))
+    A, B = 1.0, 0.0
+    for bb, bn, ab, an in zip(b_back, b_norm, a_back, a_norm):
+        B = bb * B + z / bn * A
+        A = ab * A + z / an * B
+        yield B, A
+
+
 def shoot(z: float, m_max: int) -> ShootingState:
     """Run the coupled recursion up to ``A_{m_max+1}``; see ShootingState."""
     if m_max < 2:
@@ -133,41 +151,20 @@ def shoot(z: float, m_max: int) -> ShootingState:
     A = np.zeros(m_max + 2)
     B = np.zeros(m_max + 1)
     A[1] = 1.0
-    b_prev = 0.0
-    for m in range(1, m_max + 1):
-        tm = 2.0 * m
-        B[m] = (
-            -np.sqrt((tm - 2.0) / (tm + 1.0)) * b_prev
-            + z / np.sqrt((tm - 1.0) * tm * (tm + 1.0)) * A[m]
-        )
-        A[m + 1] = (
-            -np.sqrt((tm - 1.0) / (tm + 2.0)) * A[m]
-            + z / np.sqrt(tm * (tm + 1.0) * (tm + 2.0)) * B[m]
-        )
-        b_prev = B[m]
+    for m, (b, a_next) in enumerate(_shoot_rows(z, m_max), start=1):
+        B[m] = b
+        A[m + 1] = a_next
     return ShootingState(float(z), A, B)
 
 
 def _shoot_products(z_values: np.ndarray, m_max: int) -> np.ndarray:
     """Vectorized over z: products ``A_m V_m`` for m = 1..m_max, shape (m_max, nz)."""
     z = np.atleast_1d(np.asarray(z_values, dtype=float))
-    A = np.ones_like(z)
-    B_prev = np.zeros_like(z)
-    v_odd = product_sequence(1.0, 2.0, m_max)  # |V_{m+1}| = v_odd[m], sign (-1)^m
     out = np.empty((m_max, z.size))
-    for m in range(1, m_max + 1):
-        tm = 2.0 * m
-        V = (-1.0) ** (m - 1) * v_odd[m - 1]
-        out[m - 1] = A * V
-        B = (
-            -np.sqrt((tm - 2.0) / (tm + 1.0)) * B_prev
-            + z / np.sqrt((tm - 1.0) * tm * (tm + 1.0)) * A
-        )
-        A = (
-            -np.sqrt((tm - 1.0) / (tm + 2.0)) * A
-            + z / np.sqrt(tm * (tm + 1.0) * (tm + 2.0)) * B
-        )
-        B_prev = B
+    out[0] = 1.0  # A_1
+    for m, (_, a_next) in enumerate(_shoot_rows(z, m_max - 1), start=1):
+        out[m] = a_next
+    out *= null_solution(m_max).odd_part[1 : m_max + 1, None]
     return out
 
 
@@ -185,20 +182,15 @@ def discrete_wronskian(f, g) -> np.ndarray:
     return out
 
 
-def _zeta_tail(products: np.ndarray, fit_fraction: float = 0.25) -> float:
+def _zeta_tail(products: np.ndarray) -> float:
     """Remainder of ``sum_m A_m V_m`` past the computed range.
 
     Fits ``A_m V_m ~ c m^{-3/2} + d m^{-5/2}`` on the tail and sums the
     model exactly with Hurwitz zetas.
     """
     m_max = products.size
-    m = np.arange(1, m_max + 1, dtype=float)
-    k0 = int((1.0 - fit_fraction) * m_max)
-    mm = m[k0:]
-    s = products[k0:] * mm ** 1.5
-    design = np.stack([np.ones_like(mm), 1.0 / mm], axis=1)
-    (c, d), *_ = np.linalg.lstsq(design, s, rcond=None)
-    return float(c * zeta(1.5, m_max + 1) + d * zeta(2.5, m_max + 1))
+    c, d = power_tail_fit(products, np.arange(1.0, m_max + 1), 1.5)
+    return c * zeta(1.5, m_max + 1) + d * zeta(2.5, m_max + 1)
 
 
 @dataclass(frozen=True)
@@ -237,7 +229,9 @@ def wronskian_trace(z: float, n_max: int = 1000) -> WronskianTrace:
     values = np.zeros(n_max + 1)
     values[1:] = np.where(n % 2 == 1, w_odd, w_ev)
 
-    products = state.A[1 : m_max + 1] * V[1 : m_max + 1]
+    # the same m_max = n_max // 2 terms as the scan, so both give one W_inf
+    m_sum = n_max // 2
+    products = state.A[1 : m_sum + 1] * V[1 : m_sum + 1]
     w_inf = z * (products.sum() + _zeta_tail(products))
 
     k = max(1, n_max // 10)
@@ -339,7 +333,6 @@ def find_eigenvalues(
     roots = []
     for a, b in brackets:
         fa = _w_inf_single(a, n_eff)
-        fb = _w_inf_single(b, n_eff)
         while b - a > tol:
             mid = 0.5 * (a + b)
             fm = _w_inf_single(mid, n_eff)
@@ -347,7 +340,7 @@ def find_eigenvalues(
                 a = b = mid
                 break
             if fa * fm < 0.0:
-                b, fb = mid, fm
+                b = mid
             else:
                 a, fa = mid, fm
         roots.append(0.5 * (a + b))

@@ -33,6 +33,7 @@ from scipy.linalg import solve_banded
 
 from .errors import NumericalError
 from .hermite import RealGrid, basis_rows, projection_sequence
+from .jacobi import offdiag_weight
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,7 @@ class LatticeTrajectory:
 
 def offdiagonal(n_modes: int) -> np.ndarray:
     """Upper-diagonal entries ``w(n)/2`` of the truncated generator, n = 1..N-1."""
-    n = np.arange(1, n_modes, dtype=float)
-    return 0.5 * np.sqrt(n * (n + 1.0) * (n + 2.0))
+    return 0.5 * offdiag_weight(np.arange(1, n_modes))
 
 
 def skew_matrix(n_modes: int) -> np.ndarray:

@@ -174,6 +174,11 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
 
+    def test_defaults_pass_their_range_checks(self):
+        for name, params in cli._PARAMS.items():
+            for key, (default, check) in params.items():
+                assert check(default), f"{name}.{key} default {default!r} out of range"
+
     def test_out_of_range_value_rejected(self, tmp_path):
         assert run(["spectrum", "--scan-step", -0.1, "--outdir", tmp_path]) == 1
 

@@ -181,6 +181,14 @@ class TestProjectionSequence:
         lhs = f[2:] * np.sqrt(n + 1.0)
         rhs = f[:-2] * np.sqrt(n)
         assert np.abs(lhs - rhs).max() < 1e-13 * np.abs(rhs).max()
+        # bit for bit the step-by-step recurrence, at both parities of n_max
+        for n_max in (1, 2, 1000, 1001):
+            ref = np.empty(n_max + 1)
+            ref[0] = np.sqrt(2.0 * np.pi)
+            ref[1] = 2.0
+            for k in range(1, n_max):
+                ref[k + 1] = np.sqrt(k / (k + 1.0)) * ref[k - 1]
+            assert np.array_equal(projection_sequence(n_max), ref)
 
     def test_positive_with_quarter_power_decay(self):
         f = projection_sequence(2000)

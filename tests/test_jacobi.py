@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from logkdv.jacobi import (
     SpectrumResult,
+    _shoot_products,
+    _w_inf_scan,
     apply_jacobi,
     decay_exponent,
     discrete_wronskian,
@@ -94,6 +96,16 @@ class TestShooting:
             resid = out[interior] - z * f[interior]
             assert np.abs(resid).max() < 1e-10 * np.abs(f).max()
 
+    def test_vectorized_products_match_scalar_shooting(self):
+        # the W_inf scan shoots many z at once; each column must be the
+        # scalar shot times the null solution, bit for bit
+        zs = np.array([0.0, 0.3, Z1_REFERENCE, Z2_REFERENCE, 17.5])
+        m = 300
+        products = _shoot_products(zs, m)
+        v = null_solution(m).odd_part[1 : m + 1]
+        for j, z in enumerate(zs):
+            assert np.array_equal(products[:, j], shoot(z, m).A[1 : m + 1] * v)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             shoot(np.inf, 10)
@@ -132,6 +144,10 @@ class TestWronskianTrace:
         partial = z * np.cumsum(state.A[1 : m_max + 1] * v[1 : m_max + 1])
         odd = trace.values[1::2]
         assert odd[: partial.size - 1] == pytest.approx(partial[: odd.size], abs=1e-12)
+
+    def test_limit_estimate_matches_scan(self):
+        for z, n_max in ((1.0, 1000), (Z2_REFERENCE, 4000)):
+            assert wronskian_trace(z, n_max).w_inf == _w_inf_scan(np.array([z]), n_max)[0]
 
     def test_sign_definite_plateau_at_unit_z(self):
         trace = wronskian_trace(1.0, 1000)
