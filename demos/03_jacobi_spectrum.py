@@ -8,8 +8,8 @@ Run:  python demos/03_jacobi_spectrum.py
 
 import numpy as np
 
+from logkdv.hermite import fit_loglog_slope
 from logkdv.jacobi import (
-    decay_exponent,
     find_eigenvalues,
     null_solution,
     shoot,
@@ -20,7 +20,7 @@ from logkdv.jacobi import (
 # --- the boundary-condition sequence ----------------------------------------
 v = null_solution(10_000)
 print("null solution head: v_1, v_2, v_3 =", v.values[1:4])
-print("null solution tail slope:", decay_exponent(v.odd_part[1:]), "(expected -3/4)")
+print("null solution tail slope:", fit_loglog_slope(v.odd_part[1:]), "(expected -3/4)")
 
 # --- a single Wronskian trace -------------------------------------------------
 trace = wronskian_trace(1.0, 1000)
@@ -50,7 +50,7 @@ print("B-sequence tail slopes:", np.round(result.decay_exponents_b, 4))
 
 # off an eigenvalue the even entries decay at the generic -3/4 rate instead
 state = shoot(1.0, 10_000)
-print("generic B slope at z=1:", decay_exponent(state.B[1:]))
+print("generic B slope at z=1:", fit_loglog_slope(state.B[1:]))
 
 # --- the Dirichlet truncation realizes a different extension -------------------
 ev = truncated_matrix_eigenvalues(1600, z_max=12.0)

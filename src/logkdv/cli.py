@@ -78,6 +78,15 @@ def _flag_type(default) -> type:
     return float if default is None else type(default)
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def _fmt(value) -> str:
     return repr(float(value))
 
@@ -130,8 +139,15 @@ def _resolve_config(name: str, file_path: str | None, flag_values: dict) -> dict
             config[key] = value
     for key, value in config.items():
         default, check = params[key]
-        if _flag_type(default) is int and value is not None:
-            config[key] = int(value)
+        kind = _flag_type(default)
+        if kind is float and not (value is None and default is None):
+            if not _is_finite_number(value):
+                raise ValueError(f"config value must be a finite number: {key}={value!r}")
+        if kind is int:
+            try:
+                config[key] = int(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"config value must be an integer: {key}={value!r}") from None
         if not check(config[key]):
             raise ValueError(f"config value out of range: {key}={config[key]!r}")
     return config
@@ -223,8 +239,7 @@ def _run_evolve(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
     else:
         state = lattice.initial_random(config["n_modes"], config["seed"])
     if config["method"] == "rk4":
-        cap = 0.5 * config["n_modes"] ** -1.5
-        config["dt"] = min(config["dt"], cap)
+        config["dt"] = min(config["dt"], lattice._rk4_dt_cap(config["n_modes"]))
     traj = lattice.evolve(
         state,
         config["T"],

@@ -28,12 +28,11 @@ The truncated minimum creeps downward like ``n_max**(-1/2)`` because the
 constraint vector has an ``n**(-1/4)`` tail.  ``coercivity_constant``
 therefore extrapolates the secular sum with a fitted Hurwitz-zeta tail
 by default, which makes the returned value independent of the
-truncation to ~1e-8 already at ``n_max = 200``.
+truncation to ~1e-8 already at ``n_max = 200``; no doubling of the
+truncation is needed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -41,14 +40,6 @@ from scipy.optimize import brentq
 from scipy.special import zeta
 
 from .hermite import power_tail_fit, projection_sequence
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Which of the two orthogonality constraints to enforce."""
-
-    first: bool = True   # c_0 = 0
-    second: bool = True  # sum f_n c_n = 0
 
 
 def energy_form(c) -> float:
@@ -116,42 +107,44 @@ def c0_tail_estimate(n_max: int) -> float:
     return float(c_part + d_part)
 
 
+def _phi(mu, fsq, n, tail):
+    """Secular function at mu.
+
+    ``fsq`` holds f_n^2 for n = 0..n_max and ``n`` the indices 2..n_max.
+    """
+    # n = 1 term is f_1^2 / (0 - 2 mu) = -2/mu
+    val = -2.0 / mu + np.sum(fsq[2:] / ((n - 1.0) - (n + 1.0) * mu))
+    if tail is not None:
+        c_part, d_part = tail(mu)
+        val += c_part  # one part at a time: the sum order is part of the result
+        val += d_part
+    return val
+
+
 def _secular_root(f: np.ndarray, tail_corrected: bool) -> float:
     """Root of the secular function in (0, 1/3)."""
     n_max = f.size - 1
     n = np.arange(2, n_max + 1, dtype=float)
     fsq = f ** 2
     tail = _tail_model(fsq) if tail_corrected else None
-
-    def phi(mu):
-        # n = 1 term is f_1^2 / (0 - 2 mu) = -2/mu
-        val = -2.0 / mu + np.sum(fsq[2:] / ((n - 1.0) - (n + 1.0) * mu))
-        if tail is not None:
-            c_part, d_part = tail(mu)
-            val += c_part  # one part at a time: the sum order is part of the result
-            val += d_part
-        return val
-
-    # phi is strictly increasing, -inf at 0+ and +inf at (1/3)-
-    return float(brentq(phi, 1e-12, 1.0 / 3.0 - 1e-12, xtol=1e-15, rtol=8.9e-16))
+    # phi is strictly increasing, -inf at 0+ and +inf at (1/3)-.  A module-level
+    # objective with the arrays in ``args`` keeps them out of the reference
+    # cycle that brentq's wrapper forms with a closure, so they are freed on return.
+    return float(brentq(_phi, 1e-12, 1.0 / 3.0 - 1e-12, args=(fsq, n, tail),
+                        xtol=1e-15, rtol=8.9e-16))
 
 
-def coercivity_constant(
-    n_max: int,
-    constraints: ConstraintSet = ConstraintSet(),
-    tail_corrected: bool = True,
-) -> float:
-    """Smallest value of ``energy_form / compat_norm_form`` on the constraint set.
+def coercivity_constant(n_max: int, tail_corrected: bool = True) -> float:
+    """Smallest value of ``energy_form / compat_norm_form`` under both constraints.
+
+    The minimum is the secular root, strictly inside (0, 1/3).  With only
+    the first constraint it would be exactly 0, attained at the unit
+    vector in mode 1.
 
     Parameters
     ----------
     n_max : int
         Truncation: coefficient vectors of length ``n_max + 1``.
-    constraints : ConstraintSet
-        With only the first constraint the minimum is exactly 0
-        (attained at the unit vector in mode 1, whose energy weight
-        vanishes).  With both constraints the minimum is the secular
-        root, strictly inside (0, 1/3).
     tail_corrected : bool
         When True (default) the secular sum is extrapolated beyond the
         truncation, giving a value stable under changes of ``n_max``.
@@ -161,14 +154,7 @@ def coercivity_constant(
     """
     if n_max < 10:
         raise ValueError("n_max must be at least 10 to support the constraints")
-    if not constraints.first and not constraints.second:
-        return -1.0  # attained at the pure n = 0 vector
-    if constraints.first and not constraints.second:
-        return 0.0  # attained at the pure n = 1 vector
-    if not constraints.first:
-        raise ValueError("the second constraint is only handled together with the first")
-    f = projection_sequence(n_max)
-    return _secular_root(f, tail_corrected)
+    return _secular_root(projection_sequence(n_max), tail_corrected)
 
 
 def coercivity_constant_dense(n_max: int) -> float:
@@ -189,24 +175,6 @@ def coercivity_constant_dense(n_max: int) -> float:
     b_red = (basis.T * (ns + 1.0)) @ basis
     vals = scipy.linalg.eigh(a_red, b_red, eigvals_only=True, subset_by_index=[0, 0])
     return float(vals[0])
-
-
-def converged_coercivity_constant(
-    start: int = 100, abs_tol: float = 1e-4, max_n: int = 10_000
-) -> tuple[float, int]:
-    """Double the truncation until the constant moves less than ``abs_tol``.
-
-    Returns ``(value, n_max_used)``.
-    """
-    n = start
-    prev = coercivity_constant(n)
-    while 2 * n <= max_n:
-        n *= 2
-        cur = coercivity_constant(n)
-        if abs(cur - prev) < abs_tol:
-            return cur, n
-        prev = cur
-    return prev, n
 
 
 def random_constrained_coefficients(

@@ -31,6 +31,7 @@ used to extrapolate sums and slopes of such sequences.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,19 +155,6 @@ def basis_rows(x, n_max: int, max_index: int = MAX_INDEX):
             u_prev = np.ldexp(u_prev, -e)
 
 
-def _eval_rows(x, wanted, max_index):
-    """Evaluate u_n(x) for each n in ``wanted`` (an iterable of indices)."""
-    wanted = sorted(set(int(n) for n in wanted))
-    out = {}
-    for n, row in basis_rows(x, wanted[-1], max_index=max_index):
-        if n == wanted[0]:
-            out[n] = row
-            wanted.pop(0)
-            if not wanted:
-                break
-    return out
-
-
 def hermite_function(n: int, x, max_index: int = MAX_INDEX):
     """Evaluate the n-th basis function u_n at x.
 
@@ -184,7 +172,7 @@ def hermite_function(n: int, x, max_index: int = MAX_INDEX):
     """
     n = _check_index(n, max_index)
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    vals = _eval_rows(x, [n], max_index)[n]
+    vals = deque((row for _, row in basis_rows(x, n, max_index)), maxlen=1)[0]
     return float(vals[0]) if scalar else vals
 
 
@@ -197,11 +185,11 @@ def hermite_derivative(n: int, x, max_index: int = MAX_INDEX):
     n = _check_index(n, max_index)
     scalar = np.isscalar(x) or np.ndim(x) == 0
     # the ladder needs one neighbor above n, so allow max_index + 1 internally
+    rows = deque((row for _, row in basis_rows(x, n + 1, max_index + 1)), maxlen=3)
     if n == 0:
-        vals = -0.5 * _eval_rows(x, [1], max_index + 1)[1]
+        vals = -0.5 * rows[-1]
     else:
-        rows = _eval_rows(x, [n - 1, n + 1], max_index + 1)
-        vals = 0.5 * (np.sqrt(n) * rows[n - 1] - np.sqrt(n + 1.0) * rows[n + 1])
+        vals = 0.5 * (np.sqrt(n) * rows[0] - np.sqrt(n + 1.0) * rows[2])
     return float(vals[0]) if scalar else vals
 
 
@@ -306,17 +294,17 @@ def fit_loglog_slope(values, positions=None, tail_fraction: float = 0.5) -> floa
     return float(slope)
 
 
-def power_tail_fit(values, positions, power: float, fit_fraction: float = 0.25):
+def power_tail_fit(values, positions, power: float):
     """Fit ``values ~ c p^{-power} + d p^{-power-1}`` on the tail; returns (c, d).
 
     ``positions`` are the consecutive integers p at which ``values`` are
     sampled, ending at the truncation ``positions[-1]``.  The fit uses the
-    entries from index ``int((1 - fit_fraction) * positions[-1])`` on.
+    last quarter, the entries from index ``int(0.75 * positions[-1])`` on.
     Callers sum the fitted model past the truncation with Hurwitz zetas.
     """
     values = np.asarray(values, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    k0 = int((1.0 - fit_fraction) * positions[-1])
+    k0 = int(0.75 * positions[-1])
     p = positions[k0:]
     scaled = values[k0:] * p ** power
     design = np.stack([np.ones_like(p), 1.0 / p], axis=1)

@@ -43,6 +43,9 @@ from scipy.special import zeta
 from .errors import NumericalError
 from .hermite import fit_loglog_slope, power_tail_fit, product_sequence
 
+# Shooting length for the decay-exponent fits at each eigenvalue.
+_SLOPE_M_MAX = 10_000
+
 
 def offdiag_weight(n) -> np.ndarray:
     """Coupling weight ``w(n) = sqrt(n (n+1) (n+2))``, vectorized."""
@@ -284,7 +287,6 @@ def find_eigenvalues(
     scan_step: float = 0.05,
     tol: float = 1e-6,
     n_max: int = 1000,
-    slope_m_max: int = 10_000,
 ) -> SpectrumResult:
     """Scan ``W_inf(z)`` on (z_min, z_max], bracket sign changes, bisect.
 
@@ -348,7 +350,7 @@ def find_eigenvalues(
 
     slopes_a, slopes_b = [], []
     for r in roots:
-        st = shoot(float(r), slope_m_max)
+        st = shoot(float(r), _SLOPE_M_MAX)
         slopes_a.append(fit_loglog_slope(st.A[1:-1]))
         slopes_b.append(fit_loglog_slope(st.B[1:]))
     return SpectrumResult(
@@ -360,13 +362,6 @@ def find_eigenvalues(
         scan_w=ws,
         diagnostics=diagnostics,
     )
-
-
-def decay_exponent(seq, tail_fraction: float = 0.5) -> float:
-    """Log-log tail slope of a sequence indexed from 1; zeros are skipped."""
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1)")
-    return fit_loglog_slope(seq, tail_fraction=tail_fraction)
 
 
 def truncated_matrix_eigenvalues(n_max: int, z_max: float = 20.0) -> np.ndarray:

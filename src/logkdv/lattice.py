@@ -12,7 +12,9 @@ is the Cayley transform of the skew generator, hence orthogonal, and
 conserves the norm to solver roundoff at any step size.  An explicit
 RK4 path is kept for cross-checks; its step size is capped at
 ``0.5 N**-1.5`` because the off-diagonal growth makes the truncated
-generator stiff.
+generator stiff.  Both steppers build the generator's off-diagonal once
+per :func:`evolve` call, and the midpoint rule also builds the bands of
+``I - h/2 M`` once and hands them to LAPACK's tridiagonal solver each step.
 
 Truncation caveat: the lattice transports energy toward large n at speed
 ~ n^(3/2), so wave content launched from modes around n0 reaches *any*
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import NumericalError
 from .hermite import RealGrid, basis_rows, projection_sequence
@@ -86,14 +88,18 @@ def skew_matrix(n_modes: int) -> np.ndarray:
     return m
 
 
-def skew_rhs(state) -> np.ndarray:
-    """Right-hand side ``M a`` with the truncation ``a_{N+1} = 0``."""
-    a = state.a if isinstance(state, LatticeState) else np.asarray(state, dtype=float)
-    beta = offdiagonal(a.size)
+def _apply_skew(beta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``M a`` for the generator with upper off-diagonal ``beta``."""
     out = np.zeros_like(a)
     out[:-1] += beta * a[1:]
     out[1:] -= beta * a[:-1]
     return out
+
+
+def skew_rhs(state) -> np.ndarray:
+    """Right-hand side ``M a`` with the truncation ``a_{N+1} = 0``."""
+    a = state.a if isinstance(state, LatticeState) else np.asarray(state, dtype=float)
+    return _apply_skew(offdiagonal(a.size), a)
 
 
 def _rk4_dt_cap(n_modes: int) -> float:
@@ -106,14 +112,14 @@ def evolve(
     dt: float,
     sample_every: int = 1,
     method: str = "midpoint",
-    c1_0: float = 0.0,
 ) -> LatticeTrajectory:
     """Integrate the lattice system over [0, T] (T may be negative).
 
-    The c1 projection obeys ``dc1/dt = a_1 / sqrt(2)`` and is advanced
-    with the stage values of the same stepper (for the midpoint rule
-    that is the trapezoid of consecutive ``a_1`` samples), so it is the
-    discrete integral of the sampled flow, not a separate quadrature.
+    The c1 projection starts at 0, obeys ``dc1/dt = a_1 / sqrt(2)`` and
+    is advanced with the stage values of the same stepper (for the
+    midpoint rule that is the trapezoid of consecutive ``a_1`` samples),
+    so it is the discrete integral of the sampled flow, not a separate
+    quadrature.
 
     Parameters
     ----------
@@ -145,32 +151,32 @@ def evolve(
 
     beta = offdiagonal(n_modes)
     if method == "midpoint":
-        # banded (I - h/2 M); refactored per call, O(N) each
-        ab = np.zeros((3, n_modes))
-        ab[0, 1:] = -0.5 * h * beta
-        ab[1, :] = 1.0
-        ab[2, :-1] = 0.5 * h * beta
+        # sub-, main and super-diagonal of (I - h/2 M); dgtsv factors copies
+        # of them each step (it is the routine solve_banded uses for (1, 1))
+        lower = 0.5 * h * beta
+        diag = np.ones(n_modes)
+        upper = -0.5 * h * beta
 
     ts = [a0.t]
     states = [a.copy()]
     norms = [float(np.linalg.norm(a))]
-    c1 = c1_0
+    c1 = 0.0
     c1s = [c1]
     for k in range(n_steps):
         a1_old = a[0]
         if method == "midpoint":
-            rhs = a + 0.5 * h * skew_rhs(a)
-            try:
-                a = solve_banded((1, 1), ab, rhs)
-            except np.linalg.LinAlgError as exc:
+            rhs = a + 0.5 * h * _apply_skew(beta, a)
+            *_, a, info = dgtsv(lower, diag, upper, rhs, overwrite_b=True)
+            if info != 0:
                 raise NumericalError(
-                    f"midpoint solve failed at step {k + 1} (t={a0.t + k * h:.6g}): {exc}"
-                ) from exc
+                    f"midpoint solve failed at step {k + 1} (t={a0.t + k * h:.6g}): "
+                    f"dgtsv info={info}"
+                )
         else:
-            k1 = skew_rhs(a)
-            k2 = skew_rhs(a + 0.5 * h * k1)
-            k3 = skew_rhs(a + 0.5 * h * k2)
-            k4 = skew_rhs(a + h * k3)
+            k1 = _apply_skew(beta, a)
+            k2 = _apply_skew(beta, a + 0.5 * h * k1)
+            k3 = _apply_skew(beta, a + 0.5 * h * k2)
+            k4 = _apply_skew(beta, a + h * k3)
             a = a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(a)):
             raise NumericalError(
@@ -255,16 +261,14 @@ def initial_gaussian_bump(
     n_modes: int,
     center: float = 1.0,
     width: float = 1.0,
-    grid: RealGrid | None = None,
 ) -> LatticeState:
     """Lattice image of the bump ``exp(-(x - center)^2 / (2 width^2))``.
 
-    Coefficients are computed by grid quadrature and mapped through
-    :func:`coefficients_to_lattice`; they decay superexponentially, so
-    the truncated dynamics is initially fully resolved.
+    Coefficients are computed by quadrature on ``RealGrid.uniform()`` and
+    mapped through :func:`coefficients_to_lattice`; they decay
+    superexponentially, so the truncated dynamics is initially fully resolved.
     """
-    if grid is None:
-        grid = RealGrid.uniform()
+    grid = RealGrid.uniform()
     bump = np.exp(-((grid.nodes - center) ** 2) / (2.0 * width**2))
     weighted = grid.weights * bump
     c = np.empty(n_modes + 2)

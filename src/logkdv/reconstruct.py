@@ -142,15 +142,13 @@ def eigenpair_residual(
     z: float,
     profiles: EigenvectorProfiles,
     grid: RealGrid,
-    window: float = 8.0,
-    n_project: int = 30,
 ) -> ResidualReport:
     """Check the coupled system with finite differences as the operator oracle.
 
-    Raw residuals are relative interior L2 norms over ``|x| <= window``;
-    the projected ones are the norms of the residual's components along
-    the first ``n_project + 1`` basis functions (computed over the whole
-    grid), relative to the same reference.  See the module docstring for
+    Raw residuals are relative interior L2 norms over ``|x| <= 8``; the
+    projected ones are the norms of the residual's components along the
+    first 31 basis functions u_0..u_30 (computed over the whole grid),
+    relative to the same reference.  See the module docstring for
     why the raw odd-equation residual does not vanish under truncation
     refinement while the projected ones do.
     """
@@ -161,7 +159,7 @@ def eigenpair_residual(
     lhs_even = -z * profiles.y_even
     r_even = lhs_even - 2.0 * _apply_dx_l(profiles.y_odd, x)
 
-    mask = np.abs(x) <= window
+    mask = np.abs(x) <= 8.0
 
     def wnorm(v, m=mask):
         return float(np.sqrt(np.sum((grid.weights * v * v)[m])))
@@ -170,7 +168,7 @@ def eigenpair_residual(
     raw_even = wnorm(r_even) / wnorm(lhs_even)
 
     proj_odd_sq = proj_even_sq = 0.0
-    for n, row in basis_rows(x, n_project):
+    for n, row in basis_rows(x, 30):
         proj_odd_sq += float(np.dot(grid.weights * row, r_odd)) ** 2
         proj_even_sq += float(np.dot(grid.weights * row, r_even)) ** 2
     full = np.ones_like(mask)
@@ -180,13 +178,14 @@ def eigenpair_residual(
 
 
 def convolution_synthesize(
-    state: HalfLineState, a: float, b: float, grid: RealGrid, chunk: int = 256
+    state: HalfLineState, a: float, b: float, grid: RealGrid
 ) -> np.ndarray:
     """Evaluate ``u = a u_0 + b u_1 + int u_0(x - z) w(z) dz`` on the grid.
 
     The z integral is the half-line grid's trapezoidal rule; x points
-    are processed in chunks to bound the size of the difference matrix.
+    are processed 256 at a time to bound the size of the difference matrix.
     """
+    chunk = 256
     x = grid.nodes
     z = state.grid.nodes
     wz = state.grid.weights * state.w

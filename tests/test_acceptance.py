@@ -27,12 +27,13 @@ from logkdv.halfline import (
 from logkdv.hermite import (
     RealGrid,
     basis_rows,
+    fit_loglog_slope,
     ground_state_antiderivative,
     hermite_derivative,
     hermite_function,
     projection_sequence,
 )
-from logkdv.jacobi import decay_exponent, find_eigenvalues, null_solution, shoot
+from logkdv.jacobi import find_eigenvalues, null_solution, shoot
 from logkdv.lattice import c1_track, evolve, initial_gaussian_bump as lattice_bump
 
 
@@ -81,10 +82,10 @@ def test_criterion_2_projection_constants():
 def test_criterion_3_decay_exponents(spectrum_0_8):
     m_max = 10_000
     z1 = float(spectrum_0_8.eigenvalues[0])
-    s_null = decay_exponent(null_solution(m_max).odd_part[1:])
+    s_null = fit_loglog_slope(null_solution(m_max).odd_part[1:])
     state = shoot(z1, m_max)
-    s_a = decay_exponent(state.A[1:-1])
-    s_b = decay_exponent(state.B[1:])
+    s_a = fit_loglog_slope(state.A[1:-1])
+    s_b = fit_loglog_slope(state.B[1:])
     ok = (
         abs(s_null + 0.75) <= 0.05
         and abs(s_a + 0.75) <= 0.05

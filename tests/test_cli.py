@@ -27,6 +27,13 @@ def run(args):
 
 SCHEMA = load_schema()
 
+NUMERIC_KEYS = [
+    (name, key)
+    for name, params in cli._PARAMS.items()
+    for key, (default, _) in params.items()
+    if cli._flag_type(default) in (float, int)
+]
+
 
 class TestProjectionsCommand:
     def test_known_head_values_in_csv(self, tmp_path):
@@ -178,6 +185,31 @@ class TestConfigHandling:
         for name, params in cli._PARAMS.items():
             for key, (default, check) in params.items():
                 assert check(default), f"{name}.{key} default {default!r} out of range"
+
+    @pytest.mark.parametrize("name, key", NUMERIC_KEYS)
+    def test_wrong_type_or_non_finite_value_rejected(self, name, key, tmp_path, capsys):
+        default = cli._PARAMS[name][key][0]
+        is_float = cli._flag_type(default) is float
+        bad = [float("inf"), float("-inf"), float("nan"), "x", [1]]
+        if default is not None:
+            bad.append(None)
+        if is_float:
+            bad += [True, 10**400]
+
+        def rejected(args):
+            code = run([name, *args, "--outdir", tmp_path])
+            err = capsys.readouterr().err
+            return code == 1 and err.startswith("error:") and "\n" not in err.strip()
+
+        cfg = tmp_path / "cfg.json"
+        for value in bad:
+            cfg.write_text(json.dumps({key: value}))
+            assert rejected(["--config", cfg]), value
+        if is_float:  # argparse itself rejects a non-integer int flag
+            flag = "--" + key.replace("_", "-")
+            for text in ("inf", "nan"):
+                assert rejected([flag, text]), text
+        assert not list(tmp_path.glob("*_summary.json"))
 
     def test_out_of_range_value_rejected(self, tmp_path):
         assert run(["spectrum", "--scan-step", -0.1, "--outdir", tmp_path]) == 1

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from logkdv.hermite import fit_loglog_slope
 from logkdv.jacobi import (
     SpectrumResult,
     _shoot_products,
     _w_inf_scan,
     apply_jacobi,
-    decay_exponent,
     discrete_wronskian,
     find_eigenvalues,
     null_solution,
@@ -68,7 +68,7 @@ class TestNullSolution:
 
     def test_decay_exponent(self):
         v = null_solution(10_000)
-        assert decay_exponent(v.odd_part[1:]) == pytest.approx(-0.75, abs=0.05)
+        assert fit_loglog_slope(v.odd_part[1:]) == pytest.approx(-0.75, abs=0.05)
 
 
 class TestShooting:
@@ -211,7 +211,7 @@ class TestSpectrum:
 
     def test_generic_even_entries_decay_slower(self):
         state = shoot(1.0, 10_000)
-        assert decay_exponent(state.B[1:]) == pytest.approx(-0.75, abs=0.05)
+        assert fit_loglog_slope(state.B[1:]) == pytest.approx(-0.75, abs=0.05)
 
     def test_truncated_matrix_interlaces(self, spectrum):
         # the Dirichlet truncation realizes a different extension whose
@@ -224,16 +224,16 @@ class TestSpectrum:
 class TestDecayExponent:
     def test_pure_power_law(self):
         m = np.arange(1, 5001, dtype=float)
-        assert decay_exponent(m**-0.8) == pytest.approx(-0.8, abs=1e-6)
+        assert fit_loglog_slope(m**-0.8) == pytest.approx(-0.8, abs=1e-6)
 
     def test_zeros_are_skipped(self):
         m = np.arange(1, 5001, dtype=float)
         seq = m**-0.8
         seq[::7] = 0.0
-        assert decay_exponent(seq) == pytest.approx(-0.8, abs=1e-3)
+        assert fit_loglog_slope(seq) == pytest.approx(-0.8, abs=1e-3)
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError):
-            decay_exponent(np.ones(8))
+            fit_loglog_slope(np.ones(8))
         with pytest.raises(ValueError):
-            decay_exponent(np.zeros(100))
+            fit_loglog_slope(np.zeros(100))

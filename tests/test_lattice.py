@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from logkdv.coercivity import energy_form
 from logkdv.lattice import (
@@ -15,11 +16,42 @@ from logkdv.lattice import (
     initial_gaussian_bump,
     initial_random,
     lattice_to_coefficients,
+    offdiagonal,
     skew_matrix,
     skew_rhs,
 )
 
 C0_LIMIT = 4.0 + 2.0 * math.pi
+
+
+def reference_evolve(a, T, dt, sample_every, method):
+    """Step-by-step loop with a generic banded solve and ``skew_rhs`` per stage."""
+    h = dt if T >= 0 else -dt
+    n_steps = int(round(abs(T) / dt))
+    beta = offdiagonal(a.size)
+    ab = np.zeros((3, a.size))
+    ab[0, 1:] = -0.5 * h * beta
+    ab[1, :] = 1.0
+    ab[2, :-1] = 0.5 * h * beta
+    ts, states, norms, c1s = [0.0], [a.copy()], [float(np.linalg.norm(a))], [0.0]
+    c1 = 0.0
+    for k in range(n_steps):
+        a1_old = a[0]
+        if method == "midpoint":
+            a = solve_banded((1, 1), ab, a + 0.5 * h * skew_rhs(a))
+        else:
+            k1 = skew_rhs(a)
+            k2 = skew_rhs(a + 0.5 * h * k1)
+            k3 = skew_rhs(a + 0.5 * h * k2)
+            k4 = skew_rhs(a + h * k3)
+            a = a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c1 += h * (a1_old + a[0]) / (2.0 * np.sqrt(2.0))
+        if (k + 1) % sample_every == 0 or k == n_steps - 1:
+            ts.append((k + 1) * h)
+            states.append(a.copy())
+            norms.append(float(np.linalg.norm(a)))
+            c1s.append(c1)
+    return np.array(ts), np.array(states), np.array(norms), np.array(c1s)
 
 
 class TestSkewStructure:
@@ -89,6 +121,19 @@ class TestEvolve:
         mp = evolve(state, horizon, 1e-5, sample_every=int(round(horizon / 1e-5)))
         assert abs(rk.norms[-1] / rk.norms[0] - 1.0) < 1e-9
         assert rk.states[-1] == pytest.approx(mp.states[-1], abs=5e-6)
+
+    @pytest.mark.parametrize(
+        "n_modes, T, method",
+        [(2, 0.5, "midpoint"), (3, -0.5, "midpoint"), (400, 0.3, "midpoint"),
+         (400, -0.3, "midpoint"), (2, 0.5, "rk4"), (200, 0.05, "rk4"), (200, -0.05, "rk4")],
+    )
+    def test_bit_identical_to_reference_loop(self, n_modes, T, method):
+        state = initial_random(n_modes, seed=12)
+        dt = 1e-3 if method == "midpoint" else 0.5 * n_modes**-1.5
+        traj = evolve(state, T, dt, sample_every=7, method=method)
+        ref = reference_evolve(state.a.copy(), T, dt, 7, method)
+        for got, want in zip((traj.ts, traj.states, traj.norms, traj.c1), ref):
+            assert np.array_equal(got, want)
 
     def test_rk4_step_cap_enforced(self):
         state = initial_random(400, seed=3)
