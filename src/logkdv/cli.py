@@ -74,6 +74,9 @@ _PARAMS = {
 }
 
 
+_CSV_BLOCK_ROWS = 1 << 14
+
+
 def _flag_type(default) -> type:
     return float if default is None else type(default)
 
@@ -87,16 +90,17 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # converted to Python floats a block of rows at a time to bound memory
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [
+                np.asarray(col[start : start + _CSV_BLOCK_ROWS], dtype=float).tolist()
+                for col in columns
+            ]
+            for row in zip(*block):
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _write_summary(outdir: Path, name: str, config: dict, scalars: dict,
@@ -144,10 +148,9 @@ def _resolve_config(name: str, file_path: str | None, flag_values: dict) -> dict
             if not _is_finite_number(value):
                 raise ValueError(f"config value must be a finite number: {key}={value!r}")
         if kind is int:
-            try:
-                config[key] = int(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"config value must be an integer: {key}={value!r}") from None
+            if not (_is_finite_number(value) and float(value).is_integer()):
+                raise ValueError(f"config value must be an integer: {key}={value!r}")
+            config[key] = int(value)
         if not check(config[key]):
             raise ValueError(f"config value out of range: {key}={config[key]!r}")
     return config
@@ -365,8 +368,15 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a usage error, so it is reported like a bad config."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logkdv",
         description="Reproducible numerical experiments for the linearized "
         "log-KdV problem at the Gaussian solitary wave.",
@@ -383,21 +393,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    name = args.subcommand
-    flag_values = {k: getattr(args, k) for k in _PARAMS[name]}
     try:
+        args = _build_parser().parse_args(argv)
+        name = args.subcommand
+        flag_values = {k: getattr(args, k) for k in _PARAMS[name]}
         config = _resolve_config(name, args.config, flag_values)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    outdir = Path(args.outdir or os.environ.get("LOGKDV_OUTDIR") or ".")
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 1
-    try:
+        outdir = Path(args.outdir or os.environ.get("LOGKDV_OUTDIR") or ".")
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot create output directory: {exc}") from None
         scalars, invariants, outputs = _RUNNERS[name](config, outdir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

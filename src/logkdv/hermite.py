@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Largest basis index accepted by default.
+#: Largest basis index accepted.
 MAX_INDEX = 10_000
 
 # Renormalize the carried exponents every this many recurrence steps.
@@ -112,12 +112,12 @@ class RealGrid:
         return float(np.sqrt(self.inner(f, f)))
 
 
-def _check_index(n: int, max_index: int) -> int:
+def _check_index(n: int) -> int:
     n = int(n)
     if n < 0:
         raise ValueError(f"basis index must be non-negative, got {n}")
-    if n > max_index:
-        raise ValueError(f"basis index {n} above configured maximum {max_index}")
+    if n > MAX_INDEX:
+        raise ValueError(f"basis index {n} above the maximum {MAX_INDEX}")
     return n
 
 
@@ -134,13 +134,18 @@ def _start_scaled(x: np.ndarray):
     return mant, expo
 
 
-def basis_rows(x, n_max: int, max_index: int = MAX_INDEX):
+def basis_rows(x, n_max: int):
     """Yield ``(n, u_n(x))`` for n = 0..n_max over an array of points.
 
     Single pass of the normalized recurrence; each yielded row is a fresh
     array of the actual function values.
     """
-    _check_index(n_max, max_index)
+    _check_index(n_max)
+    yield from _rows(x, n_max)
+
+
+def _rows(x, n_max: int):
+    """The recurrence of :func:`basis_rows` without the index check."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u_prev = np.zeros_like(x)
     u_cur, expo = _start_scaled(x)
@@ -155,13 +160,13 @@ def basis_rows(x, n_max: int, max_index: int = MAX_INDEX):
             u_prev = np.ldexp(u_prev, -e)
 
 
-def hermite_function(n: int, x, max_index: int = MAX_INDEX):
+def hermite_function(n: int, x):
     """Evaluate the n-th basis function u_n at x.
 
     Parameters
     ----------
     n : int
-        Basis index, ``0 <= n <= max_index``.
+        Basis index, ``0 <= n <= MAX_INDEX``.
     x : float or ndarray
         Evaluation points.
 
@@ -170,22 +175,22 @@ def hermite_function(n: int, x, max_index: int = MAX_INDEX):
     float or ndarray
         ``u_n(x)``.  Uniformly bounded: ``|u_n(x)| <= 1`` everywhere.
     """
-    n = _check_index(n, max_index)
+    n = _check_index(n)
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    vals = deque((row for _, row in basis_rows(x, n, max_index)), maxlen=1)[0]
+    vals = deque((row for _, row in basis_rows(x, n)), maxlen=1)[0]
     return float(vals[0]) if scalar else vals
 
 
-def hermite_derivative(n: int, x, max_index: int = MAX_INDEX):
+def hermite_derivative(n: int, x):
     """Evaluate u_n'(x) through the ladder relation.
 
     Uses ``2 u_n' = -sqrt(n+1) u_{n+1} + sqrt(n) u_{n-1}``; for n = 0
     only the first term is present.
     """
-    n = _check_index(n, max_index)
+    n = _check_index(n)
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    # the ladder needs one neighbor above n, so allow max_index + 1 internally
-    rows = deque((row for _, row in basis_rows(x, n + 1, max_index + 1)), maxlen=3)
+    # the ladder needs one neighbor above n, also at n = MAX_INDEX
+    rows = deque((row for _, row in _rows(x, n + 1)), maxlen=3)
     if n == 0:
         vals = -0.5 * rows[-1]
     else:

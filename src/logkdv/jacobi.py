@@ -258,10 +258,6 @@ def _w_inf_scan(z_values: np.ndarray, n_max: int) -> np.ndarray:
     return np.asarray(z_values) * (partial + tails)
 
 
-def _w_inf_single(z: float, n_max: int) -> float:
-    return float(_w_inf_scan(np.array([z]), n_max)[0])
-
-
 @dataclass(frozen=True)
 class SpectrumResult:
     """Positive eigenvalues of the limit-circle realization.
@@ -289,6 +285,10 @@ def find_eigenvalues(
     n_max: int = 1000,
 ) -> SpectrumResult:
     """Scan ``W_inf(z)`` on (z_min, z_max], bracket sign changes, bisect.
+
+    All brackets are bisected together, with one vectorized ``W_inf``
+    evaluation at the midpoints of the brackets still wider than ``tol``
+    per halving; each bracket takes the steps it would take alone.
 
     z = 0 is excluded by construction (the scan starts at ``z_min > 0``;
     ``W_inf`` vanishes linearly at the origin without crossing, and the
@@ -321,43 +321,31 @@ def find_eigenvalues(
             f"Wronskian trace did not settle up to n_max={n_eff}; no plateau"
         )
 
-    brackets = [
-        (float(zs[i]), float(zs[i + 1]))
-        for i in range(zs.size - 1)
-        if ws[i] == 0.0 or ws[i] * ws[i + 1] < 0.0
-    ]
+    left = np.flatnonzero((ws[:-1] == 0.0) | (ws[:-1] * ws[1:] < 0.0))
     diagnostics = {"n_max": n_eff, "scan_points": int(zs.size)}
-    if not brackets:
+    if left.size == 0:
         diagnostics["note"] = "no sign change of W_inf in the scanned range"
-        empty = np.empty(0)
-        return SpectrumResult(empty, empty, empty, empty, zs, ws, diagnostics)
+    a, b, fa = zs[left], zs[left + 1], ws[left]
+    active = np.flatnonzero(b - a > tol)
+    while active.size:
+        mid = 0.5 * (a[active] + b[active])
+        fm = _w_inf_scan(mid, n_eff)
+        to_b = fa[active] * fm < 0.0
+        b[active[to_b]] = mid[to_b]
+        a[active[~to_b]] = mid[~to_b]
+        fa[active[~to_b]] = fm[~to_b]
+        hit = fm == 0.0  # an exact zero closes its bracket: a = b = mid
+        b[active[hit]] = mid[hit]
+        active = active[b[active] - a[active] > tol]
+    roots = 0.5 * (a + b)
+    roots = roots[roots > z_min]  # z = 0 stays excluded
 
-    roots = []
-    for a, b in brackets:
-        fa = _w_inf_single(a, n_eff)
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            fm = _w_inf_single(mid, n_eff)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
-    roots = np.array([r for r in roots if r > z_min])  # z = 0 stays excluded
-
-    slopes_a, slopes_b = [], []
-    for r in roots:
-        st = shoot(float(r), _SLOPE_M_MAX)
-        slopes_a.append(fit_loglog_slope(st.A[1:-1]))
-        slopes_b.append(fit_loglog_slope(st.B[1:]))
+    states = [shoot(float(r), _SLOPE_M_MAX) for r in roots]
     return SpectrumResult(
         eigenvalues=roots,
         frequencies=roots / 2.0,
-        decay_exponents_a=np.array(slopes_a),
-        decay_exponents_b=np.array(slopes_b),
+        decay_exponents_a=np.array([fit_loglog_slope(st.A[1:-1]) for st in states]),
+        decay_exponents_b=np.array([fit_loglog_slope(st.B[1:]) for st in states]),
         scan_z=zs,
         scan_w=ws,
         diagnostics=diagnostics,

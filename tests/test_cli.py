@@ -195,6 +195,8 @@ class TestConfigHandling:
             bad.append(None)
         if is_float:
             bad += [True, 10**400]
+        else:
+            bad += [1000.9, True]
 
         def rejected(args):
             code = run([name, *args, "--outdir", tmp_path])
@@ -205,11 +207,27 @@ class TestConfigHandling:
         for value in bad:
             cfg.write_text(json.dumps({key: value}))
             assert rejected(["--config", cfg]), value
-        if is_float:  # argparse itself rejects a non-integer int flag
-            flag = "--" + key.replace("_", "-")
-            for text in ("inf", "nan"):
-                assert rejected([flag, text]), text
+        flag = "--" + key.replace("_", "-")
+        for text in ("inf", "nan") if is_float else ("inf", "nan", "1.5"):
+            assert rejected([flag, text]), text
         assert not list(tmp_path.glob("*_summary.json"))
+
+    @pytest.mark.parametrize(
+        "args",
+        [[], ["nosuch"], ["projections", "--bogus", "1"], ["projections", "--n-max"]],
+        ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "missing-value"],
+    )
+    def test_usage_error_exits_1_with_one_line(self, args, tmp_path, capsys):
+        assert run([*args, "--outdir", tmp_path] if args else args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "\n" not in captured.err.strip()
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["projections", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: logkdv projections")
 
     def test_out_of_range_value_rejected(self, tmp_path):
         assert run(["spectrum", "--scan-step", -0.1, "--outdir", tmp_path]) == 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from logkdv import jacobi
 from logkdv.hermite import fit_loglog_slope
 from logkdv.jacobi import (
     SpectrumResult,
@@ -30,6 +31,33 @@ Z2_REFERENCE = 6.1540
 @pytest.fixture(scope="module")
 def spectrum() -> SpectrumResult:
     return find_eigenvalues(z_max=8.0, n_max=1000)
+
+
+def per_bracket_roots(result: SpectrumResult, z_min: float, tol: float) -> np.ndarray:
+    """Reference bisection: one bracket at a time, one W_inf value per step."""
+    zs, ws, n_max = result.scan_z, result.scan_w, result.diagnostics["n_max"]
+
+    def w_inf(z):
+        return float(jacobi._w_inf_scan(np.array([z]), n_max)[0])
+
+    roots = []
+    for i in range(zs.size - 1):
+        if not (ws[i] == 0.0 or ws[i] * ws[i + 1] < 0.0):
+            continue
+        a, b = float(zs[i]), float(zs[i + 1])
+        fa = w_inf(a)
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            fm = w_inf(mid)
+            if fm == 0.0:
+                a = b = mid
+                break
+            if fa * fm < 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        roots.append(0.5 * (a + b))
+    return np.array([r for r in roots if r > z_min])
 
 
 class TestApplyJacobi:
@@ -204,6 +232,39 @@ class TestSpectrum:
         result = find_eigenvalues(z_min=11.0, z_max=14.0, n_max=400)
         assert result.eigenvalues.size == 0
         assert "note" in result.diagnostics
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"n_max": 200, "tol": 1e-9},
+            {"scan_step": 0.3, "z_max": 30.0},  # six roots
+            {"z_min": 11.0, "z_max": 14.0, "n_max": 400},  # no root
+        ],
+    )
+    def test_lockstep_bisection_matches_per_bracket_loop(self, kwargs):
+        result = find_eigenvalues(**kwargs)
+        reference = per_bracket_roots(
+            result, kwargs.get("z_min", 0.05), kwargs.get("tol", 1e-6)
+        )
+        assert np.array_equal(result.eigenvalues, reference)
+
+    @pytest.mark.parametrize(
+        "w_inf, root",
+        [
+            # the zero in the bracket (1.0, 1.25) is its second midpoint
+            (lambda z: z - 1.0625, 1.0625),
+            # the scan point z = 1 is a zero, so the bracket starts with
+            # W_inf(a) = 0 and takes its sign from the first midpoint
+            (lambda z: -(z - 1.0) * (z - 1.2), 1.2),
+        ],
+        ids=["zero-at-midpoint", "zero-at-scan-point"],
+    )
+    def test_exact_zeros_of_a_stub_w_inf(self, w_inf, root, monkeypatch):
+        monkeypatch.setattr(jacobi, "_w_inf_scan", lambda z, n_max: w_inf(np.asarray(z)))
+        result = find_eigenvalues(z_min=0.5, z_max=1.5, scan_step=0.25)
+        assert np.array_equal(result.eigenvalues, per_bracket_roots(result, 0.5, 1e-6))
+        assert result.eigenvalues == pytest.approx([root], abs=1e-6)
 
     def test_decay_exponents_at_first_eigenvalue(self, spectrum):
         assert spectrum.decay_exponents_a[0] == pytest.approx(-0.75, abs=0.05)
