@@ -2,9 +2,10 @@
 
 Each subcommand merges its defaults with an optional JSON config file
 and explicit flags (flags win), validates the result before computing,
-and writes CSV traces plus a JSON summary into the output directory
-(``--outdir`` flag, else the ``LOGKDV_OUTDIR`` environment variable,
-else the working directory).  Identical config and seed produce
+and computes; only then does ``main`` write the CSV traces and a JSON
+summary into the output directory (``--outdir`` flag, else the
+``LOGKDV_OUTDIR`` environment variable, else the working directory), so
+a failed run writes no CSV.  Identical config and seed produce
 byte-identical files.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
@@ -90,9 +91,11 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def _write_csv(path: Path, table: dict[str, np.ndarray]) -> None:
+    """Write ``{column name: values}`` as a CSV with a header row."""
+    columns = list(table.values())
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(table) + "\n")
         # converted to Python floats a block of rows at a time to bound memory
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = [
@@ -157,9 +160,10 @@ def _resolve_config(name: str, file_path: str | None, flag_values: dict) -> dict
 
 
 # ---------------------------------------------------------------- subcommands
+# Each returns (scalars, invariants, {file name: {column name: values}}).
 
 
-def _run_spectrum(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
+def _run_spectrum(config: dict) -> tuple[dict, dict, dict]:
     result = jacobi.find_eigenvalues(
         z_min=config["z_min"],
         z_max=config["z_max"],
@@ -168,10 +172,6 @@ def _run_spectrum(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
         n_max=config["n_max"],
     )
     trace = jacobi.wronskian_trace(config["trace_z"], config["n_max"])
-    n_idx = np.arange(1, trace.values.size)
-    _write_csv(outdir / "wronskian_trace.csv", ["n", "W_n"], [n_idx, trace.values[1:]])
-    _write_csv(outdir / "wronskian_scan.csv", ["z", "W_inf"], [result.scan_z, result.scan_w])
-
     scalars = {}
     for i, (zk, lam) in enumerate(zip(result.eigenvalues, result.frequencies), start=1):
         scalars[f"z{i}"] = zk
@@ -189,12 +189,15 @@ def _run_spectrum(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
         "roots_are_relative_zeros": all(v < 1e-2 * scan_scale for v in at_roots),
         "trace_plateau": trace.plateau_spread < 0.25 * max(abs(trace.tail_mean), 1e-30),
     }
-    return scalars, invariants, ["wronskian_trace.csv", "wronskian_scan.csv"]
+    tables = {
+        "wronskian_trace.csv": {"n": np.arange(1, trace.values.size), "W_n": trace.values[1:]},
+        "wronskian_scan.csv": {"z": result.scan_z, "W_inf": result.scan_w},
+    }
+    return scalars, invariants, tables
 
 
-def _run_projections(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
+def _run_projections(config: dict) -> tuple[dict, dict, dict]:
     f = projection_sequence(config["n_max"])
-    _write_csv(outdir / "projections.csv", ["n", "f_n"], [np.arange(f.size), f])
     scalars = {"f0": f[0], "f1": f[1]}
     invariants = {"all_positive": bool(np.all(f > 0))}
     if config["n_max"] >= 1000:
@@ -202,10 +205,10 @@ def _run_projections(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]
             f[100:], positions=np.arange(100, f.size), tail_fraction=1.0
         )
         invariants["quarter_power_decay"] = abs(scalars["tail_slope"] + 0.25) < 0.05
-    return scalars, invariants, ["projections.csv"]
+    return scalars, invariants, {"projections.csv": {"n": np.arange(f.size), "f_n": f}}
 
 
-def _run_coercivity(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
+def _run_coercivity(config: dict) -> tuple[dict, dict, dict]:
     n_max = config["n_max"]
     c_hat = coerc.coercivity_constant(n_max)
     c_hat_half = coerc.coercivity_constant(max(10, n_max // 2))
@@ -233,10 +236,10 @@ def _run_coercivity(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
         "c0_tail_estimate": c0_tail,
         "c0_estimate": c0_full,
     }
-    return scalars, invariants, []
+    return scalars, invariants, {}
 
 
-def _run_evolve(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
+def _run_evolve(config: dict) -> tuple[dict, dict, dict]:
     if config["preset"] == "gaussian":
         state = lattice.initial_gaussian_bump(config["n_modes"])
     else:
@@ -252,11 +255,6 @@ def _run_evolve(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
     )
     track = lattice.c1_track(0.0, traj)
     drift = track.conserved - track.conserved[0]
-    _write_csv(
-        outdir / "evolve.csv",
-        ["t", "norm", "c1", "drift"],
-        [traj.ts, traj.norms, track.c1, drift],
-    )
     rel_norm = np.abs(traj.norms / traj.norms[0] - 1.0).max()
     scalars = {
         "initial_norm": traj.norms[0],
@@ -267,10 +265,11 @@ def _run_evolve(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
     }
     invariants = {"norm_conserved": bool(rel_norm < 1e-8) if config["method"] == "midpoint"
                   else bool(rel_norm < 1e-6)}
-    return scalars, invariants, ["evolve.csv"]
+    table = {"t": traj.ts, "norm": traj.norms, "c1": track.c1, "drift": drift}
+    return scalars, invariants, {"evolve.csv": table}
 
 
-def _run_dissipate(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
+def _run_dissipate(config: dict) -> tuple[dict, dict, dict]:
     grid = halfline.HalfLineGrid(config["extent"], config["spacing"])
     w0 = halfline.initial_gaussian_bump(grid, config["center"], config["width"])
     flow = halfline.evolve_dissipative(
@@ -282,11 +281,6 @@ def _run_dissipate(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
     l2 = np.array([grid.l2_norm(w) for w in flow.states])
     h1 = np.array([grid.h1_seminorm(w) for w in flow.states])
     linf = np.abs(flow.states).max(axis=1)
-    _write_csv(
-        outdir / "dissipate.csv",
-        ["t", "l2_norm", "h1_seminorm", "linf_norm", "a", "b", "A"],
-        [flow.ts, l2, h1, linf, mod.a, mod.b, mod.A],
-    )
     t_rel = flow.step_ts - flow.step_ts[0]
     ratios = (flow.step_l2 / flow.step_l2[0]) ** 2 / np.exp(-t_rel)
     mono = np.all(np.diff(flow.step_l2) <= flow.step_l2[:-1] * 1e-10)
@@ -306,22 +300,23 @@ def _run_dissipate(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
         "a_decay_bound": bool(np.all(mod.a**2 <= a_bound)),
         "h1_rate_positive": bool(h1_rate > 0),
     }
-    return scalars, invariants, ["dissipate.csv"]
+    table = {"t": flow.ts, "l2_norm": l2, "h1_seminorm": h1, "linf_norm": linf,
+             "a": mod.a, "b": mod.b, "A": mod.A}
+    return scalars, invariants, {"dissipate.csv": table}
 
 
-def _run_reconstruct(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]:
+def _run_reconstruct(config: dict) -> tuple[dict, dict, dict]:
     grid = RealGrid.uniform(config["x_max"], config["num_points"])
     if config["mode"] == "bump":
         c = np.zeros(51)
         bump_state = lattice.initial_gaussian_bump(49)
         c[2:] = lattice.lattice_to_coefficients(bump_state.a)[2:]
         values = reconstruct.synthesize(c, grid)
-        _write_csv(outdir / "profile.csv", ["x", "value"], [grid.nodes, values])
         parseval = float(np.dot(c, c))
         quad = grid.inner(values, values)
         scalars = {"coefficient_energy": parseval, "profile_energy": quad}
         invariants = {"parseval": abs(parseval - quad) < 1e-8 * max(1.0, parseval)}
-        return scalars, invariants, ["profile.csv"]
+        return scalars, invariants, {"profile.csv": {"x": grid.nodes, "value": values}}
 
     z = config["z"]
     if z is None:
@@ -332,11 +327,6 @@ def _run_reconstruct(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]
     shooting = jacobi.shoot(z, config["m_max"])
     prof = reconstruct.eigenvector_assemble(z, shooting, grid)
     resid = reconstruct.eigenpair_residual(z, prof, grid)
-    _write_csv(
-        outdir / "eigenvector_profile.csv",
-        ["x", "y_odd", "y_even"],
-        [grid.nodes, prof.y_odd, prof.y_even],
-    )
     scalars = {
         "z": z,
         "c1": prof.c1,
@@ -355,7 +345,8 @@ def _run_reconstruct(config: dict, outdir: Path) -> tuple[dict, dict, list[str]]
         "weak_residuals_small": resid.projected_odd_equation < 1e-2
         and resid.projected_even_equation < 1e-2,
     }
-    return scalars, invariants, ["eigenvector_profile.csv"]
+    table = {"x": grid.nodes, "y_odd": odd, "y_even": even}
+    return scalars, invariants, {"eigenvector_profile.csv": table}
 
 
 _RUNNERS = {
@@ -403,14 +394,19 @@ def main(argv=None) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot create output directory: {exc}") from None
-        scalars, invariants, outputs = _RUNNERS[name](config, outdir)
+        scalars, invariants, tables = _RUNNERS[name](config)
+        try:
+            for file_name, table in tables.items():
+                _write_csv(outdir / file_name, table)
+            summary = _write_summary(outdir, name, config, scalars, invariants, list(tables))
+        except OSError as exc:
+            raise ValueError(f"cannot write output: {exc}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = _write_summary(outdir, name, config, scalars, invariants, outputs)
     print(summary)
     return 0
 

@@ -188,9 +188,9 @@ def evolve_dissipative(
     if method == "cn":
         lhs = (eye - 0.5 * dt * H).tocsc()
         rhs_op = (eye + 0.5 * dt * H).tocsr()
-    else:
+    else:  # backward Euler solves against the state itself
         lhs = (eye - dt * H).tocsc()
-        rhs_op = eye.tocsr()
+        rhs_op = None
     try:
         solver = spla.splu(lhs)
     except RuntimeError as exc:  # singular factorization
@@ -204,7 +204,7 @@ def evolve_dissipative(
     step_ts = [w0.t]
     step_l2 = [grid.l2_norm(w)]
     for k in range(n_steps):
-        w = solver.solve(rhs_op @ w)
+        w = solver.solve(w if rhs_op is None else rhs_op @ w)
         if not np.all(np.isfinite(w)):
             raise NumericalError(f"non-finite state after step {k + 1}")
         w[0] = 0.0

@@ -55,36 +55,27 @@ class RealGrid:
     ----------
     nodes : ndarray
         Strictly increasing abscissas.
-    weights : ndarray, optional
-        Non-negative quadrature weights, one per node.  When omitted,
-        trapezoidal weights are derived from the nodes.  For integrands
-        with Gaussian decay (everything in this package) the trapezoidal
-        rule on a uniform grid converges faster than any power of the
-        spacing, so it doubles as the high-order rule.
+
+    The ``weights`` are the trapezoidal ones, derived from the nodes.  For
+    integrands with Gaussian decay (everything in this package) the
+    trapezoidal rule on a uniform grid converges faster than any power
+    of the spacing, so it doubles as the high-order rule.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
-        if not np.all(np.diff(nodes) > 0):
+        d = np.diff(nodes)
+        if not np.all(d > 0):
             raise ValueError("grid nodes must be strictly increasing")
-        weights = self.weights
-        if weights is None:
-            d = np.diff(nodes)
-            weights = np.empty_like(nodes)
-            weights[0] = 0.5 * d[0]
-            weights[-1] = 0.5 * d[-1]
-            weights[1:-1] = 0.5 * (d[:-1] + d[1:])
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != nodes.shape:
-                raise ValueError("weights must match nodes in length")
-            if np.any(weights < 0):
-                raise ValueError("weights must be non-negative")
+        weights = np.empty_like(nodes)
+        weights[0] = 0.5 * d[0]
+        weights[-1] = 0.5 * d[-1]
+        weights[1:-1] = 0.5 * (d[:-1] + d[1:])
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 

@@ -196,6 +196,12 @@ def _zeta_tail(products: np.ndarray) -> float:
     return c * zeta(1.5, m_max + 1) + d * zeta(2.5, m_max + 1)
 
 
+def _w_inf(z, products: np.ndarray) -> np.ndarray:
+    """Limit ``z * (sum_m A_m V_m + tail)`` for each column of ``products``."""
+    tails = np.array([_zeta_tail(column) for column in products.T])
+    return np.asarray(z) * (products.sum(axis=0) + tails)
+
+
 @dataclass(frozen=True)
 class WronskianTrace:
     """Wronskian sequence of (v, shooting solution) and limit estimates."""
@@ -235,7 +241,7 @@ def wronskian_trace(z: float, n_max: int = 1000) -> WronskianTrace:
     # the same m_max = n_max // 2 terms as the scan, so both give one W_inf
     m_sum = n_max // 2
     products = state.A[1 : m_sum + 1] * V[1 : m_sum + 1]
-    w_inf = z * (products.sum() + _zeta_tail(products))
+    w_inf = _w_inf(z, products[:, None])[0]
 
     k = max(1, n_max // 10)
     tail_mean = float(values[-k:].mean())
@@ -251,11 +257,7 @@ def wronskian_trace(z: float, n_max: int = 1000) -> WronskianTrace:
 
 def _w_inf_scan(z_values: np.ndarray, n_max: int) -> np.ndarray:
     """Vectorized ``w_inf`` over a grid of z values."""
-    m_max = n_max // 2
-    products = _shoot_products(z_values, m_max)
-    partial = products.sum(axis=0)
-    tails = np.array([_zeta_tail(products[:, j]) for j in range(products.shape[1])])
-    return np.asarray(z_values) * (partial + tails)
+    return _w_inf(z_values, _shoot_products(z_values, n_max // 2))
 
 
 @dataclass(frozen=True)
@@ -288,7 +290,9 @@ def find_eigenvalues(
 
     All brackets are bisected together, with one vectorized ``W_inf``
     evaluation at the midpoints of the brackets still wider than ``tol``
-    per halving; each bracket takes the steps it would take alone.
+    per halving; each bracket takes the steps it would take alone.  A
+    bracket also ends when its midpoint rounds onto an endpoint, so a
+    ``tol`` below the float spacing at a root stops at adjacent floats.
 
     z = 0 is excluded by construction (the scan starts at ``z_min > 0``;
     ``W_inf`` vanishes linearly at the origin without crossing, and the
@@ -329,6 +333,7 @@ def find_eigenvalues(
     active = np.flatnonzero(b - a > tol)
     while active.size:
         mid = 0.5 * (a[active] + b[active])
+        narrows = (mid != a[active]) & (mid != b[active])
         fm = _w_inf_scan(mid, n_eff)
         to_b = fa[active] * fm < 0.0
         b[active[to_b]] = mid[to_b]
@@ -336,7 +341,7 @@ def find_eigenvalues(
         fa[active[~to_b]] = fm[~to_b]
         hit = fm == 0.0  # an exact zero closes its bracket: a = b = mid
         b[active[hit]] = mid[hit]
-        active = active[b[active] - a[active] > tol]
+        active = active[narrows & (b[active] - a[active] > tol)]
     roots = 0.5 * (a + b)
     roots = roots[roots > z_min]  # z = 0 stays excluded
 

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from logkdv import cli
+from logkdv import cli, jacobi
 from logkdv.errors import NumericalError
 
 
@@ -33,6 +33,31 @@ NUMERIC_KEYS = [
     for key, (default, _) in params.items()
     if cli._flag_type(default) in (float, int)
 ]
+
+
+SMALL_RUNS = {
+    "spectrum": ["--z-max", 4.0, "--n-max", 200],
+    "projections": ["--n-max", 2000],
+    "coercivity": ["--n-max", 100, "--n-samples", 50],
+    "evolve": ["--T", 0.5, "--n-modes", 50],
+    "dissipate": ["--T", 0.2, "--extent", 10.0, "--spacing", 0.1, "--dt", 0.01],
+    "reconstruct": ["--z", 2.705497, "--m-max", 100, "--num-points", 401],
+    "reconstruct-bump": ["--mode", "bump", "--num-points", 401],
+}
+
+
+@pytest.mark.parametrize("run_id", SMALL_RUNS)
+def test_every_subcommand_writes_identical_bytes_twice(run_id, tmp_path):
+    args = [run_id.split("-")[0], *SMALL_RUNS[run_id]]
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert run([*args, "--outdir", d1]) == 0
+    assert run([*args, "--outdir", d2]) == 0
+    doc = read_summary(d1, args[0])
+    files = sorted(p.name for p in d1.iterdir())
+    assert files == sorted([*doc["outputs"], f"{args[0]}_summary.json"])
+    assert sorted(p.name for p in d2.iterdir()) == files
+    for name in files:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
 class TestProjectionsCommand:
@@ -81,6 +106,27 @@ class TestSpectrumCommand:
         assert scan[0] == "z,W_inf"
         assert trace[0] == "n,W_n"
         assert len(trace) == 501
+
+    def test_tol_below_float_spacing_ends(self, tmp_path, time_limit):
+        with time_limit(10):
+            code = run(["spectrum", "--tol", 1e-15, "--n-max", 200, "--outdir", tmp_path])
+        assert code == 0
+        assert read_summary(tmp_path, "spectrum")["scalars"]["z1"] == pytest.approx(
+            2.7054, abs=1e-3
+        )
+
+    def test_numerical_failure_writes_no_csv(self, tmp_path, monkeypatch, capsys):
+        trace = jacobi.wronskian_trace
+
+        def fail_near_z1(z, n_max):
+            if abs(z - 2.7054) < 1e-2:
+                raise NumericalError("synthetic failure at z1")
+            return trace(z, n_max)
+
+        monkeypatch.setattr(jacobi, "wronskian_trace", fail_near_z1)
+        assert run(["spectrum", "--z-max", 4.0, "--n-max", 200, "--outdir", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("error: synthetic failure")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEvolveCommand:
@@ -242,8 +288,16 @@ class TestConfigHandling:
         assert run(["projections", "--n-max", 1]) == 0
         assert (tmp_path / "envout" / "projections.csv").exists()
 
+    def test_unwritable_output_exits_1_with_one_line(self, tmp_path, capsys):
+        (tmp_path / "projections.csv").mkdir()
+        assert run(["projections", "--n-max", 3, "--outdir", tmp_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output:")
+        assert "\n" not in captured.err.strip()
+        assert captured.out == ""
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        def boom(config, outdir):
+        def boom(config):
             raise NumericalError("synthetic failure")
 
         monkeypatch.setitem(cli._RUNNERS, "projections", boom)

@@ -210,10 +210,6 @@ class TestRealGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             RealGrid(np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
-            RealGrid(np.array([0.0, 1.0]), weights=np.array([-0.1, 0.2]))
-        with pytest.raises(ValueError):
-            RealGrid(np.array([0.0, 1.0]), weights=np.array([0.1]))
 
     def test_gaussian_integral(self):
         grid = RealGrid.uniform()

@@ -266,6 +266,14 @@ class TestSpectrum:
         assert np.array_equal(result.eigenvalues, per_bracket_roots(result, 0.5, 1e-6))
         assert result.eigenvalues == pytest.approx([root], abs=1e-6)
 
+    def test_tol_below_float_spacing_ends(self, time_limit):
+        # the float spacing is 1.8e-15 at the roots near 10.3 and 15.2, so
+        # no bracket gets narrower than tol; each ends at adjacent floats
+        with time_limit(10):
+            fine = find_eigenvalues(n_max=200, tol=1e-20)
+        coarse = find_eigenvalues(n_max=200, tol=1e-9)
+        assert fine.eigenvalues == pytest.approx(coarse.eigenvalues, abs=1e-8)
+
     def test_decay_exponents_at_first_eigenvalue(self, spectrum):
         assert spectrum.decay_exponents_a[0] == pytest.approx(-0.75, abs=0.05)
         assert spectrum.decay_exponents_b[0] == pytest.approx(-1.25, abs=0.1)
