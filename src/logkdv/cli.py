@@ -4,9 +4,9 @@ Each subcommand merges its defaults with an optional JSON config file
 and explicit flags (flags win), validates the result before computing,
 and computes; only then does ``main`` write the CSV traces and a JSON
 summary into the output directory (``--outdir`` flag, else the
-``LOGKDV_OUTDIR`` environment variable, else the working directory), so
-a failed run writes no CSV.  Identical config and seed produce
-byte-identical files.
+``LOGKDV_OUTDIR`` environment variable, else the working directory).
+The files appear all together or not at all, so a failed run leaves
+none behind.  Identical config and seed produce byte-identical files.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
 """
@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -37,7 +38,7 @@ _PARAMS = {
         "scan_step": (0.05, lambda v: 0 < v <= 1),
         "tol": (1e-6, lambda v: 0 < v <= 1e-2),
         "n_max": (1000, lambda v: 10 <= v <= 200_000),
-        "trace_z": (1.0, lambda v: 0 < v),
+        "trace_z": (1.0, lambda v: 0 < v <= 100),
     },
     "projections": {"n_max": (100, lambda v: 1 <= v <= 10_000_000)},
     "coercivity": {
@@ -67,7 +68,7 @@ _PARAMS = {
     },
     "reconstruct": {
         "mode": ("eigenvector", lambda v: v in ("eigenvector", "bump")),
-        "z": (None, lambda v: v is None or v > 0),
+        "z": (None, lambda v: v is None or 0 < v <= 100),
         "m_max": (500, lambda v: 10 <= v <= 4999),  # basis indices reach 2 m_max + 1
         "x_max": (12.0, lambda v: 0 < v <= 100),
         "num_points": (2401, lambda v: 32 <= v <= 10_000_000),
@@ -106,8 +107,13 @@ def _write_csv(path: Path, table: dict[str, np.ndarray]) -> None:
                 fh.write(",".join(map(repr, row)) + "\n")
 
 
-def _write_summary(outdir: Path, name: str, config: dict, scalars: dict,
-                   invariants: dict, outputs: list[str]) -> Path:
+def _write_outputs(outdir: Path, name: str, config: dict, scalars: dict,
+                   invariants: dict, tables: dict) -> Path:
+    """Write the CSV tables and the JSON summary, all of them or none.
+
+    Each file is written under a temporary name in ``outdir`` and renamed into
+    place once every write has succeeded; on an OSError this run's files are removed.
+    """
     def _scalar(v):
         v = float(v)
         return None if math.isnan(v) else v
@@ -117,13 +123,27 @@ def _write_summary(outdir: Path, name: str, config: dict, scalars: dict,
         "config": config,
         "scalars": {k: _scalar(v) for k, v in scalars.items()},
         "invariants": {k: bool(v) for k, v in invariants.items()},
-        "outputs": outputs,
+        "outputs": list(tables),
     }
-    path = outdir / f"{name}_summary.json"
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    summary = outdir / f"{name}_summary.json"
+    targets = [outdir / file_name for file_name in tables] + [summary]
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in targets]
+    placed = []
+    try:
+        for temp, table in zip(temps, tables.values()):
+            _write_csv(temp, table)
+        with open(temps[-1], "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+            placed.append(target)
+    except OSError:
+        for path in temps + placed:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+    return summary
 
 
 def _resolve_config(name: str, file_path: str | None, flag_values: dict) -> dict:
@@ -396,9 +416,7 @@ def main(argv=None) -> int:
             raise ValueError(f"cannot create output directory: {exc}") from None
         scalars, invariants, tables = _RUNNERS[name](config)
         try:
-            for file_name, table in tables.items():
-                _write_csv(outdir / file_name, table)
-            summary = _write_summary(outdir, name, config, scalars, invariants, list(tables))
+            summary = _write_outputs(outdir, name, config, scalars, invariants, tables)
         except OSError as exc:
             raise ValueError(f"cannot write output: {exc}") from None
     except ValueError as exc:

@@ -121,19 +121,6 @@ def _phi(mu, fsq, n, tail):
     return val
 
 
-def _secular_root(f: np.ndarray, tail_corrected: bool) -> float:
-    """Root of the secular function in (0, 1/3)."""
-    n_max = f.size - 1
-    n = np.arange(2, n_max + 1, dtype=float)
-    fsq = f ** 2
-    tail = _tail_model(fsq) if tail_corrected else None
-    # phi is strictly increasing, -inf at 0+ and +inf at (1/3)-.  A module-level
-    # objective with the arrays in ``args`` keeps them out of the reference
-    # cycle that brentq's wrapper forms with a closure, so they are freed on return.
-    return float(brentq(_phi, 1e-12, 1.0 / 3.0 - 1e-12, args=(fsq, n, tail),
-                        xtol=1e-15, rtol=8.9e-16))
-
-
 def coercivity_constant(n_max: int, tail_corrected: bool = True) -> float:
     """Smallest value of ``energy_form / compat_norm_form`` under both constraints.
 
@@ -154,7 +141,14 @@ def coercivity_constant(n_max: int, tail_corrected: bool = True) -> float:
     """
     if n_max < 10:
         raise ValueError("n_max must be at least 10 to support the constraints")
-    return _secular_root(projection_sequence(n_max), tail_corrected)
+    fsq = projection_sequence(n_max) ** 2
+    n = np.arange(2, n_max + 1, dtype=float)
+    tail = _tail_model(fsq) if tail_corrected else None
+    # phi is strictly increasing, -inf at 0+ and +inf at (1/3)-.  A module-level
+    # objective with the arrays in ``args`` keeps them out of the reference
+    # cycle that brentq's wrapper forms with a closure, so they are freed on return.
+    return float(brentq(_phi, 1e-12, 1.0 / 3.0 - 1e-12, args=(fsq, n, tail),
+                        xtol=1e-15, rtol=8.9e-16))
 
 
 def coercivity_constant_dense(n_max: int) -> float:

@@ -158,8 +158,6 @@ class HalfLineFlow:
     states: np.ndarray        # shape (samples, J+1)
     step_ts: np.ndarray       # every accepted step
     step_l2: np.ndarray       # discrete L2 norm at every step
-    method: str
-    dt: float
 
 
 def evolve_dissipative(
@@ -220,8 +218,6 @@ def evolve_dissipative(
         states=np.array(states),
         step_ts=np.array(step_ts),
         step_l2=np.array(step_l2),
-        method=method,
-        dt=dt,
     )
 
 

@@ -89,10 +89,6 @@ class RealGrid:
         """
         return cls(np.linspace(-x_max, x_max, num))
 
-    @property
-    def spacing(self) -> float:
-        return float(self.nodes[1] - self.nodes[0])
-
     def integrate(self, values) -> float:
         return float(np.dot(self.weights, values))
 
@@ -132,11 +128,6 @@ def basis_rows(x, n_max: int):
     array of the actual function values.
     """
     _check_index(n_max)
-    yield from _rows(x, n_max)
-
-
-def _rows(x, n_max: int):
-    """The recurrence of :func:`basis_rows` without the index check."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u_prev = np.zeros_like(x)
     u_cur, expo = _start_scaled(x)
@@ -173,19 +164,15 @@ def hermite_function(n: int, x):
 
 
 def hermite_derivative(n: int, x):
-    """Evaluate u_n'(x) through the ladder relation.
+    """Evaluate u_n'(x) as ``sqrt(n) u_{n-1}(x) - (x/2) u_n(x)``.
 
-    Uses ``2 u_n' = -sqrt(n+1) u_{n+1} + sqrt(n) u_{n-1}``; for n = 0
-    only the first term is present.
+    That is the ladder relation ``2 u_n' = sqrt(n) u_{n-1} - sqrt(n+1) u_{n+1}``
+    with the recurrence substituted for u_{n+1}; at n = 0 the first term vanishes.
     """
     n = _check_index(n)
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    # the ladder needs one neighbor above n, also at n = MAX_INDEX
-    rows = deque((row for _, row in _rows(x, n + 1)), maxlen=3)
-    if n == 0:
-        vals = -0.5 * rows[-1]
-    else:
-        vals = 0.5 * (np.sqrt(n) * rows[0] - np.sqrt(n + 1.0) * rows[2])
+    rows = deque((row for _, row in basis_rows(x, n)), maxlen=2)
+    vals = np.sqrt(n) * rows[0] - 0.5 * np.asarray(x, dtype=float) * rows[-1]
     return float(vals[0]) if scalar else vals
 
 
@@ -269,12 +256,25 @@ def ground_state_antiderivative(grid: RealGrid) -> np.ndarray:
     return out
 
 
+def _loglog_line(values, positions, min_points: int):
+    """Least-squares line through (log position, log|value|), zeros skipped.
+
+    Returns ``(slope, intercept)``, or None when fewer than ``min_points``
+    values are nonzero.
+    """
+    v = np.abs(values)
+    keep = v > 0
+    if np.count_nonzero(keep) < min_points:
+        return None
+    return np.polyfit(np.log(positions[keep]), np.log(v[keep]), 1)
+
+
 def fit_loglog_slope(values, positions=None, tail_fraction: float = 0.5) -> float:
     """Least-squares slope of log|values| against log(position) on the tail.
 
     Zero entries are skipped.  ``positions`` defaults to 1-based ranks.
     """
-    v = np.abs(np.asarray(values, dtype=float))
+    v = np.asarray(values, dtype=float)
     if positions is None:
         positions = np.arange(1, v.size + 1, dtype=float)
     else:
@@ -282,12 +282,10 @@ def fit_loglog_slope(values, positions=None, tail_fraction: float = 0.5) -> floa
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("tail_fraction must lie in (0, 1]")
     start = int((1.0 - tail_fraction) * v.size)
-    v, positions = v[start:], positions[start:]
-    keep = v > 0
-    if np.count_nonzero(keep) < 10:
+    line = _loglog_line(v[start:], positions[start:], 10)
+    if line is None:
         raise ValueError("fewer than 10 usable tail points for a slope fit")
-    slope = np.polyfit(np.log(positions[keep]), np.log(v[keep]), 1)[0]
-    return float(slope)
+    return float(line[0])
 
 
 def power_tail_fit(values, positions, power: float):

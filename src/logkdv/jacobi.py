@@ -53,21 +53,16 @@ def offdiag_weight(n) -> np.ndarray:
     return np.sqrt(n * (n + 1.0) * (n + 2.0))
 
 
-def apply_jacobi(f, n_max: int | None = None) -> np.ndarray:
-    """Apply J to a padded 1-based sequence; entries beyond the end count as 0.
+def apply_jacobi(f) -> np.ndarray:
+    """Apply J to a padded 1-based sequence; the entry past the end counts as 0.
 
-    Returns the padded result for n = 1..n_max (default: full input
-    length).  The n = 1 back-coupling carries weight w(0) = 0, so the
-    pad value is irrelevant.
+    Returns the padded result for n = 1..len(f) - 1.  The n = 1
+    back-coupling carries weight w(0) = 0, so the pad value is irrelevant.
     """
-    f = np.asarray(f, dtype=float)
-    if n_max is None:
-        n_max = f.size - 1
-    g = np.zeros(n_max + 2)
-    g[: min(f.size, n_max + 2)] = f[: n_max + 2]
-    n = np.arange(1, n_max + 1, dtype=float)
-    out = np.zeros(n_max + 1)
-    out[1:] = offdiag_weight(n) * g[2 : n_max + 2] + offdiag_weight(n - 1) * g[0:n_max]
+    g = np.append(np.asarray(f, dtype=float), 0.0)
+    n = np.arange(1, g.size - 1, dtype=float)
+    out = np.zeros(g.size - 1)
+    out[1:] = offdiag_weight(n) * g[2:] + offdiag_weight(n - 1) * g[:-2]
     return out
 
 
@@ -161,13 +156,13 @@ def shoot(z: float, m_max: int) -> ShootingState:
 
 
 def _shoot_products(z_values: np.ndarray, m_max: int) -> np.ndarray:
-    """Vectorized over z: products ``A_m V_m`` for m = 1..m_max, shape (m_max, nz)."""
+    """Vectorized over z: products ``A_m V_m`` for m = 1..m_max, one row per z."""
     z = np.atleast_1d(np.asarray(z_values, dtype=float))
-    out = np.empty((m_max, z.size))
-    out[0] = 1.0  # A_1
+    out = np.empty((z.size, m_max))
+    out[:, 0] = 1.0  # A_1
     for m, (_, a_next) in enumerate(_shoot_rows(z, m_max - 1), start=1):
-        out[m] = a_next
-    out *= null_solution(m_max).odd_part[1 : m_max + 1, None]
+        out[:, m] = a_next
+    out *= null_solution(m_max).odd_part[1 : m_max + 1]
     return out
 
 
@@ -197,9 +192,12 @@ def _zeta_tail(products: np.ndarray) -> float:
 
 
 def _w_inf(z, products: np.ndarray) -> np.ndarray:
-    """Limit ``z * (sum_m A_m V_m + tail)`` for each column of ``products``."""
-    tails = np.array([_zeta_tail(column) for column in products.T])
-    return np.asarray(z) * (products.sum(axis=0) + tails)
+    """Limit ``z * (sum_m A_m V_m + tail)`` for each row of ``products``.
+
+    Each row is summed alone, so W_inf at a z does not depend on its batch.
+    """
+    tails = np.array([_zeta_tail(row) for row in products])
+    return np.asarray(z) * (products.sum(axis=1) + tails)
 
 
 @dataclass(frozen=True)
@@ -230,18 +228,16 @@ def wronskian_trace(z: float, n_max: int = 1000) -> WronskianTrace:
     m_max = n_max // 2 + 1
     state = shoot(z, m_max)
     V = null_solution(m_max + 1).odd_part
-    n = np.arange(1, n_max + 1)
-    m_of = (n + 1) // 2
-    w_odd = offdiag_weight(2 * m_of - 1) * state.B[m_of] * V[m_of]
-    m_ev = np.maximum(n // 2, 1)
-    w_ev = -offdiag_weight(2 * m_ev) * state.B[m_ev] * V[m_ev + 1]
     values = np.zeros(n_max + 1)
-    values[1:] = np.where(n % 2 == 1, w_odd, w_ev)
+    m = np.arange(1, (n_max + 1) // 2 + 1)  # odd n = 2m - 1
+    values[1::2] = offdiag_weight(2 * m - 1) * state.B[m] * V[m]
+    m = np.arange(1, n_max // 2 + 1)  # even n = 2m
+    values[2::2] = -offdiag_weight(2 * m) * state.B[m] * V[m + 1]
 
     # the same m_max = n_max // 2 terms as the scan, so both give one W_inf
     m_sum = n_max // 2
     products = state.A[1 : m_sum + 1] * V[1 : m_sum + 1]
-    w_inf = _w_inf(z, products[:, None])[0]
+    w_inf = _w_inf(z, products[None, :])[0]
 
     k = max(1, n_max // 10)
     tail_mean = float(values[-k:].mean())
@@ -360,9 +356,11 @@ def find_eigenvalues(
 def truncated_matrix_eigenvalues(n_max: int, z_max: float = 20.0) -> np.ndarray:
     """Positive eigenvalues below ``z_max`` of the Dirichlet truncation of J.
 
-    Consistency diagnostic only: the truncated matrix realizes a
-    *different* self-adjoint extension, so its spectrum interlaces the
-    Wronskian roots rather than converging to them.
+    The truncation imposes ``f_{n_max+1} = 0``.  For odd ``n_max`` also
+    ``v_{n_max+1} = 0``, so this is exactly ``W_{n_max}(v, f) = 0``, the
+    condition :func:`find_eigenvalues` realizes in the limit: the eigenvalues
+    converge to its roots like ``n_max**(-1/2)``.  Even ``n_max`` approaches a
+    different self-adjoint extension, whose eigenvalues interlace the roots.
     """
     off = offdiag_weight(np.arange(1, n_max, dtype=float))
     vals = eigh_tridiagonal(

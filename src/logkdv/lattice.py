@@ -69,8 +69,6 @@ class LatticeTrajectory:
     states: np.ndarray        # shape (samples, N)
     norms: np.ndarray
     c1: np.ndarray
-    method: str
-    dt: float
 
 
 def offdiagonal(n_modes: int) -> np.ndarray:
@@ -96,9 +94,9 @@ def _apply_skew(beta: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def skew_rhs(state) -> np.ndarray:
+def skew_rhs(a) -> np.ndarray:
     """Right-hand side ``M a`` with the truncation ``a_{N+1} = 0``."""
-    a = state.a if isinstance(state, LatticeState) else np.asarray(state, dtype=float)
+    a = np.asarray(a, dtype=float)
     return _apply_skew(offdiagonal(a.size), a)
 
 
@@ -193,8 +191,6 @@ def evolve(
         states=np.array(states),
         norms=np.array(norms),
         c1=np.array(c1s),
-        method=method,
-        dt=dt,
     )
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfline import HalfLineState
-from .hermite import RealGrid, basis_rows, hermite_function
+from .hermite import RealGrid, _loglog_line, basis_rows, hermite_function
 from .jacobi import ShootingState
 
 
@@ -54,11 +54,10 @@ def _tail_estimate(coeffs: np.ndarray) -> float:
     """Crude bound on the dropped series tail: fitted power-law remainder."""
     m = np.arange(1, coeffs.size + 1, dtype=float)
     k0 = max(1, coeffs.size // 2)
-    mags = np.abs(coeffs[k0:])
-    keep = mags > 0
-    if np.count_nonzero(keep) < 4:
+    line = _loglog_line(coeffs[k0:], m[k0:], 4)
+    if line is None:
         return 0.0
-    p, logc = np.polyfit(np.log(m[k0:][keep]), np.log(mags[keep]), 1)
+    p, logc = line
     if p >= -1.0:
         return float("inf")
     top = coeffs.size

@@ -275,8 +275,16 @@ class TestConfigHandling:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: logkdv projections")
 
-    def test_out_of_range_value_rejected(self, tmp_path):
-        assert run(["spectrum", "--scan-step", -0.1, "--outdir", tmp_path]) == 1
+    def test_out_of_range_value_rejected(self, tmp_path, capsys):
+        for args in (
+            ["spectrum", "--scan-step", -0.1],
+            ["spectrum", "--trace-z", 1e300],
+            ["reconstruct", "--z", 1e300],
+        ):
+            assert run([*args, "--outdir", tmp_path]) == 1, args
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "\n" not in err.strip()
+        assert not list(tmp_path.iterdir())
 
     def test_missing_config_file(self, tmp_path):
         assert run(
@@ -295,6 +303,12 @@ class TestConfigHandling:
         assert captured.err.startswith("error: cannot write output:")
         assert "\n" not in captured.err.strip()
         assert captured.out == ""
+
+    def test_failed_write_leaves_no_file_of_the_run(self, tmp_path, capsys):
+        (tmp_path / "projections_summary.json").mkdir()
+        assert run(["projections", "--n-max", 3, "--outdir", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
+        assert [p.name for p in tmp_path.iterdir()] == ["projections_summary.json"]
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(config):

@@ -125,14 +125,14 @@ class TestShooting:
             assert np.abs(resid).max() < 1e-10 * np.abs(f).max()
 
     def test_vectorized_products_match_scalar_shooting(self):
-        # the W_inf scan shoots many z at once; each column must be the
+        # the W_inf scan shoots many z at once; each row must be the
         # scalar shot times the null solution, bit for bit
         zs = np.array([0.0, 0.3, Z1_REFERENCE, Z2_REFERENCE, 17.5])
         m = 300
         products = _shoot_products(zs, m)
         v = null_solution(m).odd_part[1 : m + 1]
         for j, z in enumerate(zs):
-            assert np.array_equal(products[:, j], shoot(z, m).A[1 : m + 1] * v)
+            assert np.array_equal(products[j], shoot(z, m).A[1 : m + 1] * v)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -176,6 +176,15 @@ class TestWronskianTrace:
     def test_limit_estimate_matches_scan(self):
         for z, n_max in ((1.0, 1000), (Z2_REFERENCE, 4000)):
             assert wronskian_trace(z, n_max).w_inf == _w_inf_scan(np.array([z]), n_max)[0]
+
+    @pytest.mark.parametrize("n_max", [10, 11, 200, 1000, 4000])
+    def test_limit_does_not_depend_on_the_batch(self, n_max):
+        zs = np.arange(0.05, 20.025, 0.05)  # the default scan grid
+        batch = _w_inf_scan(zs, n_max)
+        split = np.concatenate([_w_inf_scan(zs[:150], n_max), _w_inf_scan(zs[150:], n_max)])
+        assert np.array_equal(split, batch)
+        single = [_w_inf_scan(np.array([z]), n_max)[0] for z in zs[::9]]
+        assert np.array_equal(single, batch[::9])
 
     def test_sign_definite_plateau_at_unit_z(self):
         trace = wronskian_trace(1.0, 1000)
@@ -282,9 +291,20 @@ class TestSpectrum:
         state = shoot(1.0, 10_000)
         assert fit_loglog_slope(state.B[1:]) == pytest.approx(-0.75, abs=0.05)
 
+    def test_odd_truncations_converge_at_order_half(self, spectrum):
+        # at odd N the Dirichlet condition is W_N(v, f) = 0, so the finite
+        # sections approach the Wronskian roots from above like N^(-1/2):
+        # each quadrupling of N halves the gap
+        z1, z2 = spectrum.eigenvalues
+        gaps = np.array([truncated_matrix_eigenvalues(n, z_max=8.0)[:2] - (z1, z2)
+                         for n in (401, 1601, 6401)])
+        assert np.all(gaps > 0)
+        assert gaps[:-1, 0] / gaps[1:, 0] == pytest.approx([2.0, 2.0], abs=0.1)
+        assert gaps[1, 1] / gaps[2, 1] == pytest.approx(2.0, abs=0.1)
+
     def test_truncated_matrix_interlaces(self, spectrum):
-        # the Dirichlet truncation realizes a different extension whose
-        # eigenvalues interlace the Wronskian roots; consistency check only
+        # at even N the Dirichlet truncation realizes a different extension
+        # whose eigenvalues interlace the Wronskian roots
         ev = truncated_matrix_eigenvalues(800, z_max=10.0)
         z1, z2 = spectrum.eigenvalues
         assert ev[0] < z1 < ev[1] < z2 < ev[2]
