@@ -28,7 +28,7 @@ print("flux boundary value vs raw node value:",
 
 # --- evolve and report the decay ----------------------------------------------
 flow = evolve_dissipative(w0, T=5.0, dt=1e-3, sample_every=250)
-l2 = np.array([grid.l2_norm(w) for w in flow.states])
+l2 = np.array([grid.norm(w) for w in flow.states])
 print("\n   t     ||w||^2/||w0||^2      e^-t")
 for t, n in zip(flow.ts, l2):
     print(f"  {t:4.1f}   {n**2 / l2[0]**2:12.4e}   {np.exp(-t):10.4e}")

@@ -21,10 +21,13 @@ reconstruct
     Synthesis back to physical space: coefficient sums, eigenprofiles,
     and the convolution representation.
 cli
-    Reproducible command-line experiments writing CSV/JSON outputs.
+    Reproducible command-line experiments writing CSV/JSON outputs;
+    imported on first access, so ``python -m logkdv.cli`` runs it fresh.
 """
 
-from . import cli, coercivity, halfline, hermite, jacobi, lattice, reconstruct
+import importlib
+
+from . import coercivity, halfline, hermite, jacobi, lattice, reconstruct
 from .errors import NumericalError
 
 __all__ = [
@@ -39,3 +42,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # import_module, not ``from . import cli``: the from-import looks the
+    # attribute up first and would recurse into this function
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

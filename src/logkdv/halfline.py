@@ -36,19 +36,23 @@ discrete A is conserved to machine precision rather than to O(h^2); see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
+from .hermite import RealGrid
 
 
 @dataclass(frozen=True)
-class HalfLineGrid:
+class HalfLineGrid(RealGrid):
     """Uniform grid on [-Z, 0] with trapezoidal quadrature weights."""
 
+    # derived from extent and spacing, which alone set equality, hash and repr
+    nodes: np.ndarray = field(init=False, compare=False, repr=False)
+    weights: np.ndarray = field(init=False, compare=False, repr=False)
     extent: float   # Z > 0, domain is [-Z, 0]
     spacing: float  # h
 
@@ -56,32 +60,22 @@ class HalfLineGrid:
         if self.extent <= 0 or self.spacing <= 0:
             raise ValueError("extent and spacing must be positive")
         ratio = self.extent / self.spacing
+        if not np.isfinite(ratio):
+            raise ValueError("extent / spacing must be finite")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ValueError("extent must be an integer multiple of spacing")
         if round(ratio) < 16:
             raise ValueError("grid too coarse: need at least 16 intervals")
+        # from the spacing: weights from node differences differ in the last bits
+        weights = np.full(self.n_intervals + 1, self.spacing)
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        object.__setattr__(self, "nodes", -self.extent + self.spacing * np.arange(weights.size))
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_intervals(self) -> int:
         return int(round(self.extent / self.spacing))
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return -self.extent + self.spacing * np.arange(self.n_intervals + 1)
-
-    @property
-    def weights(self) -> np.ndarray:
-        w = np.full(self.n_intervals + 1, self.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, values))
-
-    def l2_norm(self, values) -> float:
-        v = np.asarray(values)
-        return float(np.sqrt(np.dot(self.weights, v * v)))
 
     def h1_seminorm(self, values) -> float:
         d = np.diff(np.asarray(values)) / self.spacing
@@ -179,6 +173,9 @@ def evolve_dissipative(
         raise ValueError("sample_every must be at least 1")
     if method not in ("cn", "be"):
         raise ValueError(f"unknown method {method!r}")
+    n_steps = int(round(T / dt))
+    if n_steps == 0:
+        raise ValueError("T / dt rounds to zero steps")
     grid = w0.grid
     H = assemble_H(grid)
     n = H.shape[0]
@@ -196,11 +193,10 @@ def evolve_dissipative(
 
     w = w0.w.copy()
     w[0] = 0.0
-    n_steps = int(round(T / dt))
     ts = [w0.t]
     states = [w.copy()]
     step_ts = [w0.t]
-    step_l2 = [grid.l2_norm(w)]
+    step_l2 = [grid.norm(w)]
     for k in range(n_steps):
         w = solver.solve(w if rhs_op is None else rhs_op @ w)
         if not np.all(np.isfinite(w)):
@@ -208,7 +204,7 @@ def evolve_dissipative(
         w[0] = 0.0
         t_now = w0.t + (k + 1) * dt
         step_ts.append(t_now)
-        step_l2.append(grid.l2_norm(w))
+        step_l2.append(grid.norm(w))
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             ts.append(t_now)
             states.append(w.copy())

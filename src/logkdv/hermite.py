@@ -87,7 +87,7 @@ class RealGrid:
         order-one values, so Gaussian-weighted integrands are fully
         contained.
         """
-        return cls(np.linspace(-x_max, x_max, num))
+        return RealGrid(np.linspace(-x_max, x_max, num))
 
     def integrate(self, values) -> float:
         return float(np.dot(self.weights, values))
@@ -108,9 +108,14 @@ def _check_index(n: int) -> int:
     return n
 
 
+def _ground_state(x):
+    """The ground state ``u_0(x) = (2 pi)^(-1/4) exp(-x^2/4)``."""
+    return (2.0 * np.pi) ** -0.25 * np.exp(-0.25 * x * x)
+
+
 def _start_scaled(x: np.ndarray):
     """u_0 split as mantissa * 2**exponent, robust to Gaussian underflow."""
-    mant = (2.0 * np.pi) ** -0.25 * np.exp(-0.25 * x * x)
+    mant = _ground_state(x)
     expo = np.zeros(x.shape, dtype=np.int64)
     tiny = 0.25 * x * x > 600.0  # exp(-600) ~ 1e-261, still normal; split beyond
     if np.any(tiny):
@@ -243,13 +248,9 @@ def ground_state_antiderivative(grid: RealGrid) -> np.ndarray:
     1e-8.
     """
     x = grid.nodes
-
-    def u0(t):
-        return (2.0 * np.pi) ** -0.25 * np.exp(-0.25 * t * t)
-
     h = np.diff(x)
     mid = 0.5 * (x[:-1] + x[1:])
-    incr = h / 6.0 * (u0(x[:-1]) + 4.0 * u0(mid) + u0(x[1:]))
+    incr = h / 6.0 * (_ground_state(x[:-1]) + 4.0 * _ground_state(mid) + _ground_state(x[1:]))
     out = np.empty_like(x)
     out[0] = 0.0
     np.cumsum(incr, out=out[1:])

@@ -114,10 +114,9 @@ def evolve(
     """Integrate the lattice system over [0, T] (T may be negative).
 
     The c1 projection starts at 0, obeys ``dc1/dt = a_1 / sqrt(2)`` and
-    is advanced with the stage values of the same stepper (for the
-    midpoint rule that is the trapezoid of consecutive ``a_1`` samples),
-    so it is the discrete integral of the sampled flow, not a separate
-    quadrature.
+    is advanced, under either method, by the trapezoid of the ``a_1``
+    values before and after each step, so it is the discrete integral
+    of the stepped flow, not a separate quadrature.
 
     Parameters
     ----------

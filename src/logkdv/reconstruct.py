@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfline import HalfLineState
-from .hermite import RealGrid, _loglog_line, basis_rows, hermite_function
+from .hermite import RealGrid, _ground_state, _loglog_line, basis_rows, hermite_function
 from .jacobi import ShootingState
 
 
@@ -189,12 +189,9 @@ def convolution_synthesize(
     z = state.grid.nodes
     wz = state.grid.weights * state.w
     conv = np.empty_like(x)
-    c0 = (2.0 * np.pi) ** -0.25
     for start in range(0, x.size, chunk):
         xs = x[start : start + chunk, None]
-        conv[start : start + chunk] = (
-            c0 * np.exp(-0.25 * (xs - z[None, :]) ** 2)
-        ) @ wz
-    u0 = c0 * np.exp(-0.25 * x * x)
+        conv[start : start + chunk] = _ground_state(xs - z[None, :]) @ wz
+    u0 = _ground_state(x)
     u1 = x * u0
     return a * u0 + b * u1 + conv

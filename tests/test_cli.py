@@ -1,7 +1,11 @@
 """Command-line interface: determinism, schema, exit codes, outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -280,6 +284,8 @@ class TestConfigHandling:
             ["spectrum", "--scan-step", -0.1],
             ["spectrum", "--trace-z", 1e300],
             ["reconstruct", "--z", 1e300],
+            ["dissipate", "--extent", 1e308, "--spacing", 1e-10],
+            ["dissipate", "--T", 1e-9],
         ):
             assert run([*args, "--outdir", tmp_path]) == 1, args
             err = capsys.readouterr().err
@@ -317,3 +323,20 @@ class TestConfigHandling:
         monkeypatch.setitem(cli._RUNNERS, "projections", boom)
         assert run(["projections", "--outdir", tmp_path]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["logkdv.cli", "logkdv"])
+    def test_runs_with_runtime_warnings_as_errors(self, module, tmp_path):
+        # runpy warns when the module it runs was imported with the package
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+             "projections", "--n-max", "3", "--outdir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "projections.csv", "projections_summary.json"]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from logkdv.halfline import (
     HalfLineGrid,
@@ -16,6 +17,7 @@ from logkdv.halfline import (
     initial_gaussian_bump,
     modulation_integrate,
 )
+from logkdv.jacobi import find_eigenvalues
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,10 @@ class TestGrid:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             HalfLineGrid(extent=1.0, spacing=0.1)
+
+    def test_rejects_non_finite_ratio(self):
+        with pytest.raises(ValueError, match="finite"):
+            HalfLineGrid(extent=1e308, spacing=1e-10)
 
     def test_nodes_end_at_origin(self, grid):
         z = grid.nodes
@@ -95,6 +101,22 @@ class TestOperator:
         assert worst[0.04] <= -0.5
         assert worst[0.02] <= -0.5
 
+    def test_spectrum_is_minus_half_the_jacobi_eigenvalues(self):
+        # the top eigenvalues of H (Dirichlet node removed) converge at order
+        # h^2 to -z_k/2, with z_k from shooting and a zeta tail: two routes
+        # that share no code
+        top = {}
+        for h in (0.04, 0.02, 0.01):
+            H = assemble_H(HalfLineGrid(20.0, h))[1:, 1:].tocsc()
+            vals = spla.eigs(H, k=2, sigma=0, return_eigenvectors=False)
+            top[h] = np.sort(vals.real)[::-1]
+        ratios = (top[0.04] - top[0.02]) / (top[0.02] - top[0.01])
+        assert ratios == pytest.approx([4.0, 4.0], abs=0.05)
+        extrapolated = (4.0 * top[0.01] - top[0.02]) / 3.0
+        z = find_eigenvalues(z_max=8.0, n_max=4000, tol=1e-12).eigenvalues[:2]
+        assert abs(extrapolated[0] + z[0] / 2) < 1e-8
+        assert abs(extrapolated[1] + z[1] / 2) < 5e-7
+
 
 class TestEvolution:
     def test_zero_data_stays_zero(self, grid):
@@ -131,7 +153,7 @@ class TestEvolution:
             w = np.exp(-4.0 * (z + 2.0) ** 2)
             w[0] = 0.0
             flow = evolve_dissipative(HalfLineState(w, 0.0, g), T=0.5, dt=5e-4)
-            norms[extent] = g.l2_norm(flow.states[-1])
+            norms[extent] = g.norm(flow.states[-1])
         assert abs(norms[40.0] - norms[80.0]) < 1e-6 * norms[40.0]
 
     def test_spatial_convergence_second_order(self):
@@ -139,7 +161,7 @@ class TestEvolution:
         for h in (0.08, 0.04, 0.02):
             g = HalfLineGrid(40.0, h)
             flow = evolve_dissipative(initial_gaussian_bump(g), T=0.5, dt=2.5e-4)
-            finals.append(g.l2_norm(flow.states[-1]))
+            finals.append(g.norm(flow.states[-1]))
         ratio = abs(finals[0] - finals[1]) / abs(finals[1] - finals[2])
         assert ratio == pytest.approx(4.0, abs=1.5)
 
@@ -149,6 +171,8 @@ class TestEvolution:
             evolve_dissipative(w0, T=-1.0, dt=1e-3)
         with pytest.raises(ValueError):
             evolve_dissipative(w0, T=1.0, dt=1e-3, method="rk4")
+        with pytest.raises(ValueError, match="zero steps"):
+            evolve_dissipative(w0, T=4e-4, dt=1e-3)
 
 
 class TestConstraint:
@@ -193,7 +217,7 @@ class TestModulation:
 
     def test_a_decay_bound(self, coupled_flow):
         flow, mod = coupled_flow
-        norm0_sq = flow.grid.l2_norm(flow.states[0]) ** 2
+        norm0_sq = flow.grid.norm(flow.states[0]) ** 2
         bound = math.sqrt(math.pi) * norm0_sq * np.exp(-mod.ts) * 1.1
         assert np.all(mod.a**2 <= bound)
 

@@ -173,6 +173,15 @@ class TestWronskianTrace:
         odd = trace.values[1::2]
         assert odd[: partial.size - 1] == pytest.approx(partial[: odd.size], abs=1e-12)
 
+    @pytest.mark.parametrize("z, n_max", [(1.0, 200), (2.7, 1001), (6.15, 4000)])
+    def test_matches_discrete_wronskian_of_the_two_solutions(self, z, n_max):
+        # the closed form of wronskian_trace against the definition
+        # w(n) (v_n f_{n+1} - v_{n+1} f_n) on the full sequences
+        m_max = n_max // 2 + 1
+        direct = discrete_wronskian(null_solution(m_max).values, shoot(z, m_max).full_sequence())
+        trace = wronskian_trace(z, n_max).values
+        np.testing.assert_allclose(direct[1 : n_max + 1], trace[1:], rtol=1e-13, atol=0)
+
     def test_limit_estimate_matches_scan(self):
         for z, n_max in ((1.0, 1000), (Z2_REFERENCE, 4000)):
             assert wronskian_trace(z, n_max).w_inf == _w_inf_scan(np.array([z]), n_max)[0]
