@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from logkdv.halfline import (
@@ -18,6 +19,31 @@ from logkdv.halfline import (
     modulation_integrate,
 )
 from logkdv.jacobi import find_eigenvalues
+
+
+def reference_dissipate(w0, T, dt, method, sample_every):
+    """Step-by-step loop with one ``splu`` and list appends, pinning after the check."""
+    grid = w0.grid
+    H = assemble_H(grid)
+    eye = sp.identity(H.shape[0], format="csr")
+    theta = 0.5 if method == "cn" else 1.0
+    solver = spla.splu((eye - theta * dt * H).tocsc())
+    rhs_op = (eye + 0.5 * dt * H).tocsr() if method == "cn" else None
+    n_steps = int(round(T / dt))
+    w = w0.w.copy()
+    w[0] = 0.0
+    ts, states, step_ts, step_l2 = [w0.t], [w.copy()], [w0.t], [grid.norm(w)]
+    for k in range(n_steps):
+        w = solver.solve(w if rhs_op is None else rhs_op @ w)
+        assert np.all(np.isfinite(w))
+        w[0] = 0.0
+        t_now = w0.t + (k + 1) * dt
+        step_ts.append(t_now)
+        step_l2.append(grid.norm(w))
+        if (k + 1) % sample_every == 0 or k == n_steps - 1:
+            ts.append(t_now)
+            states.append(w.copy())
+    return np.array(ts), np.array(states), np.array(step_ts), np.array(step_l2)
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +190,18 @@ class TestEvolution:
             finals.append(g.norm(flow.states[-1]))
         ratio = abs(finals[0] - finals[1]) / abs(finals[1] - finals[2])
         assert ratio == pytest.approx(4.0, abs=1.5)
+
+    @pytest.mark.parametrize("method", ["cn", "be"])
+    @pytest.mark.parametrize("sample_every", [1, 7])
+    def test_bit_identical_to_reference_loop(self, method, sample_every):
+        # the horizon is not a multiple of sample_every * dt, so the last
+        # step is kept off the sampling grid
+        g = HalfLineGrid(20.0, 0.05)
+        w0 = initial_gaussian_bump(g)
+        flow = evolve_dissipative(w0, 0.1234, 1e-3, method=method, sample_every=sample_every)
+        ref = reference_dissipate(w0, 0.1234, 1e-3, method, sample_every)
+        for got, want in zip((flow.ts, flow.states, flow.step_ts, flow.step_l2), ref):
+            assert np.array_equal(got, want)
 
     def test_bad_arguments(self, grid):
         w0 = initial_gaussian_bump(grid)
