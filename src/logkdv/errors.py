@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the fixed-step loop that both time evolutions share."""
+
+import math
+
+import numpy as np
 
 
 class NumericalError(RuntimeError):
@@ -8,3 +12,38 @@ class NumericalError(RuntimeError):
     plateaus, linear-solve breakdowns), as opposed to invalid arguments,
     which raise ValueError.
     """
+
+
+def _march(step, y0, t0, T, dt, sample_every, probe):
+    """Take ``round(|T| / dt)`` steps ``y = step(y, k)``, k = 1, 2, ..., from y0 at t0.
+
+    Returns the times ``t0 + k copysign(dt, T)`` of every step k = 0..n, the
+    indices kept (step 0, every ``sample_every``-th step and the last), the
+    kept states as rows and ``probe(y)`` at every step.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
+    if not math.isfinite(abs(T) / dt):
+        raise ValueError("T / dt must be finite")
+    n_steps = int(round(abs(T) / dt))
+    if n_steps == 0 and T != 0:
+        raise ValueError("T / dt rounds to zero steps")
+    times = t0 + np.arange(n_steps + 1) * math.copysign(dt, T)
+    times[0] = t0
+    kept = np.union1d(np.arange(0, n_steps + 1, sample_every), n_steps)
+    states = np.empty((kept.size, np.size(y0)))
+    probes = np.empty(n_steps + 1)
+    states[0] = y = y0
+    probes[0] = probe(y)
+    row = 1
+    for k in range(1, n_steps + 1):
+        y = step(y, k)
+        if not np.all(np.isfinite(y)):
+            raise NumericalError(f"non-finite state after step {k} (t={times[k]:.6g})")
+        probes[k] = probe(y)
+        if kept[row] == k:
+            states[row] = y
+            row += 1
+    return times, kept, states, probes

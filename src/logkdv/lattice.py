@@ -15,6 +15,8 @@ RK4 path is kept for cross-checks; its step size is capped at
 generator stiff.  Both steppers build the generator's off-diagonal once
 per :func:`evolve` call, and the midpoint rule also builds the bands of
 ``I - h/2 M`` once and hands them to LAPACK's tridiagonal solver each step.
+The step count, sampling and storage are the package's one step loop,
+``errors._march``, which the half-line flow shares.
 
 Truncation caveat: the lattice transports energy toward large n at speed
 ~ n^(3/2), so wave content launched from modes around n0 reaches *any*
@@ -28,12 +30,13 @@ activates.  Within the pre-edge window the drift is at roundoff level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import NumericalError
+from .errors import NumericalError, _march
 from .hermite import RealGrid, basis_rows, projection_sequence
 from .jacobi import offdiag_weight
 
@@ -123,29 +126,21 @@ def evolve(
     a0 : LatticeState
     T, dt : float
         Horizon and step size; ``dt > 0`` always, the sign of T selects
-        the direction.
+        the direction.  ``round(|T| / dt)`` steps are taken; a nonzero T
+        that rounds to zero steps is rejected, ``T = 0`` is the identity.
     sample_every : int
         Keep every k-th step in the trajectory (step 0 included).
     method : {"midpoint", "rk4"}
         "rk4" additionally requires ``dt <= 0.5 N**-1.5``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
-    a = a0.a.copy()
-    n_modes = a.size
-    n_steps = int(round(abs(T) / dt))
-    sgn = 1.0 if T >= 0 else -1.0
-    h = sgn * dt
-
+    n_modes = a0.n_modes
     if method == "rk4" and dt > _rk4_dt_cap(n_modes) * (1 + 1e-12):
         raise ValueError(
             f"rk4 needs dt <= 0.5 N^-1.5 = {_rk4_dt_cap(n_modes):.3e} at N={n_modes}"
         )
     if method not in ("midpoint", "rk4"):
         raise ValueError(f"unknown method {method!r}")
-
+    h = math.copysign(dt, T)
     beta = offdiagonal(n_modes)
     if method == "midpoint":
         # sub-, main and super-diagonal of (I - h/2 M); dgtsv factors copies
@@ -154,42 +149,31 @@ def evolve(
         diag = np.ones(n_modes)
         upper = -0.5 * h * beta
 
-    ts = [a0.t]
-    states = [a.copy()]
-    norms = [float(np.linalg.norm(a))]
-    c1 = 0.0
-    c1s = [c1]
-    for k in range(n_steps):
-        a1_old = a[0]
-        if method == "midpoint":
+        def step(a, k):
             rhs = a + 0.5 * h * _apply_skew(beta, a)
             *_, a, info = dgtsv(lower, diag, upper, rhs, overwrite_b=True)
             if info != 0:
                 raise NumericalError(
-                    f"midpoint solve failed at step {k + 1} (t={a0.t + k * h:.6g}): "
+                    f"midpoint solve failed at step {k} (t={a0.t + (k - 1) * h:.6g}): "
                     f"dgtsv info={info}"
                 )
-        else:
+            return a
+    else:
+        def step(a, k):
             k1 = _apply_skew(beta, a)
             k2 = _apply_skew(beta, a + 0.5 * h * k1)
             k3 = _apply_skew(beta, a + 0.5 * h * k2)
             k4 = _apply_skew(beta, a + h * k3)
-            a = a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(a)):
-            raise NumericalError(
-                f"non-finite state after step {k + 1} (t={a0.t + (k + 1) * h:.6g})"
-            )
-        c1 += h * (a1_old + a[0]) / (2.0 * np.sqrt(2.0))
-        if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            ts.append(a0.t + (k + 1) * h)
-            states.append(a.copy())
-            norms.append(float(np.linalg.norm(a)))
-            c1s.append(c1)
+            return a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    times, kept, states, a1 = _march(step, a0.a, a0.t, T, dt, sample_every, lambda a: a[0])
+    # the running trapezoid of a_1, added in step order from c1 = 0
+    c1 = np.cumsum(np.append(0.0, h * (a1[:-1] + a1[1:]) / (2.0 * np.sqrt(2.0))))
     return LatticeTrajectory(
-        ts=np.array(ts),
-        states=np.array(states),
-        norms=np.array(norms),
-        c1=np.array(c1s),
+        ts=times[kept],
+        states=states,
+        norms=np.array([np.linalg.norm(a) for a in states]),
+        c1=c1[kept],
     )
 
 
