@@ -8,7 +8,8 @@ summary into the output directory (``--outdir`` flag, else the
 The files appear all together or not at all, so a failed run leaves
 none behind.  Identical config and seed produce byte-identical files.
 
-Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
+Exit codes: 0 success, 1 invalid configuration or not enough memory,
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def _write_outputs(outdir: Path, name: str, config: dict, scalars: dict,
     """Write the CSV tables and the JSON summary, all of them or none.
 
     Each file is written under a temporary name in ``outdir`` and renamed into
-    place once every write has succeeded; on an OSError this run's files are removed.
+    place once every write has succeeded; on any exception this run's files are removed.
     """
     def _scalar(v):
         v = float(v)
@@ -138,7 +139,7 @@ def _write_outputs(outdir: Path, name: str, config: dict, scalars: dict,
         for temp, target in zip(temps, targets):
             os.replace(temp, target)
             placed.append(target)
-    except OSError:
+    except BaseException:
         for path in temps + placed:
             with contextlib.suppress(OSError):
                 path.unlink()
@@ -292,6 +293,8 @@ def _run_evolve(config: dict) -> tuple[dict, dict, dict]:
 def _run_dissipate(config: dict) -> tuple[dict, dict, dict]:
     grid = halfline.HalfLineGrid(config["extent"], config["spacing"])
     w0 = halfline.initial_gaussian_bump(grid, config["center"], config["width"])
+    if not np.any(w0.w):
+        raise ValueError("the initial bump vanishes on every grid node: move center or widen width")
     flow = halfline.evolve_dissipative(
         w0, config["T"], config["dt"], method=config["method"],
         sample_every=config["sample_every"],
@@ -421,6 +424,9 @@ def main(argv=None) -> int:
             raise ValueError(f"cannot write output: {exc}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

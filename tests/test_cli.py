@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -177,6 +178,13 @@ class TestDissipateCommand:
         header = (tmp_path / "dissipate.csv").read_text().splitlines()[0]
         assert header == "t,l2_norm,h1_seminorm,linf_norm,a,b,A"
 
+    def test_narrow_bump_runs_without_warning(self, tmp_path):
+        # the bump's square overflows off its centre node, where exp(-inf) = 0
+        args = SMALL_RUNS["dissipate"]
+        assert run(["dissipate", *args, "--width", 1e-300, "--outdir", tmp_path]) == 0
+        doc = read_summary(tmp_path, "dissipate")
+        assert all(v is not None for v in doc["scalars"].values())
+
 
 class TestCoercivityCommand:
     def test_summary(self, tmp_path):
@@ -286,6 +294,10 @@ class TestConfigHandling:
             ["reconstruct", "--z", 1e300],
             ["dissipate", "--extent", 1e308, "--spacing", 1e-10],
             ["dissipate", "--T", 1e-9],
+            ["dissipate", "--dt", 1e-320],
+            ["dissipate", "--center", -100],
+            ["evolve", "--dt", 1e-320],
+            ["evolve", "--T", 1e-9],
         ):
             assert run([*args, "--outdir", tmp_path]) == 1, args
             err = capsys.readouterr().err
@@ -316,6 +328,17 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: cannot write output:")
         assert [p.name for p in tmp_path.iterdir()] == ["projections_summary.json"]
 
+    def test_memory_error_while_writing_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def write_then_fail(path, table):
+            path.write_text("partial")
+            raise MemoryError("synthetic")
+
+        monkeypatch.setattr(cli, "_write_csv", write_then_fail)
+        assert run(["projections", "--n-max", 3, "--outdir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: not enough memory: synthetic\n"
+        assert not list(tmp_path.iterdir())
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(config):
             raise NumericalError("synthetic failure")
@@ -325,18 +348,38 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def run_module(module, args, **kwargs):
+    """Run ``python -m module args`` with this checkout's package on the path."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120, **kwargs,
+    )
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["logkdv.cli", "logkdv"])
     def test_runs_with_runtime_warnings_as_errors(self, module, tmp_path):
         # runpy warns when the module it runs was imported with the package
-        env = dict(os.environ)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
-             "projections", "--n-max", "3", "--outdir", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_module(module, ["projections", "--n-max", 3, "--outdir", tmp_path])
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "projections.csv", "projections_summary.json"]
+
+    def test_grid_beyond_memory_exits_1_with_one_line(self, tmp_path):
+        # 10^15 nodes ask for 7.11 PiB; the child's address space is capped so
+        # that the allocation fails at once on any host
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30))
+
+        proc = run_module(
+            "logkdv",
+            ["dissipate", "--extent", 1e10, "--spacing", 1e-5, "--outdir", tmp_path],
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: not enough memory:")
+        assert "\n" not in proc.stderr.strip()
+        assert not list(tmp_path.iterdir())

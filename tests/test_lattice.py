@@ -146,6 +146,10 @@ class TestEvolve:
             evolve(state, 1.0, -0.1)
         with pytest.raises(ValueError):
             evolve(state, 1.0, 0.1, method="euler")
+        with pytest.raises(ValueError, match="finite"):
+            evolve(state, 1.0, 1e-320)
+        with pytest.raises(ValueError, match="zero steps"):
+            evolve(state, 1e-9, 1e-3)
 
 
 class TestC1Track:
