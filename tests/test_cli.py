@@ -296,6 +296,7 @@ class TestConfigHandling:
             ["dissipate", "--T", 1e-9],
             ["dissipate", "--dt", 1e-320],
             ["dissipate", "--center", -100],
+            ["dissipate", "--center", -60, "--width", 1],
             ["evolve", "--dt", 1e-320],
             ["evolve", "--T", 1e-9],
         ):
