@@ -301,7 +301,7 @@ def _run_dissipate(config: dict) -> tuple[dict, dict, dict]:
     )
     a0 = -grid.integrate(halfline.gaussian_weight(grid) * w0.w)  # A = 0 data
     mod = halfline.modulation_integrate(flow, a0, config["b0"])
-    l2 = np.array([grid.norm(w) for w in flow.states])
+    l2 = flow.step_l2[np.isin(flow.step_ts, flow.ts)]
     h1 = np.array([grid.h1_seminorm(w) for w in flow.states])
     linf = np.abs(flow.states).max(axis=1)
     t_rel = flow.step_ts - flow.step_ts[0]

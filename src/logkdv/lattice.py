@@ -179,7 +179,7 @@ def evolve(
 
 @dataclass(frozen=True)
 class C1TrackResult:
-    """c1 re-integrated along a trajectory plus the tracked pairing."""
+    """c1 along a trajectory plus the tracked pairing."""
 
     c1: np.ndarray
     conserved: np.ndarray   # 2 c1(t) + sum_{n>=2} c_n(t) f_n at the samples
@@ -188,7 +188,7 @@ class C1TrackResult:
 
 
 def c1_track(c1_0: float, trajectory: LatticeTrajectory) -> C1TrackResult:
-    """Integrate ``dc1/dt = a_1/sqrt(2)`` over the samples and track the pairing.
+    """Offset the trajectory's c1 by ``c1_0`` and track the pairing.
 
     The pairing ``2 c1 + sum_{n>=2} c_n f_n`` is a conserved functional
     of the infinite system (for the truncated one it drifts once wave
@@ -196,13 +196,7 @@ def c1_track(c1_0: float, trajectory: LatticeTrajectory) -> C1TrackResult:
     """
     if trajectory.ts.size == 0:
         raise ValueError("trajectory is empty")
-    ts = trajectory.ts
-    a1 = trajectory.states[:, 0]
-    c1 = np.empty(ts.size)
-    c1[0] = c1_0
-    incr = 0.5 * (a1[1:] + a1[:-1]) * np.diff(ts) / np.sqrt(2.0)
-    np.cumsum(incr, out=c1[1:])
-    c1[1:] += c1_0
+    c1 = c1_0 + trajectory.c1
 
     n_modes = trajectory.states.shape[1]
     f = projection_sequence(n_modes + 1)
