@@ -19,6 +19,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -383,7 +384,15 @@ _RUNNERS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ValueError on a usage error, so it is reported like a bad config."""
+    """Raises ValueError on a usage error, so it is reported like a bad config.
+
+    Reads a negative number in exponent notation (``--T -1e-1``) as a value,
+    where argparse's own pattern takes it for an option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ValueError(message)

@@ -25,7 +25,8 @@ escape to infinity that makes the infinite operator limit-circle).  Norm
 conservation is unaffected (the truncated generator is exactly skew),
 but functionals that are only conserved by the infinite system, such as
 the pairing tracked by :func:`c1_track`, drift by O(1) once the edge
-activates.  Within the pre-edge window the drift is at roundoff level.
+activates.  The pairing's c1 is :func:`evolve`'s step-level integral, so
+before then the drift is at roundoff level at any ``sample_every``.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def evolve(
 
 @dataclass(frozen=True)
 class C1TrackResult:
-    """c1 along a trajectory plus the tracked pairing."""
+    """c1 along a trajectory (evolve's step-level integral) plus the tracked pairing."""
 
     c1: np.ndarray
     conserved: np.ndarray   # 2 c1(t) + sum_{n>=2} c_n(t) f_n at the samples
@@ -192,7 +193,8 @@ def c1_track(c1_0: float, trajectory: LatticeTrajectory) -> C1TrackResult:
 
     The pairing ``2 c1 + sum_{n>=2} c_n f_n`` is a conserved functional
     of the infinite system (for the truncated one it drifts once wave
-    content reaches the edge; the relative drift is reported).
+    content reaches the edge; the relative drift is reported).  c1 is
+    :func:`evolve`'s integral over every step, so sampling adds no error.
     """
     if trajectory.ts.size == 0:
         raise ValueError("trajectory is empty")

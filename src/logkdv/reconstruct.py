@@ -35,9 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfline import HalfLineState
 from .hermite import RealGrid, _ground_state, _loglog_line, basis_rows, hermite_function
-from .jacobi import ShootingState
 
 
 def synthesize(c, grid: RealGrid) -> np.ndarray:

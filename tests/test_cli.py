@@ -158,6 +158,20 @@ class TestEvolveCommand:
         assert doc["invariants"]["norm_conserved"]
         assert doc["scalars"]["max_norm_drift"] < 1e-8
 
+    def test_pre_edge_pairing_drift_at_roundoff(self, tmp_path):
+        # the default sample_every is 10; c1 still comes from every step
+        assert run(["evolve", "--T", 0.25, "--outdir", tmp_path]) == 0
+        assert read_summary(tmp_path, "evolve")["scalars"]["pairing_drift_abs"] < 1e-11
+
+    def test_negative_value_in_exponent_notation(self, tmp_path):
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        assert run(["evolve", "--n-modes", 50, "--T", "-1e-1", "--outdir", d1]) == 0
+        assert run(["evolve", "--n-modes", 50, "--T=-1e-1", "--outdir", d2]) == 0
+        for name in ("evolve.csv", "evolve_summary.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+        args = ["dissipate", *SMALL_RUNS["dissipate"], "--center", "-5e0"]
+        assert run([*args, "--outdir", tmp_path / "c"]) == 0
+
 
 class TestDissipateCommand:
     def test_summary_and_csv(self, tmp_path):
@@ -272,8 +286,10 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "args",
-        [[], ["nosuch"], ["projections", "--bogus", "1"], ["projections", "--n-max"]],
-        ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "missing-value"],
+        [[], ["nosuch"], ["projections", "--bogus", "1"], ["projections", "--n-max"],
+         ["evolve", "--T", "-1e-1x"]],
+        ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "missing-value",
+             "malformed-negative-value"],
     )
     def test_usage_error_exits_1_with_one_line(self, args, tmp_path, capsys):
         assert run([*args, "--outdir", tmp_path] if args else args) == 1

@@ -143,6 +143,16 @@ class TestOperator:
         assert abs(extrapolated[0] + z[0] / 2) < 1e-8
         assert abs(extrapolated[1] + z[1] / 2) < 5e-7
 
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
+    def test_numerical_abscissa_at_most_minus_half(self, h):
+        # the discrete energy estimate: the symmetric part of H in the
+        # trapezoid inner product (Dirichlet node removed) is <= -1/2
+        grid = HalfLineGrid(20.0, h)
+        H = assemble_H(grid)[1:, 1:].toarray()
+        root_w = np.sqrt(grid.weights[1:])
+        K = root_w[:, None] * H / root_w[None, :]
+        assert np.linalg.eigvalsh(0.5 * (K + K.T))[-1] <= -0.5
+
 
 class TestEvolution:
     def test_zero_data_stays_zero(self, grid):

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from logkdv.coercivity import energy_form
+from logkdv.jacobi import truncated_matrix_eigenvalues
 from logkdv.lattice import (
     C1TrackResult,
     LatticeState,
@@ -75,6 +76,17 @@ class TestSkewStructure:
         for _ in range(20):
             a = rng.standard_normal(200)
             assert abs(np.dot(a, skew_rhs(a))) < 1e-12 * np.dot(a, a)
+
+    @pytest.mark.parametrize("n_modes", [41, 200, 401])
+    def test_frequencies_are_half_the_jacobi_section(self, n_modes):
+        # D M D^{-1} = -i J_N / 2 with D = diag(i^k): the lattice frequencies
+        # are half the eigenvalues of the Jacobi finite section, which jacobi
+        # computes from its own weights with a tridiagonal eigensolver
+        ev = np.linalg.eigvalsh(1j * skew_matrix(n_modes))
+        positive = ev[ev.size - n_modes // 2:]
+        half = truncated_matrix_eigenvalues(n_modes, z_max=1e9) / 2.0
+        assert positive.size == half.size == n_modes // 2
+        assert np.abs(positive - half).max() <= 1e-14 * half.max()
 
 
 class TestCoefficientMaps:
@@ -160,9 +172,11 @@ class TestC1Track:
 
     def test_trajectory_c1_matches_retrack(self):
         state = initial_gaussian_bump(150)
-        traj = evolve(state, 0.5, 1e-3)
-        track = c1_track(0.0, traj)
-        assert track.c1 == pytest.approx(traj.c1, abs=1e-12)
+        for sample_every in (1, 10):
+            traj = evolve(state, 0.5, 1e-3, sample_every=sample_every)
+            track = c1_track(0.0, traj)
+            assert track.c1 == pytest.approx(traj.c1, abs=1e-12)
+            assert np.array_equal(track.c1, traj.c1)
 
     def test_pairing_conserved_before_edge_contact(self):
         # wave content from modes ~15 reaches n = 400 around t ~ 0.4;
@@ -171,6 +185,14 @@ class TestC1Track:
         traj = evolve(state, 0.25, 5e-4)
         track = c1_track(0.0, traj)
         assert track.drift_rel < 1e-4
+
+    def test_sampled_pairing_conserved_before_edge_contact(self):
+        # c1 is integrated over every step, not over the kept samples, so
+        # sampling adds no quadrature error to the pre-edge drift
+        state = initial_gaussian_bump(400)
+        traj = evolve(state, 0.25, 1e-3, sample_every=10)
+        track = c1_track(0.0, traj)
+        assert track.drift_abs < 1e-11
 
     def test_pairing_drifts_after_edge_contact(self):
         # once the front reflects off the truncation boundary the pairing is
