@@ -40,4 +40,4 @@ mod = modulation_integrate(flow, a0, 0.0)
 print("\nconstraint drift |A(t) - A(0)|:", np.abs(mod.A - mod.A[0]).max())
 print("decay margin max |a|^2 / (sqrt(pi)||w0||^2 e^-t):",
       (mod.a**2 / (np.sqrt(np.pi) * l2[0] ** 2 * np.exp(-mod.ts))).max())
-print("b(T) =", mod.b[-1], "  extrapolated b_inf =", mod.b_inf)
+print("b(T) =", mod.b[-1], "  b_inf =", mod.b_inf)

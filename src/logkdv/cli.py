@@ -9,7 +9,8 @@ The files appear all together or not at all, so a failed run leaves
 none behind.  Identical config and seed produce byte-identical files.
 
 Exit codes: 0 success, 1 invalid configuration or not enough memory,
-2 numerical failure.
+2 numerical failure, including a float overflow, a division by zero or
+an invalid value such as ``inf - inf``.
 """
 
 from __future__ import annotations
@@ -426,7 +427,9 @@ def main(argv=None) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot create output directory: {exc}") from None
-        scalars, invariants, tables = _RUNNERS[name](config)
+        # numpy's overflow, zero division and invalid values raise, as Python's floats do
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            scalars, invariants, tables = _RUNNERS[name](config)
         try:
             summary = _write_outputs(outdir, name, config, scalars, invariants, tables)
         except OSError as exc:
@@ -437,7 +440,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(summary)

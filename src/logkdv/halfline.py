@@ -30,7 +30,9 @@ actually transports through z = 0 is the flux surrogate
 which agrees with the raw node value ``w(t, 0)`` to the scheme's order.
 Integrating ``da/dt = 2 beta`` with the stepper's own stage values then
 telescopes to ``a(t) = a(0) + <phi, w(0)>_h - <phi, w(t)>_h``, so the
-discrete A is conserved to machine precision rather than to O(h^2); see
+discrete A is conserved to machine precision rather than to O(h^2).  b
+telescopes too, through ``psi = H^{-T} (weights * phi)``, so both scalars
+and b's limit are exact for the stepped flow at any sampling; see
 :func:`modulation_integrate`.
 """
 
@@ -226,33 +228,25 @@ def modulation_integrate(
     a is advanced in flux form (see module docstring), i.e. through the
     telescoped identity ``a(t) = a0 + <phi, w(0)> - <phi, w(t))>``, which
     is the exact discrete time integral of ``2 beta`` under either
-    stepper and keeps ``A = a + <phi, w>`` constant to roundoff.  b is
-    the trapezoid of a/2 over the samples.  When a decays exponentially
-    (constrained data, A = 0) the limit ``b_inf`` is estimated by
-    extrapolating the fitted tail; otherwise it is NaN.
+    stepper and keeps ``A = a + <phi, w>`` constant to roundoff.  b
+    telescopes the same way: with node 0 pinned, either stepper's
+    quadrature of w over a step is ``H^{-1}`` of the step's increment, so
+    with ``psi = H^{-T} (weights * phi)`` (node 0 removed)
+    ``b(t) = b0 + (A (t - t0) + <psi, w(t0)> - <psi, w(t)>) / 2`` is the
+    stepper's own quadrature of a/2 over every step (the trapezoid under
+    Crank-Nicolson, the right endpoint under backward Euler), whatever
+    the sampling.  ``b_inf = b0 + <psi, w(t0)> / 2`` is the limit of
+    ``b - A (t - t0) / 2`` as w decays, so of b itself when A = 0.
     """
     grid = flow.grid
     ell = grid.weights * gaussian_weight(grid)
     ell_w = flow.states @ ell
     a = a0 + ell_w[0] - ell_w
-    b = np.empty_like(a)
-    b[0] = b0
-    np.cumsum(0.25 * (a[1:] + a[:-1]) * np.diff(flow.ts), out=b[1:])
-    b[1:] += b0
     A = a + ell_w
-
-    b_inf = float("nan")
-    tail = max(4, a.size // 5)
-    a_tail = a[-tail:]
-    if np.all(np.abs(a_tail) > 0):
-        t_tail = flow.ts[-tail:]
-        slope = np.polyfit(t_tail, np.log(np.abs(a_tail)), 1)[0]
-        if slope < 0:
-            # remaining integral of a/2 under a ~ a(T) exp(slope (t - T))
-            b_inf = float(b[-1] - 0.5 * a[-1] / slope)
-    elif np.abs(a_tail).max() == 0.0:
-        b_inf = float(b[-1])
-    return ModulationTrajectory(flow.ts, a, b, A, b_inf)
+    psi = spla.splu(assemble_H(grid)[1:, 1:].tocsc()).solve(ell[1:], trans="T")
+    psi_w = flow.states[:, 1:] @ psi
+    b = b0 + 0.5 * (A[0] * (flow.ts - flow.ts[0]) + psi_w[0] - psi_w)
+    return ModulationTrajectory(flow.ts, a, b, A, float(b0 + 0.5 * psi_w[0]))
 
 
 def initial_gaussian_bump(

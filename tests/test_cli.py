@@ -321,6 +321,21 @@ class TestConfigHandling:
             assert err.startswith("error:") and "\n" not in err.strip()
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--z", 1e-165], ["--z", 1e-170], ["--x-max", 1e-80], ["--x-max", 1e-90],
+         ["--x-max", 1e-200]],
+        ids=["z-1e-165", "z-1e-170", "x-max-1e-80", "x-max-1e-90", "x-max-1e-200"],
+    )
+    def test_arithmetic_failure_exits_2_with_one_line(self, args, tmp_path, capsys):
+        # the residual's reference norm underflows to zero, or a residual norm
+        # overflows (at 1e-80 to an Infinity that was written with exit 0)
+        assert run(["reconstruct", *args, "--outdir", tmp_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "\n" not in captured.err.strip()
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_missing_config_file(self, tmp_path):
         assert run(
             ["projections", "--config", tmp_path / "nope.json", "--outdir", tmp_path]

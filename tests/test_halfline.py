@@ -61,6 +61,12 @@ def coupled_flow(grid):
     return flow, mod
 
 
+@pytest.fixture(scope="module")
+def long_flow(grid):
+    """The standard bump run to T = 20, where w has decayed to about 1e-12."""
+    return evolve_dissipative(initial_gaussian_bump(grid), T=20.0, dt=1e-2, sample_every=100)
+
+
 class TestGrid:
     def test_rejects_non_integral_extent(self):
         with pytest.raises(ValueError):
@@ -286,7 +292,54 @@ class TestModulation:
         total = np.sum(0.25 * np.abs(mod.a[1:] + mod.a[:-1]) * np.diff(mod.ts))
         assert abs(mod.b[-1] - mod.b[0]) <= total * (1 + 1e-12)
 
-    def test_b_limit_estimate(self, coupled_flow):
+    @pytest.mark.parametrize("method", ["cn", "be"])
+    def test_b_is_the_steppers_quadrature(self, grid, method):
+        # b integrates a/2 over every step as the stepper does: the trapezoid
+        # under Crank-Nicolson, the right endpoint under backward Euler
+        w0 = initial_gaussian_bump(grid)
+        dt = 2e-3
+        flow = evolve_dissipative(w0, T=2.0, dt=dt, method=method, sample_every=1)
+        mod = modulation_integrate(flow, 0.3, 0.7)
+        a = mod.a
+        step = 0.25 * dt * (a[1:] + a[:-1]) if method == "cn" else 0.5 * dt * a[1:]
+        assert mod.b[1:] == pytest.approx(0.7 + np.cumsum(step), abs=1e-12)
+        assert mod.b[0] == 0.7
+
+    def test_b_independent_of_sampling(self, grid):
+        w0 = initial_gaussian_bump(grid)
+        a0 = -grid.integrate(gaussian_weight(grid) * w0.w)
+        every_step, every_tenth = (
+            modulation_integrate(evolve_dissipative(w0, T=5.0, dt=1e-3, sample_every=k), a0, 0.0)
+            for k in (1, 10)
+        )
+        assert every_tenth.b == pytest.approx(every_step.b[::10], abs=1e-12)
+
+    def test_b_limit_estimate(self, grid, coupled_flow, long_flow):
         _, mod = coupled_flow
         assert np.isfinite(mod.b_inf)
         assert abs(mod.b_inf - mod.b[-1]) < 0.05 * max(1.0, abs(mod.b[-1]))
+        # the limit is a property of the initial state, not of the run
+        w0 = initial_gaussian_bump(grid)
+        for method, dt, T, every in [("be", 1e-3, 5.0, 5), ("cn", 2e-3, 0.7777, 13),
+                                     ("be", 2e-3, 0.7777, 1)]:
+            flow = evolve_dissipative(w0, T=T, dt=dt, method=method, sample_every=every)
+            assert modulation_integrate(flow, mod.a[0], 0.0).b_inf == mod.b_inf
+        long = modulation_integrate(long_flow, mod.a[0], 0.0)
+        assert long.b_inf == mod.b_inf
+        assert abs(long.b[-1] - mod.b_inf) < 1e-10
+
+    def test_unconstrained_b_inf_is_the_limit_past_the_drift(self, long_flow):
+        # with A != 0, b grows like A t / 2 and b_inf is the limit of the rest
+        mod = modulation_integrate(long_flow, 0.0, 0.4)
+        assert abs(mod.A[0]) > 1.0
+        rest = mod.b - 0.5 * mod.A[0] * (mod.ts - mod.ts[0])
+        assert abs(rest[-1] - mod.b_inf) < 1e-10
+
+    def test_b_limit_converges_second_order_in_h(self):
+        limits = []
+        for h in (0.04, 0.02, 0.01):
+            grid = HalfLineGrid(extent=40.0, spacing=h)
+            flow = evolve_dissipative(initial_gaussian_bump(grid), T=1e-3, dt=1e-3)
+            limits.append(modulation_integrate(flow, 0.0, 0.0).b_inf)
+        ratio = (limits[0] - limits[1]) / (limits[1] - limits[2])
+        assert ratio == pytest.approx(4.0, abs=0.05)
