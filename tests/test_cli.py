@@ -1,5 +1,6 @@
 """Command-line interface: determinism, schema, exit codes, outputs."""
 
+import hashlib
 import json
 import os
 import resource
@@ -65,7 +66,64 @@ def test_every_subcommand_writes_identical_bytes_twice(run_id, tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
+def write_csv_row_by_row(path, table):
+    """The CSV writer as it was before blocks were joined: one write per row."""
+    columns = list(table.values())
+    with open(path, "w") as fh:
+        fh.write(",".join(table) + "\n")
+        for start in range(0, len(columns[0]), cli._CSV_BLOCK_ROWS):
+            block = [
+                np.asarray(col[start : start + cli._CSV_BLOCK_ROWS], dtype=float).tolist()
+                for col in columns
+            ]
+            for row in zip(*block):
+                fh.write(",".join(map(repr, row)) + "\n")
+
+
+def assert_same_csv_bytes(table, directory):
+    directory.mkdir()
+    cli._write_csv(directory / "blocked.csv", table)
+    write_csv_row_by_row(directory / "reference.csv", table)
+    assert (directory / "blocked.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("run_id", SMALL_RUNS)
+    def test_every_small_run_table_matches_row_by_row_writer(self, run_id, tmp_path):
+        name = run_id.split("-")[0]
+        args = cli._build_parser().parse_args([name, *map(str, SMALL_RUNS[run_id])])
+        config = cli._resolve_config(name, None, {k: getattr(args, k) for k in cli._PARAMS[name]})
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            _, _, tables = cli._RUNNERS[name](config)
+        for file_name, table in tables.items():
+            assert_same_csv_bytes(table, tmp_path / file_name)
+
+    @pytest.mark.parametrize("rows", [0, 1, 3, 4, 5, 11])
+    def test_small_blocks_and_extreme_floats_match_row_by_row_writer(
+        self, rows, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 4)
+        extremes = np.array([-0.0, 5e-324, 1e-5, 1e-4, 9.999999999999998e15, 1e16,
+                             1.7976931348623157e308, np.nan, np.inf, -np.inf])
+        values = np.resize(extremes, rows)
+        table = {"k": np.arange(rows), "v": values, "w": -values[::-1]}
+        assert_same_csv_bytes(table, tmp_path / "csv")
+        lines = (tmp_path / "csv" / "blocked.csv").read_text().split("\n")
+        assert lines[0] == "k,v,w" and lines[-1] == "" and len(lines) == rows + 2
+
+
 class TestProjectionsCommand:
+    def test_golden_csv_bytes_across_block_boundaries(self, tmp_path):
+        # 40001 rows cross two block boundaries; f_n comes from sqrt, division
+        # and a sequential product only, so the bytes do not depend on the platform
+        assert cli._CSV_BLOCK_ROWS < 40001 // 2
+        assert run(["projections", "--n-max", 40000, "--outdir", tmp_path]) == 0
+        data = (tmp_path / "projections.csv").read_bytes()
+        assert len(data) == 1_094_285
+        assert hashlib.sha256(data).hexdigest() == (
+            "3770cb021997238dbe95b11592f5e6624a659d0c630dd60fd1cdcf79cfe4ee2d"
+        )
+
     def test_known_head_values_in_csv(self, tmp_path):
         assert run(["projections", "--n-max", 1, "--outdir", tmp_path]) == 0
         lines = (tmp_path / "projections.csv").read_text().strip().splitlines()
