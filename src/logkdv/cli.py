@@ -96,18 +96,21 @@ def _is_finite_number(value) -> bool:
 
 
 def _write_csv(path: Path, table: dict[str, np.ndarray]) -> None:
-    """Write ``{column name: values}`` as a CSV with a header row."""
+    """Write ``{column name: values}`` as a CSV with one header row.
+
+    Every value is the ``repr`` of a float64, its shortest round-trip form,
+    so integer columns read ``0.0``, ``1.0``; lines end in ``\\n``.  Rows are
+    formatted and written ``_CSV_BLOCK_ROWS`` at a time, one write per block.
+    """
     columns = list(table.values())
     with open(path, "w") as fh:
         fh.write(",".join(table) + "\n")
-        # converted to Python floats a block of rows at a time to bound memory
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [
-                np.asarray(col[start : start + _CSV_BLOCK_ROWS], dtype=float).tolist()
+            cells = [
+                map(repr, np.asarray(col[start : start + _CSV_BLOCK_ROWS], dtype=float).tolist())
                 for col in columns
             ]
-            for row in zip(*block):
-                fh.write(",".join(map(repr, row)) + "\n")
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_outputs(outdir: Path, name: str, config: dict, scalars: dict,
