@@ -99,8 +99,8 @@ def _write_csv(path: Path, table: dict[str, np.ndarray]) -> None:
     """Write ``{column name: values}`` as a CSV with one header row.
 
     Every value is the ``repr`` of a float64, its shortest round-trip form,
-    so integer columns read ``0.0``, ``1.0``; lines end in ``\\n``.  Rows are
-    formatted and written ``_CSV_BLOCK_ROWS`` at a time, one write per block.
+    so integer columns read ``0.0``, ``1.0``; lines end in ``\\n``.  To bound
+    memory, rows are formatted ``_CSV_BLOCK_ROWS`` at a time, one write per block.
     """
     columns = list(table.values())
     with open(path, "w") as fh:

@@ -67,7 +67,7 @@ def test_every_subcommand_writes_identical_bytes_twice(run_id, tmp_path):
 
 
 def write_csv_row_by_row(path, table):
-    """The CSV writer as it was before blocks were joined: one write per row."""
+    """Reference writer: one join and one write per row."""
     columns = list(table.values())
     with open(path, "w") as fh:
         fh.write(",".join(table) + "\n")
