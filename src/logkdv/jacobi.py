@@ -40,7 +40,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import zeta
 
-from .errors import NumericalError
 from .hermite import fit_loglog_slope, power_tail_fit, product_sequence
 
 # Shooting length for the decay-exponent fits at each eigenvalue.
@@ -296,33 +295,20 @@ def find_eigenvalues(
     evolution).  Returns an empty result with a diagnostic note when no
     sign change is found.
 
-    Raises
-    ------
-    NumericalError
-        If the Wronskian trace has no usable plateau even after widening
-        the truncation.
+    ``n_max`` is the only truncation: the scan and the bisection evaluate
+    ``W_inf`` from the first ``n_max // 2`` shooting products.  The zeta
+    tail drops terms of order ``m**(-7/2)``, so the roots' error falls like
+    ``n_max**(-5/2)``, whatever ``tol`` is; higher roots need a larger ``n_max``.
     """
     if not (0.0 < z_min < z_max):
         raise ValueError("need 0 < z_min < z_max")
     if scan_step <= 0 or tol <= 0:
         raise ValueError("scan_step and tol must be positive")
-    n_eff = int(n_max)
-    for attempt in range(3):
-        zs = np.arange(z_min, z_max + 0.5 * scan_step, scan_step)
-        ws = _w_inf_scan(zs, n_eff)
-        # plateau sanity on a mid-scan point: the raw trace must have settled
-        probe = wronskian_trace(float(zs[len(zs) // 2]), n_eff)
-        scale = np.abs(ws).max()
-        if probe.plateau_spread <= 0.25 * max(scale, abs(probe.tail_mean)):
-            break
-        n_eff *= 2
-    else:
-        raise NumericalError(
-            f"Wronskian trace did not settle up to n_max={n_eff}; no plateau"
-        )
+    zs = np.arange(z_min, z_max + 0.5 * scan_step, scan_step)
+    ws = _w_inf_scan(zs, n_max)
 
     left = np.flatnonzero((ws[:-1] == 0.0) | (ws[:-1] * ws[1:] < 0.0))
-    diagnostics = {"n_max": n_eff, "scan_points": int(zs.size)}
+    diagnostics = {"n_max": n_max, "scan_points": int(zs.size)}
     if left.size == 0:
         diagnostics["note"] = "no sign change of W_inf in the scanned range"
     a, b, fa = zs[left], zs[left + 1], ws[left]
@@ -330,7 +316,7 @@ def find_eigenvalues(
     while active.size:
         mid = 0.5 * (a[active] + b[active])
         narrows = (mid != a[active]) & (mid != b[active])
-        fm = _w_inf_scan(mid, n_eff)
+        fm = _w_inf_scan(mid, n_max)
         to_b = fa[active] * fm < 0.0
         b[active[to_b]] = mid[to_b]
         a[active[~to_b]] = mid[~to_b]

@@ -292,6 +292,34 @@ class TestSpectrum:
         coarse = find_eigenvalues(n_max=200, tol=1e-9)
         assert fine.eigenvalues == pytest.approx(coarse.eigenvalues, abs=1e-8)
 
+    @pytest.mark.parametrize("n_max", [10, 300])
+    def test_runs_at_the_given_n_max(self, n_max, monkeypatch):
+        # n_max is the only truncation: no probe of the raw trace, no retry
+        def no_trace(z, n_max):
+            pytest.fail("find_eigenvalues called wronskian_trace")
+
+        seen = []
+        scan = jacobi._w_inf_scan
+
+        def recording_scan(z, n_max):
+            seen.append(n_max)
+            return scan(z, n_max)
+
+        monkeypatch.setattr(jacobi, "wronskian_trace", no_trace)
+        monkeypatch.setattr(jacobi, "_w_inf_scan", recording_scan)
+        result = find_eigenvalues(z_max=8.0, n_max=n_max)
+        assert set(seen) == {n_max}
+        assert result.diagnostics["n_max"] == n_max
+
+    def test_roots_converge_at_order_five_halves(self):
+        # the zeta tail drops terms of order m^(-7/2), so a root's error falls
+        # like n_max^(-5/2): each quadrupling of n_max divides it by 4^(5/2) = 32
+        z2 = [
+            find_eigenvalues(z_min=6.1, z_max=6.2, scan_step=0.1, tol=1e-10, n_max=n).eigenvalues[0]
+            for n in (500, 2000, 8000)
+        ]
+        assert (z2[0] - z2[1]) / (z2[1] - z2[2]) == pytest.approx(32.0, abs=2.0)
+
     def test_decay_exponents_at_first_eigenvalue(self, spectrum):
         assert spectrum.decay_exponents_a[0] == pytest.approx(-0.75, abs=0.05)
         assert spectrum.decay_exponents_b[0] == pytest.approx(-1.25, abs=0.1)
