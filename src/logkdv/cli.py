@@ -29,7 +29,7 @@ import numpy as np
 from . import coercivity as coerc
 from . import halfline, jacobi, lattice, reconstruct
 from .errors import NumericalError
-from .hermite import RealGrid, fit_loglog_slope, projection_sequence
+from .hermite import MAX_INDEX, RealGrid, fit_loglog_slope, projection_sequence
 
 # Per subcommand, each config key maps to (default, range check).  The
 # default's type sets the flag type and whether values are cast to int;
@@ -72,7 +72,7 @@ _PARAMS = {
     "reconstruct": {
         "mode": ("eigenvector", lambda v: v in ("eigenvector", "bump")),
         "z": (None, lambda v: v is None or 0 < v <= 100),
-        "m_max": (500, lambda v: 10 <= v <= 4999),  # basis indices reach 2 m_max + 1
+        "m_max": (500, lambda v: 10 <= v <= (MAX_INDEX - 1) // 2),  # indices reach 2 m_max + 1
         "x_max": (12.0, lambda v: 0 < v <= 100),
         "num_points": (2401, lambda v: 32 <= v <= 10_000_000),
     },
@@ -120,9 +120,9 @@ def _write_outputs(outdir: Path, name: str, config: dict, scalars: dict,
     Each file is written under a temporary name in ``outdir`` and renamed into
     place once every write has succeeded; on any exception this run's files are removed.
     """
-    def _scalar(v):
+    def _scalar(v):  # JSON has no NaN or Infinity
         v = float(v)
-        return None if math.isnan(v) else v
+        return v if math.isfinite(v) else None
 
     doc = {
         "subcommand": name,

@@ -8,9 +8,9 @@ import numpy as np
 class NumericalError(RuntimeError):
     """A computation failed to converge or produced an unusable result.
 
-    Raised for genuinely numerical failures (non-convergent Wronskian
-    plateaus, linear-solve breakdowns), as opposed to invalid arguments,
-    which raise ValueError.
+    Raised for genuinely numerical failures (linear-solve breakdowns,
+    non-finite states), as opposed to invalid arguments, which raise
+    ValueError.
     """
 
 

@@ -240,11 +240,13 @@ def modulation_integrate(
     """
     grid = flow.grid
     ell = grid.weights * gaussian_weight(grid)
-    ell_w = flow.states @ ell
+    # one dot per row: a matrix-vector product sums a row in an order that
+    # depends on its place in the matrix, so on how many samples are kept
+    ell_w = np.array([np.dot(w, ell) for w in flow.states])
     a = a0 + ell_w[0] - ell_w
     A = a + ell_w
     psi = spla.splu(assemble_H(grid)[1:, 1:].tocsc()).solve(ell[1:], trans="T")
-    psi_w = flow.states[:, 1:] @ psi
+    psi_w = np.array([np.dot(w[1:], psi) for w in flow.states])
     b = b0 + 0.5 * (A[0] * (flow.ts - flow.ts[0]) + psi_w[0] - psi_w)
     return ModulationTrajectory(flow.ts, a, b, A, float(b0 + 0.5 * psi_w[0]))
 

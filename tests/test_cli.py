@@ -286,6 +286,18 @@ class TestReconstructCommand:
         header = (tmp_path / "eigenvector_profile.csv").read_text().splitlines()[0]
         assert header == "x,y_odd,y_even"
 
+    def test_non_finite_scalar_written_as_null(self, tmp_path):
+        # the even coefficients' fitted power law decays too slowly to sum: inf
+        assert run(["reconstruct", "--z", 100, "--m-max", 10, "--outdir", tmp_path]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        text = (tmp_path / "reconstruct_summary.json").read_text()
+        doc = json.loads(text, parse_constant=reject)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["scalars"]["tail_even"] is None
+
     def test_bump_mode(self, tmp_path):
         assert run(
             ["reconstruct", "--mode", "bump", "--num-points", 1201, "--outdir", tmp_path]
@@ -366,6 +378,7 @@ class TestConfigHandling:
             ["spectrum", "--scan-step", -0.1],
             ["spectrum", "--trace-z", 1e300],
             ["reconstruct", "--z", 1e300],
+            ["reconstruct", "--m-max", 5000],  # basis index 2 m_max + 1 above MAX_INDEX
             ["dissipate", "--extent", 1e308, "--spacing", 1e-10],
             ["dissipate", "--T", 1e-9],
             ["dissipate", "--dt", 1e-320],

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from logkdv.halfline import (
+    HalfLineFlow,
     HalfLineGrid,
     HalfLineState,
     assemble_H,
@@ -313,6 +314,18 @@ class TestModulation:
             for k in (1, 10)
         )
         assert every_tenth.b == pytest.approx(every_step.b[::10], abs=1e-12)
+
+    def test_scalars_do_not_depend_on_the_number_of_kept_samples(self, coupled_flow):
+        # each sample is summed alone, so a flow cut to its first n samples
+        # reports the same bits for them
+        flow, mod = coupled_flow
+        for n in range(1, 9):
+            head = HalfLineFlow(flow.grid, flow.ts[:n], flow.states[:n].copy(),
+                                flow.step_ts, flow.step_l2)
+            short = modulation_integrate(head, mod.a[0], mod.b[0])
+            for key in ("a", "b", "A"):
+                assert np.array_equal(getattr(short, key), getattr(mod, key)[:n]), (n, key)
+            assert short.b_inf == mod.b_inf, n
 
     def test_b_limit_estimate(self, grid, coupled_flow, long_flow):
         _, mod = coupled_flow
