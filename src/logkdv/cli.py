@@ -29,7 +29,7 @@ import numpy as np
 from . import coercivity as coerc
 from . import halfline, jacobi, lattice, reconstruct
 from .errors import NumericalError
-from .hermite import MAX_INDEX, RealGrid, fit_loglog_slope, projection_sequence
+from .hermite import MAX_INDEX, RealGrid, _line_fit, fit_loglog_slope, projection_sequence
 
 # Per subcommand, each config key maps to (default, range check).  The
 # default's type sets the flag type and whether values are cast to int;
@@ -313,7 +313,7 @@ def _run_dissipate(config: dict) -> tuple[dict, dict, dict]:
     ratios = (flow.step_l2 / flow.step_l2[0]) ** 2 / np.exp(-t_rel)
     mono = np.all(np.diff(flow.step_l2) <= flow.step_l2[:-1] * 1e-10)
     a_bound = 1.1 * np.sqrt(np.pi) * l2[0] ** 2 * np.exp(-(mod.ts - mod.ts[0]))
-    h1_rate = -np.polyfit(flow.ts, np.log(np.maximum(h1, 1e-300)), 1)[0]
+    h1_rate = -_line_fit(flow.ts, np.log(np.maximum(h1, 1e-300)))[1]
     scalars = {
         "final_l2": l2[-1],
         "max_decay_ratio": float(ratios.max()),

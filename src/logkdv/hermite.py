@@ -257,17 +257,29 @@ def ground_state_antiderivative(grid: RealGrid) -> np.ndarray:
     return out
 
 
-def _loglog_line(values, positions, min_points: int):
-    """Least-squares line through (log position, log|value|), zeros skipped.
+def _line_fit(x, y):
+    """Least-squares ``y ~ intercept + slope x`` per row of ``y``: (intercept, slope).
 
-    Returns ``(slope, intercept)``, or None when fewer than ``min_points``
+    Rows lie along the last axis.  The closed form in centred sums reduces each
+    row alone, never by a matrix product, so a row's line keeps its bits in any batch.
+    """
+    dx = x - x.mean()
+    y_mean = y.mean(axis=-1)
+    slope = np.sum(dx * (y - y_mean[..., None]), axis=-1) / np.sum(dx * dx)
+    return y_mean - slope * x.mean(), slope
+
+
+def _loglog_line(values, positions, min_points: int):
+    """:func:`_line_fit` through (log position, log|value|), zeros skipped.
+
+    Returns ``(intercept, slope)``, or None when fewer than ``min_points``
     values are nonzero.
     """
     v = np.abs(values)
     keep = v > 0
     if np.count_nonzero(keep) < min_points:
         return None
-    return np.polyfit(np.log(positions[keep]), np.log(v[keep]), 1)
+    return _line_fit(np.log(positions[keep]), np.log(v[keep]))
 
 
 def fit_loglog_slope(values, positions=None, tail_fraction: float = 0.5) -> float:
@@ -276,32 +288,27 @@ def fit_loglog_slope(values, positions=None, tail_fraction: float = 0.5) -> floa
     Zero entries are skipped.  ``positions`` defaults to 1-based ranks.
     """
     v = np.asarray(values, dtype=float)
-    if positions is None:
-        positions = np.arange(1, v.size + 1, dtype=float)
-    else:
-        positions = np.asarray(positions, dtype=float)
+    positions = np.arange(1.0, v.size + 1) if positions is None else np.asarray(positions, float)
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("tail_fraction must lie in (0, 1]")
     start = int((1.0 - tail_fraction) * v.size)
     line = _loglog_line(v[start:], positions[start:], 10)
     if line is None:
         raise ValueError("fewer than 10 usable tail points for a slope fit")
-    return float(line[0])
+    return float(line[1])
 
 
 def power_tail_fit(values, positions, power: float):
     """Fit ``values ~ c p^{-power} + d p^{-power-1}`` on the tail; returns (c, d).
 
-    ``positions`` are the consecutive integers p at which ``values`` are
-    sampled, ending at the truncation ``positions[-1]``.  The fit uses the
-    last quarter, the entries from index ``int(0.75 * positions[-1])`` on.
-    Callers sum the fitted model past the truncation with Hurwitz zetas.
+    ``positions`` are the consecutive integers p that index the last axis of
+    ``values``, ending at the truncation.  The fit is a line in 1/p through
+    ``values * p^power`` from index ``int(0.75 * positions[-1])`` on.  Each
+    row of a 2-D batch is fitted alone, every sum along the row, so its (c, d)
+    have its 1-D fit's bits.  Callers sum the model past the truncation with
+    Hurwitz zetas.
     """
-    values = np.asarray(values, dtype=float)
     positions = np.asarray(positions, dtype=float)
     k0 = int(0.75 * positions[-1])
     p = positions[k0:]
-    scaled = values[k0:] * p ** power
-    design = np.stack([np.ones_like(p), 1.0 / p], axis=1)
-    (c, d), *_ = np.linalg.lstsq(design, scaled, rcond=None)
-    return float(c), float(d)
+    return _line_fit(1.0 / p, np.asarray(values, dtype=float)[..., k0:] * p ** power)

@@ -129,9 +129,9 @@ def _shoot_rows(z, m_max: int):
     """
     tm = 2.0 * np.arange(1, m_max + 1, dtype=float)
     b_back = -np.sqrt((tm - 2.0) / (tm + 1.0))
-    b_norm = np.sqrt((tm - 1.0) * tm * (tm + 1.0))
+    b_norm = offdiag_weight(tm - 1.0)
     a_back = -np.sqrt((tm - 1.0) / (tm + 2.0))
-    a_norm = np.sqrt(tm * (tm + 1.0) * (tm + 2.0))
+    a_norm = offdiag_weight(tm)
     A, B = 1.0, 0.0
     for bb, bn, ab, an in zip(b_back, b_norm, a_back, a_norm):
         B = bb * B + z / bn * A
@@ -179,23 +179,16 @@ def discrete_wronskian(f, g) -> np.ndarray:
     return out
 
 
-def _zeta_tail(products: np.ndarray) -> float:
-    """Remainder of ``sum_m A_m V_m`` past the computed range.
-
-    Fits ``A_m V_m ~ c m^{-3/2} + d m^{-5/2}`` on the tail and sums the
-    model exactly with Hurwitz zetas.
-    """
-    m_max = products.size
-    c, d = power_tail_fit(products, np.arange(1.0, m_max + 1), 1.5)
-    return c * zeta(1.5, m_max + 1) + d * zeta(2.5, m_max + 1)
-
-
 def _w_inf(z, products: np.ndarray) -> np.ndarray:
     """Limit ``z * (sum_m A_m V_m + tail)`` for each row of ``products``.
 
-    Each row is summed alone, so W_inf at a z does not depend on its batch.
+    One batched :func:`power_tail_fit` fits ``A_m V_m ~ c m^{-3/2} + d m^{-5/2}``
+    on every row; Hurwitz zetas sum the model past the computed range.  Each
+    row is summed and fitted alone, so W_inf at a z does not depend on its batch.
     """
-    tails = np.array([_zeta_tail(row) for row in products])
+    m_max = products.shape[1]
+    c, d = power_tail_fit(products, np.arange(1.0, m_max + 1), 1.5)
+    tails = c * zeta(1.5, m_max + 1) + d * zeta(2.5, m_max + 1)
     return np.asarray(z) * (products.sum(axis=1) + tails)
 
 

@@ -55,11 +55,10 @@ def _tail_estimate(coeffs: np.ndarray) -> float:
     line = _loglog_line(coeffs[k0:], m[k0:], 4)
     if line is None:
         return 0.0
-    p, logc = line
+    logc, p = line
     if p >= -1.0:
         return float("inf")
-    top = coeffs.size
-    return float(np.exp(logc) * top ** (p + 1.0) / (-p - 1.0))
+    return float(np.exp(logc) * coeffs.size ** (p + 1.0) / (-p - 1.0))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from logkdv.hermite import (
     MAX_INDEX,
     RealGrid,
+    _line_fit,
     basis_rows,
     fit_loglog_slope,
     ground_state_antiderivative,
@@ -18,6 +19,7 @@ from logkdv.hermite import (
     product_sequence,
     projection_sequence,
 )
+from logkdv.jacobi import _shoot_products, shoot
 
 
 def direct_formula(n, x):
@@ -215,3 +217,40 @@ class TestRealGrid:
         grid = RealGrid.uniform()
         u0 = hermite_function(0, grid.nodes)
         assert grid.integrate(u0 * u0) == pytest.approx(1.0, abs=1e-12)
+
+
+def line_fit_input(name):
+    """(x, y) of a line fit the package makes, on real data."""
+    if name == "projection tail":  # projections --n-max 1000000, tail_slope
+        f = projection_sequence(10**6)
+        return np.log(np.arange(100.0, f.size)), np.log(f[100:])
+    if name == "shooting B tail":  # the decay exponent of B at z1
+        b = np.abs(shoot(2.7054, 10_000).B[1:])
+        m = np.arange(1.0, b.size + 1)[b.size // 2 :]
+        b = b[b.size // 2 :]
+        return np.log(m[b > 0]), np.log(b[b > 0])
+    # the zeta tail of the default scan row at z = 2.7: 500 products, last quarter
+    p = np.arange(376.0, 501.0)
+    return 1.0 / p, _shoot_products(np.array([2.7]), 500)[0, 375:] * p**1.5
+
+
+class TestLineFit:
+    def test_recovers_an_exact_line(self):
+        x = np.linspace(-3.0, 7.0, 101)
+        y = np.stack([0.25 - 1.5 * x, 4.0 + 0.5 * x])
+        intercept, slope = _line_fit(x, y)
+        np.testing.assert_allclose(intercept, [0.25, 4.0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(slope, [-1.5, 0.5], rtol=1e-14, atol=0)
+        assert _line_fit(x, y[0]) == (intercept[0], slope[0])
+
+    # measured: at most 1.6e-15 relative on both log-log tails; on the scan
+    # row the slope (the 1/p coefficient) moves by 1.0e-13, which is polyfit's
+    # own error there against an extended-precision fit (the closed form's is 3e-16)
+    @pytest.mark.parametrize(
+        "name, rtol",
+        [("projection tail", 1e-14), ("shooting B tail", 1e-14), ("scan row tail", 1e-12)],
+    )
+    def test_agrees_with_polyfit(self, name, rtol):
+        x, y = line_fit_input(name)
+        slope, intercept = np.polyfit(x, y, 1)
+        assert _line_fit(x, y) == pytest.approx((intercept, slope), rel=rtol, abs=0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from logkdv import jacobi
-from logkdv.hermite import fit_loglog_slope
+from logkdv.hermite import fit_loglog_slope, power_tail_fit
 from logkdv.jacobi import (
     SpectrumResult,
     _shoot_products,
@@ -194,6 +194,16 @@ class TestWronskianTrace:
         assert np.array_equal(split, batch)
         single = [_w_inf_scan(np.array([z]), n_max)[0] for z in zs[::9]]
         assert np.array_equal(single, batch[::9])
+
+    @pytest.mark.parametrize("n_max", [10, 11, 1000, 4000])
+    def test_batched_tail_fit_equals_each_rows_fit(self, n_max):
+        zs = np.arange(0.05, 20.025, 0.05)  # the default scan grid
+        products = _shoot_products(zs, n_max // 2)
+        positions = np.arange(1.0, n_max // 2 + 1)
+        c, d = power_tail_fit(products, positions, 1.5)
+        rows = np.array([power_tail_fit(row, positions, 1.5) for row in products])
+        assert np.array_equal(c, rows[:, 0])
+        assert np.array_equal(d, rows[:, 1])
 
     def test_sign_definite_plateau_at_unit_z(self):
         trace = wronskian_trace(1.0, 1000)
