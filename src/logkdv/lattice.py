@@ -204,7 +204,10 @@ def c1_track(c1_0: float, trajectory: LatticeTrajectory) -> C1TrackResult:
     f = projection_sequence(n_modes + 1)
     m = np.arange(1, n_modes + 1)
     pair_weights = f[m + 1] / np.sqrt(m)   # c_{m+1} f_{m+1} with c_{m+1} = a_m/sqrt(m)
-    conserved = 2.0 * c1 + trajectory.states @ pair_weights
+    # one dot per row: a matrix-vector product sums a row in an order that
+    # depends on its place in the matrix, so on how many samples are kept
+    paired = np.array([np.dot(state, pair_weights) for state in trajectory.states])
+    conserved = 2.0 * c1 + paired
     drift_abs = float(np.abs(conserved - conserved[0]).max())
     scale = max(abs(float(conserved[0])), 1e-30)
     return C1TrackResult(c1, conserved, drift_abs, drift_abs / scale)

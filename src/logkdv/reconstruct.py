@@ -87,23 +87,20 @@ def eigenvector_assemble(
         raise ValueError("z = 0 corresponds to the zero profile and is excluded")
     m_max = shooting.B.size - 1
     m = np.arange(1, m_max + 1)
-    coeff_even = (-1.0) ** (m - 1) * shooting.A[1 : m_max + 1] / np.sqrt(2 * m - 1)
-    coeff_odd = (-1.0) ** m * shooting.B[1 : m_max + 1] / np.sqrt(2 * m)
+    c = np.zeros(2 * m_max + 2)  # c[n] multiplies u_n
+    c[2::2] = (-1.0) ** (m - 1) * shooting.A[1 : m_max + 1] / np.sqrt(2 * m - 1)
+    c[3::2] = (-1.0) ** m * shooting.B[1 : m_max + 1] / np.sqrt(2 * m)
 
-    y_odd = np.zeros_like(grid.nodes)
-    y_even = np.zeros_like(grid.nodes)
+    y = np.zeros((2, grid.nodes.size))  # (y_even, y_odd)
     for n, row in basis_rows(grid.nodes, 2 * m_max + 1):
-        if n >= 2 and n % 2 == 0:
-            y_even += coeff_even[n // 2 - 1] * row
-        elif n >= 3:
-            y_odd += coeff_odd[(n - 1) // 2 - 1] * row
+        y[n % 2] += c[n] * row
     c1 = float(np.sqrt(2.0) * shooting.A[1] / z)
     return EigenvectorProfiles(
-        y_odd=y_odd,
-        y_even=y_even,
+        y_odd=y[1],
+        y_even=y[0],
         c1=c1,
-        tail_odd=_tail_estimate(coeff_odd),
-        tail_even=_tail_estimate(coeff_even),
+        tail_odd=_tail_estimate(c[3::2]),
+        tail_even=_tail_estimate(c[2::2]),
     )
 
 

@@ -170,6 +170,27 @@ class TestSpectrumCommand:
         assert trace[0] == "n,W_n"
         assert len(trace) == 501
 
+    def test_roots_are_checked_by_the_scan_evaluator(self, tmp_path, monkeypatch):
+        # W_inf at the roots comes from the batched evaluator that found
+        # them; the only Wronskian trace is the one written to the CSV
+        trace, traced = jacobi.wronskian_trace, []
+
+        def record(z, n_max):
+            traced.append(z)
+            return trace(z, n_max)
+
+        monkeypatch.setattr(jacobi, "wronskian_trace", record)
+        assert run(["spectrum", "--z-max", 8.0, "--n-max", 500, "--outdir", tmp_path]) == 0
+        assert traced == [1.0]
+        assert read_summary(tmp_path, "spectrum")["invariants"]["roots_are_relative_zeros"]
+
+    def test_no_roots_are_relative_zeros(self, tmp_path):
+        args = ["spectrum", "--z-min", 1e-300, "--z-max", 1e-299, "--n-max", 200]
+        assert run(args + ["--outdir", tmp_path]) == 0
+        doc = read_summary(tmp_path, "spectrum")
+        assert "z1" not in doc["scalars"]
+        assert doc["invariants"]["roots_are_relative_zeros"] is True
+
     def test_tol_below_float_spacing_ends(self, tmp_path, time_limit):
         with time_limit(10):
             code = run(["spectrum", "--tol", 1e-15, "--n-max", 200, "--outdir", tmp_path])
@@ -187,7 +208,8 @@ class TestSpectrumCommand:
             return trace(z, n_max)
 
         monkeypatch.setattr(jacobi, "wronskian_trace", fail_near_z1)
-        assert run(["spectrum", "--z-max", 4.0, "--n-max", 200, "--outdir", tmp_path]) == 2
+        args = ["spectrum", "--z-max", 4.0, "--n-max", 200, "--trace-z", 2.7054]
+        assert run(args + ["--outdir", tmp_path]) == 2
         assert capsys.readouterr().err.startswith("error: synthetic failure")
         assert list(tmp_path.iterdir()) == []
 

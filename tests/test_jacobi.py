@@ -349,6 +349,21 @@ class TestSpectrum:
         assert gaps[:-1, 0] / gaps[1:, 0] == pytest.approx([2.0, 2.0], abs=0.1)
         assert gaps[1, 1] / gaps[2, 1] == pytest.approx(2.0, abs=0.1)
 
+    def test_richardson_on_odd_sections_reproduces_the_roots(self):
+        # the odd-section gap expands as c1 N^(-1/2) + c2 N^(-1) + O(N^(-3/2)),
+        # so over quadruplings of N one level with factor 2 and one with factor
+        # 4 leave the N^(-3/2) term: each level-2 value is about 8 times closer
+        sections = np.array([truncated_matrix_eigenvalues(400 * 4**k + 1, z_max=20.0)[:4]
+                             for k in range(5)])
+        level1 = 2.0 * sections[1:] - sections[:-1]
+        level2 = (4.0 * level1[1:] - level1[:-1]) / 3.0
+        roots = find_eigenvalues(z_max=16.0, n_max=8000, tol=1e-13).eigenvalues
+        errors = np.abs(level2 / roots - 1.0)
+        # measured 4.6e-9, 2.7e-7, 5.6e-7 and 6.4e-7; the reference roots are
+        # themselves off by up to 4.4e-7 (z4) against n_max = 80000
+        assert np.all(errors[-1] < [2e-8, 1e-6, 2e-6, 3e-6])
+        assert np.all(errors[:-1] > 4.0 * errors[1:])
+
     def test_truncated_matrix_interlaces(self, spectrum):
         # at even N the Dirichlet truncation realizes a different extension
         # whose eigenvalues interlace the Wronskian roots

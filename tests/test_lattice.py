@@ -11,6 +11,7 @@ from logkdv.jacobi import truncated_matrix_eigenvalues
 from logkdv.lattice import (
     C1TrackResult,
     LatticeState,
+    LatticeTrajectory,
     c1_track,
     coefficients_to_lattice,
     evolve,
@@ -202,6 +203,16 @@ class TestC1Track:
         traj = evolve(state, 3.0, 1e-3, sample_every=10)
         track = c1_track(0.0, traj)
         assert track.drift_rel > 1e-2
+
+    def test_pairing_does_not_depend_on_the_number_of_kept_samples(self):
+        # each sample is paired alone, so a trajectory cut to its first n
+        # samples reports the same bits for them
+        traj = evolve(initial_gaussian_bump(400), 0.5, 1e-3, sample_every=10)
+        track = c1_track(0.0, traj)
+        for n in range(1, traj.ts.size + 1):
+            head = LatticeTrajectory(traj.ts[:n], traj.states[:n].copy(),
+                                     traj.norms[:n], traj.c1[:n])
+            assert np.array_equal(c1_track(0.0, head).conserved, track.conserved[:n]), n
 
     def test_c1_bounded_by_pairing_and_energy(self):
         state = initial_gaussian_bump(400)

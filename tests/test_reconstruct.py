@@ -13,10 +13,11 @@ from logkdv.halfline import (
     initial_gaussian_bump,
     modulation_integrate,
 )
-from logkdv.hermite import RealGrid, hermite_function
+from logkdv.hermite import RealGrid, basis_rows, hermite_function
 from logkdv.jacobi import find_eigenvalues, shoot
 from logkdv.reconstruct import (
     _apply_dx_l,
+    _tail_estimate,
     convolution_synthesize,
     eigenpair_residual,
     eigenvector_assemble,
@@ -114,6 +115,28 @@ class TestEigenvectorAssembly:
             values.append(eigenpair_residual(z1, prof, sym_grid).raw_odd_equation)
         assert min(values) > 0.5
         assert abs(values[0] - values[1]) < 0.1
+
+    @pytest.mark.parametrize("m_max", [10, 500, 4999])
+    def test_bit_identical_to_parity_loop(self, z1, sym_grid, m_max):
+        # the reference keeps the even and odd coefficients in two arrays and
+        # maps each basis index to its slot
+        shooting = shoot(z1, m_max)
+        m = np.arange(1, m_max + 1)
+        coeff_even = (-1.0) ** (m - 1) * shooting.A[1 : m_max + 1] / np.sqrt(2 * m - 1)
+        coeff_odd = (-1.0) ** m * shooting.B[1 : m_max + 1] / np.sqrt(2 * m)
+        y_odd = np.zeros_like(sym_grid.nodes)
+        y_even = np.zeros_like(sym_grid.nodes)
+        for n, row in basis_rows(sym_grid.nodes, 2 * m_max + 1):
+            if n >= 2 and n % 2 == 0:
+                y_even += coeff_even[n // 2 - 1] * row
+            elif n >= 3:
+                y_odd += coeff_odd[(n - 1) // 2 - 1] * row
+        prof = eigenvector_assemble(z1, shooting, sym_grid)
+        # bytes, so that a signed zero counts too
+        assert prof.y_odd.tobytes() == y_odd.tobytes()
+        assert prof.y_even.tobytes() == y_even.tobytes()
+        assert prof.tail_odd == _tail_estimate(coeff_odd)
+        assert prof.tail_even == _tail_estimate(coeff_even)
 
     def test_profiles_decay_slower_than_gaussian(self, profiles, sym_grid):
         # the eigenprofiles decay algebraically while every basis term is
