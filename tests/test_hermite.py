@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from logkdv.hermite import (
     MAX_INDEX,
     RealGrid,
     _line_fit,
+    _start_scaled,
     basis_rows,
     fit_loglog_slope,
     ground_state_antiderivative,
@@ -112,6 +114,59 @@ class TestBasisIntegrity:
             )
             resid = -upp + 0.25 * (x[2:-2] ** 2 - 6.0) * u[2:-2] - (n - 1) * u[2:-2]
             assert np.abs(resid).max() < 1e-6
+
+
+def ldexp_rows(x, n_max):
+    """Reference: the recurrence with ``np.ldexp`` applied to every row."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    u_prev = np.zeros_like(x)
+    u_cur, expo = _start_scaled(x)
+    for n in range(n_max + 1):
+        yield n, np.ldexp(u_cur, expo)
+        u_next = x * u_cur / np.sqrt(n + 1.0) - np.sqrt(n / (n + 1.0)) * u_prev
+        u_prev, u_cur = u_cur, u_next
+        if (n + 1) % 64 == 0:
+            m, e = np.frexp(u_cur)
+            u_cur = m
+            expo = expo + e
+            u_prev = np.ldexp(u_prev, -e)
+
+
+def rows_differing_from_ldexp(x, n_max):
+    """Indices n whose ``basis_rows`` row differs in any byte from the reference."""
+    return [
+        n
+        for (n, row), (_, ref) in zip(basis_rows(x, n_max), ldexp_rows(x, n_max), strict=True)
+        if row.tobytes() != ref.tobytes()
+    ]
+
+
+class TestBasisRowsBits:
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            RealGrid.uniform().nodes,
+            RealGrid.uniform(12.0, 2401).nodes,
+            # the reconstruct --x-max 100 extent: points beyond |x| ~ 54.6
+            # start with a binary exponent below -1074
+            np.linspace(-100.0, 100.0, 2001),
+        ],
+        ids=["uniform", "uniform-12", "x-max-100"],
+    )
+    def test_every_row_matches_the_ldexp_recurrence(self, nodes):
+        assert rows_differing_from_ldexp(nodes, MAX_INDEX) == []
+
+    def test_edge_points_match_the_ldexp_recurrence(self):
+        x = np.array([0.0, -0.0, 5e-324, 54.5, 54.7, 60.0, 1e3, -1e5])
+        assert rows_differing_from_ldexp(x, MAX_INDEX) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x=arrays(float, st.integers(1, 20), elements=st.floats(-1e3, 1e3)),
+        n_max=st.integers(0, 300),
+    )
+    def test_any_finite_points_match_the_ldexp_recurrence(self, x, n_max):
+        assert rows_differing_from_ldexp(x, n_max) == []
 
 
 class TestProductSequence:
