@@ -46,6 +46,9 @@ _RENORM_EVERY = 64
 
 _LOG2E = 1.0 / np.log(2.0)
 
+# Smallest binary exponent of a nonzero double: 2**-1074 is the least subnormal.
+_MIN_EXPONENT = -1074
+
 
 @dataclass(frozen=True)
 class RealGrid:
@@ -126,25 +129,49 @@ def _start_scaled(x: np.ndarray):
     return mant, expo
 
 
+def _row_scale(expo):
+    """Per-point ``2**expo``, and the indices of the points where it flushes to 0."""
+    return np.ldexp(1.0, expo), np.nonzero(expo < _MIN_EXPONENT)
+
+
 def basis_rows(x, n_max: int):
     """Yield ``(n, u_n(x))`` for n = 0..n_max over an array of points.
 
-    Single pass of the normalized recurrence; each yielded row is a fresh
-    array of the actual function values.
+    Single pass of the normalized recurrence, stepped in place in reused
+    buffers with the step coefficients precomputed; each yielded row is a
+    fresh array of the actual function values.  A row is the carried
+    mantissa times the power of two ``2**expo``, cached per point at each
+    renormalization: a product with an exact power of two rounds once, so
+    it has the bits of ``np.ldexp``.  Below ``2**-1074`` that power flushes
+    to zero, so points whose exponent lies there (at the start, |x| above
+    about 54.6) keep ``np.ldexp``.
     """
     _check_index(n_max)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    k = np.arange(n_max + 1, dtype=float)
+    root = np.sqrt(k + 1.0)
+    ratio = np.sqrt(k / (k + 1.0))
     u_prev = np.zeros_like(x)
     u_cur, expo = _start_scaled(x)
+    step = np.empty_like(x)
+    e = np.empty(x.shape, dtype=np.intc)
+    scale, flushed = _row_scale(expo)
     for n in range(n_max + 1):
-        yield n, np.ldexp(u_cur, expo)
-        u_next = x * u_cur / np.sqrt(n + 1.0) - np.sqrt(n / (n + 1.0)) * u_prev
-        u_prev, u_cur = u_cur, u_next
+        row = u_cur * scale
+        if flushed[0].size:
+            row[flushed] = np.ldexp(u_cur[flushed], expo[flushed])
+        yield n, row
+        # u_{n+1} = x u_n / sqrt(n + 1) - sqrt(n / (n + 1)) u_{n-1}, into u_prev's buffer
+        np.multiply(x, u_cur, out=step)
+        step /= root[n]
+        u_prev *= ratio[n]
+        np.subtract(step, u_prev, out=u_prev)
+        u_prev, u_cur = u_cur, u_prev
         if (n + 1) % _RENORM_EVERY == 0:
-            m, e = np.frexp(u_cur)
-            u_cur = m
-            expo = expo + e
-            u_prev = np.ldexp(u_prev, -e)
+            np.frexp(u_cur, out=(u_cur, e))
+            expo += e
+            np.ldexp(u_prev, -e, out=u_prev)
+            scale, flushed = _row_scale(expo)
 
 
 def hermite_function(n: int, x):

@@ -45,6 +45,10 @@ from .hermite import fit_loglog_slope, power_tail_fit, product_sequence
 # Shooting length for the decay-exponent fits at each eigenvalue.
 _SLOPE_M_MAX = 10_000
 
+# Bisection halvings per W_inf evaluation: the 2**_HALVINGS - 1 midpoints
+# that the next halvings of a bracket can reach are evaluated in one batch.
+_HALVINGS = 4
+
 
 def offdiag_weight(n) -> np.ndarray:
     """Coupling weight ``w(n) = sqrt(n (n+1) (n+2))``, vectorized."""
@@ -306,17 +310,33 @@ def find_eigenvalues(
         diagnostics["note"] = "no sign change of W_inf in the scanned range"
     a, b, fa = zs[left], zs[left + 1], ws[left]
     active = np.flatnonzero(b - a > tol)
+    span = 2**_HALVINGS
     while active.size:
-        mid = 0.5 * (a[active] + b[active])
-        narrows = (mid != a[active]) & (mid != b[active])
-        fm = _w_inf_scan(mid, n_max)
-        to_b = fa[active] * fm < 0.0
-        b[active[to_b]] = mid[to_b]
-        a[active[~to_b]] = mid[~to_b]
-        fa[active[~to_b]] = fm[~to_b]
-        hit = fm == 0.0  # an exact zero closes its bracket: a = b = mid
-        b[active[hit]] = mid[hit]
-        active = active[narrows & (b[active] - a[active] > tol)]
+        # the tree of every midpoint the next halvings can reach, each the
+        # rounded midpoint of its parent bracket, in one W_inf evaluation
+        z = np.empty((active.size, span + 1))
+        z[:, 0], z[:, -1] = a[active], b[active]
+        for level in range(_HALVINGS):
+            h = span >> level
+            z[:, h // 2 :: h] = 0.5 * (z[:, :-1:h] + z[:, h::h])
+        w = np.empty_like(z)
+        w[:, 1:-1] = _w_inf_scan(z[:, 1:-1].ravel(), n_max).reshape(active.size, span - 1)
+        # replay the halvings; a bracket's lower end is node lo of its tree row
+        row = np.arange(active.size)
+        lo = np.zeros(active.size, dtype=int)
+        for level in range(1, _HALVINGS + 1):
+            node = lo + (span >> level)
+            mid, fm = z[row, node], w[row, node]
+            narrows = (mid != a[active]) & (mid != b[active])
+            to_b = fa[active] * fm < 0.0
+            b[active[to_b]] = mid[to_b]
+            a[active[~to_b]] = mid[~to_b]
+            fa[active[~to_b]] = fm[~to_b]
+            lo[~to_b] = node[~to_b]
+            hit = fm == 0.0  # an exact zero closes its bracket: a = b = mid
+            b[active[hit]] = mid[hit]
+            keep = narrows & (b[active] - a[active] > tol)
+            active, row, lo = active[keep], row[keep], lo[keep]
     roots = 0.5 * (a + b)
     roots = roots[roots > z_min]  # z = 0 stays excluded
 
@@ -340,9 +360,14 @@ def truncated_matrix_eigenvalues(n_max: int, z_max: float = 20.0) -> np.ndarray:
     condition :func:`find_eigenvalues` realizes in the limit: the eigenvalues
     converge to its roots like ``n_max**(-1/2)``.  Even ``n_max`` approaches a
     different self-adjoint extension, whose eigenvalues interlace the roots.
+
+    The bisection tolerance is the smallest normal double, so each eigenvalue
+    is bisected to its own relative accuracy instead of an absolute one set by
+    the matrix norm, which grows like ``n_max**(3/2)``.
     """
     off = offdiag_weight(np.arange(1, n_max, dtype=float))
     vals = eigh_tridiagonal(
-        np.zeros(n_max), off, select="v", select_range=(1e-9, z_max)
+        np.zeros(n_max), off, select="v", select_range=(1e-9, z_max),
+        tol=np.finfo(float).tiny,
     )[0]
     return vals

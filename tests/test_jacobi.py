@@ -324,6 +324,21 @@ class TestSpectrum:
         assert set(seen) == {n_max}
         assert result.diagnostics["n_max"] == n_max
 
+    def test_four_halvings_per_w_inf_evaluation(self, monkeypatch):
+        # at the defaults every bracket takes 16 halvings: the scan plus one
+        # evaluation per four halvings, at the 15 midpoints they can reach
+        sizes = []
+        scan = jacobi._w_inf_scan
+
+        def recording_scan(z, n_max):
+            sizes.append(np.size(z))
+            return scan(z, n_max)
+
+        monkeypatch.setattr(jacobi, "_w_inf_scan", recording_scan)
+        result = find_eigenvalues()
+        assert result.eigenvalues.size == 4
+        assert sizes == [400] + 4 * [4 * 15]
+
     def test_roots_converge_at_order_five_halves(self):
         # the zeta tail drops terms of order m^(-7/2), so a root's error falls
         # like n_max^(-5/2): each quadrupling of n_max divides it by 4^(5/2) = 32
@@ -362,10 +377,18 @@ class TestSpectrum:
         level2 = (4.0 * level1[1:] - level1[:-1]) / 3.0
         roots = find_eigenvalues(z_max=16.0, n_max=8000, tol=1e-13).eigenvalues
         errors = np.abs(level2 / roots - 1.0)
-        # measured 4.6e-9, 2.7e-7, 5.6e-7 and 6.4e-7; the reference roots are
+        # measured 1.6e-9, 2.6e-7, 5.6e-7 and 6.4e-7; the reference roots are
         # themselves off by up to 4.4e-7 (z4) against n_max = 80000
         assert np.all(errors[-1] < [2e-8, 1e-6, 2e-6, 3e-6])
         assert np.all(errors[:-1] > 4.0 * errors[1:])
+
+    def test_section_eigenvalues_do_not_depend_on_z_max(self):
+        # each eigenvalue is bisected to its own relative accuracy, not to an
+        # absolute one set by the matrix norm ~ N^(3/2): a default tolerance
+        # moved z1..z4 by up to 6.6e-10 between z_max = 16, 20 and 60
+        sections = np.array([truncated_matrix_eigenvalues(25601, z_max=z)[:4]
+                             for z in (16.0, 20.0, 60.0)])
+        assert np.abs(sections / sections[0] - 1.0).max() < 1e-14
 
     def test_truncated_matrix_interlaces(self, spectrum):
         # at even N the Dirichlet truncation realizes a different extension
