@@ -21,7 +21,10 @@ n ~ 150.  The recurrence carries a per-point base-2 exponent so that the
 Gaussian prefactor cannot underflow at large ``|x|`` before the
 polynomial growth catches up; rescalings are exact binary shifts, so the
 results bit-match the plain recurrence wherever the plain recurrence
-stays inside double range.
+stays inside double range.  A row leaves the recurrence as its mantissa
+times the power of two ``2**expo``, which is cached per point at each
+renormalization, not rebuilt per row; points whose exponent lies below
+-1074, where that power flushes to zero, are scaled with ``np.ldexp``.
 
 The module also provides the two closed-form scalar sequences that the
 rest of the package consumes: products of ``sqrt(2k - a)/sqrt(2k + b)``

@@ -280,9 +280,11 @@ def find_eigenvalues(
 ) -> SpectrumResult:
     """Scan ``W_inf(z)`` on (z_min, z_max], bracket sign changes, bisect.
 
-    All brackets are bisected together, with one vectorized ``W_inf``
-    evaluation at the midpoints of the brackets still wider than ``tol``
-    per halving; each bracket takes the steps it would take alone.  A
+    All brackets are bisected together, four halvings per vectorized
+    ``W_inf`` evaluation: it takes, for every bracket still wider than
+    ``tol``, the 15 midpoints its next four halvings can reach, and the
+    halvings are replayed on those values.  ``W_inf`` at a z does not depend
+    on its batch, so each bracket takes the steps it would take alone.  A
     bracket also ends when its midpoint rounds onto an endpoint, so a
     ``tol`` below the float spacing at a root stops at adjacent floats.
 
