@@ -2,12 +2,13 @@
 
 Usage, from the root of a checkout:
 
-    python3 bench/pairs.py --pr 15 --base HEAD~1 --pairs 5 --seconds 30
+    python3 bench/pairs.py --pr 15 --base HEAD~1
 
 The base tree is the committed files of ``--base``, extracted with
 ``git archive`` into a temporary directory; the head tree is this checkout's
-working tree.  For every workload and pair, ``<tree>/perfbench/run.py
---trace 0`` runs once on each tree with the same seed, one tree after the
+working tree.  For each of the ten pairs of every workload,
+``<tree>/perfbench/run.py --trace 0`` runs once on each tree for the
+``run_seconds`` of ``BENCHMARK.json`` with the same seed, one tree after the
 other, and the tree that goes first alternates from pair to pair.  The runs
 are sequential, so they never compete for the host.
 
@@ -15,7 +16,8 @@ Writes ``BENCH_<pr>.json`` at the root of the checkout: per workload and
 end-to-end metric, the runs, median and quartiles of each side and the
 number of pairs in which the head is better; the failed and attempted
 solves; for ``cli_repro``, whether both trees wrote the same output bytes;
-and the Python, numpy and scipy versions the runs reported.  Imports no numpy.
+the Python, numpy and scipy versions the runs reported; and the head commit
+with the tracked files that differed from it.  Imports no numpy.
 """
 
 import argparse
@@ -28,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cli_repro", "spectral", "dynamics")
+PAIRS = 10  # the fewest pairs that can back a claimed gain
 
 
 def _git(*args) -> str:
@@ -96,32 +99,28 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("--pr", required=True, help="label of the output file BENCH_<pr>.json")
     p.add_argument("--base", default="HEAD", help="git revision of the base tree")
-    p.add_argument("--pairs", type=int, default=3)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--workload", action="append", choices=WORKLOADS,
-                   help="repeatable; default all three")
     args = p.parse_args(argv)
-    workloads = args.workload or list(WORKLOADS)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
     out = {
         "pr": args.pr,
         "base": {"rev": args.base, "commit": _git("rev-parse", args.base)},
         "head": {"commit": _git("rev-parse", "HEAD"),
-                 "dirty": bool(_git("status", "--porcelain", "--untracked-files=no"))},
-        "seconds": args.seconds,
+                 "dirty": _git("status", "--porcelain", "--untracked-files=no").splitlines()},
+        "seconds": seconds,
         "order": "the base runs first in odd pairs, the head in even ones",
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base = Path(tmp)
         _extract(args.base, base)
-        for workload in workloads:
+        for workload in WORKLOADS:
             runs = []
-            for seed in range(1, args.pairs + 1):
+            for seed in range(1, PAIRS + 1):
                 order = [base, ROOT] if seed % 2 else [ROOT, base]
-                done = {tree: _run(tree, workload, seed, args.seconds) for tree in order}
+                done = {tree: _run(tree, workload, seed, seconds) for tree in order}
                 runs.append((done[base], done[ROOT]))
                 wall = [done[t]["result"]["metrics"]["wall_s"]["value"] for t in (base, ROOT)]
                 print(f"{workload} seed {seed}: wall_s base {wall[0]:.4f} head {wall[1]:.4f}",

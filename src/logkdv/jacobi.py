@@ -284,7 +284,9 @@ def find_eigenvalues(
     ``W_inf`` evaluation: it takes, for every bracket still wider than
     ``tol``, the 15 midpoints its next four halvings can reach, and the
     halvings are replayed on those values.  ``W_inf`` at a z does not depend
-    on its batch, so each bracket takes the steps it would take alone.  A
+    on its batch, so each bracket takes the steps it would take alone.  Those
+    midpoints go in batches of at most as many z as the scan (15 if the scan
+    is smaller), so the bisection's peak memory stays within the scan's.  A
     bracket also ends when its midpoint rounds onto an endpoint, so a
     ``tol`` below the float spacing at a root stops at adjacent floats.
 
@@ -321,8 +323,13 @@ def find_eigenvalues(
         for level in range(_HALVINGS):
             h = span >> level
             z[:, h // 2 :: h] = 0.5 * (z[:, :-1:h] + z[:, h::h])
+        # in batches no larger than the scan's (or one tree), so the
+        # bisection never holds more shooting products than the scan did
+        mids, rows = z[:, 1:-1].ravel(), max(zs.size, span - 1)
         w = np.empty_like(z)
-        w[:, 1:-1] = _w_inf_scan(z[:, 1:-1].ravel(), n_max).reshape(active.size, span - 1)
+        w[:, 1:-1] = np.concatenate(
+            [_w_inf_scan(mids[i : i + rows], n_max) for i in range(0, mids.size, rows)]
+        ).reshape(active.size, span - 1)
         # replay the halvings; a bracket's lower end is node lo of its tree row
         row = np.arange(active.size)
         lo = np.zeros(active.size, dtype=int)

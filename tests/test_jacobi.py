@@ -339,6 +339,24 @@ class TestSpectrum:
         assert result.eigenvalues.size == 4
         assert sizes == [400] + 4 * [4 * 15]
 
+    def test_bisection_batches_stay_within_the_scan(self, monkeypatch):
+        # a coarse scan with ten brackets: their 150 midpoints go in batches
+        # no larger than the 61-point scan, and the roots keep their bits
+        sizes = []
+        scan = jacobi._w_inf_scan
+
+        def recording_scan(z, n_max):
+            sizes.append(np.size(z))
+            return scan(z, n_max)
+
+        monkeypatch.setattr(jacobi, "_w_inf_scan", recording_scan)
+        result = find_eigenvalues(z_max=60.0, scan_step=1.0, n_max=400)
+        assert result.eigenvalues.size == 10
+        assert sizes[:4] == [61, 61, 61, 28]
+        assert max(sizes[1:]) <= sizes[0]
+        monkeypatch.setattr(jacobi, "_w_inf_scan", scan)
+        assert np.array_equal(result.eigenvalues, per_bracket_roots(result, 0.05, 1e-6))
+
     def test_roots_converge_at_order_five_halves(self):
         # the zeta tail drops terms of order m^(-7/2), so a root's error falls
         # like n_max^(-5/2): each quadrupling of n_max divides it by 4^(5/2) = 32
