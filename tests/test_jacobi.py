@@ -271,6 +271,7 @@ class TestSpectrum:
             {"tol": 1e-13, "n_max": 4000},
             {"scan_step": 0.3, "z_max": 30.0},  # six roots
             {"z_min": 11.0, "z_max": 14.0, "n_max": 400},  # no root
+            {"z_max": 60.0, "scan_step": 1.0, "n_max": 400},  # batches split
         ],
     )
     def test_lockstep_bisection_matches_per_bracket_loop(self, kwargs):
@@ -324,38 +325,29 @@ class TestSpectrum:
         assert set(seen) == {n_max}
         assert result.diagnostics["n_max"] == n_max
 
-    def test_four_halvings_per_w_inf_evaluation(self, monkeypatch):
-        # at the defaults every bracket takes 16 halvings: the scan plus one
-        # evaluation per four halvings, at the 15 midpoints they can reach
-        sizes = []
+    @pytest.mark.parametrize(
+        "kwargs, roots, sizes",
+        [
+            # at the defaults every bracket takes 16 halvings: the scan plus one
+            # evaluation per four halvings, at the 15 midpoints they can reach
+            ({}, 4, [400] + 4 * [4 * 15]),
+            # ten brackets of a 61-point scan: their 150 midpoints go in
+            # batches no larger than the scan
+            ({"z_max": 60.0, "scan_step": 1.0, "n_max": 400}, 10, [61] + 5 * [61, 61, 28]),
+        ],
+        ids=["defaults", "coarse-scan"],
+    )
+    def test_four_halvings_per_w_inf_evaluation(self, kwargs, roots, sizes, monkeypatch):
+        seen = []
         scan = jacobi._w_inf_scan
 
         def recording_scan(z, n_max):
-            sizes.append(np.size(z))
+            seen.append(np.size(z))
             return scan(z, n_max)
 
         monkeypatch.setattr(jacobi, "_w_inf_scan", recording_scan)
-        result = find_eigenvalues()
-        assert result.eigenvalues.size == 4
-        assert sizes == [400] + 4 * [4 * 15]
-
-    def test_bisection_batches_stay_within_the_scan(self, monkeypatch):
-        # a coarse scan with ten brackets: their 150 midpoints go in batches
-        # no larger than the 61-point scan, and the roots keep their bits
-        sizes = []
-        scan = jacobi._w_inf_scan
-
-        def recording_scan(z, n_max):
-            sizes.append(np.size(z))
-            return scan(z, n_max)
-
-        monkeypatch.setattr(jacobi, "_w_inf_scan", recording_scan)
-        result = find_eigenvalues(z_max=60.0, scan_step=1.0, n_max=400)
-        assert result.eigenvalues.size == 10
-        assert sizes[:4] == [61, 61, 61, 28]
-        assert max(sizes[1:]) <= sizes[0]
-        monkeypatch.setattr(jacobi, "_w_inf_scan", scan)
-        assert np.array_equal(result.eigenvalues, per_bracket_roots(result, 0.05, 1e-6))
+        assert find_eigenvalues(**kwargs).eigenvalues.size == roots
+        assert seen == sizes
 
     def test_roots_converge_at_order_five_halves(self):
         # the zeta tail drops terms of order m^(-7/2), so a root's error falls
