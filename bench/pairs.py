@@ -1,12 +1,16 @@
-"""Before/after benchmark pairs: perfbench on a base commit and on this tree.
+"""Before/after benchmark pairs: perfbench on a base commit and on HEAD.
 
 Usage, from the root of a checkout:
 
     python3 bench/pairs.py --pr 15 --base HEAD~1
 
-The base tree is the committed files of ``--base``, extracted with
-``git archive`` into a temporary directory; the head tree is this checkout's
-working tree.  For each of the ten pairs of every workload,
+Both trees are committed files, of ``--base`` and of ``HEAD``, each
+extracted with ``git archive`` into a fresh temporary directory.  A working
+tree would not do: besides uncommitted edits it can hold bytecode caches,
+and with ``src/logkdv/__pycache__`` present one and the same commit read
+``max_rss_mb`` 168 MB on ``cli_repro`` (seed 2, a 2-core Xeon host) where a
+fresh copy read 142 MB.
+For each of the ten pairs of every workload,
 ``<tree>/perfbench/run.py --trace 0`` runs once on each tree for the
 ``run_seconds`` of ``BENCHMARK.json`` with the same seed, one tree after the
 other, and the tree that goes first alternates from pair to pair.  The runs
@@ -16,8 +20,7 @@ Writes ``BENCH_<pr>.json`` at the root of the checkout: per workload and
 end-to-end metric, the runs, median and quartiles of each side and the
 number of pairs in which the head is better; the failed and attempted
 solves; for ``cli_repro``, whether both trees wrote the same output bytes;
-the Python, numpy and scipy versions the runs reported; and the head commit
-with the tracked files that differed from it.  Imports no numpy.
+and the Python, numpy and scipy versions the runs reported.  Imports no numpy.
 """
 
 import argparse
@@ -107,22 +110,23 @@ def main(argv=None) -> int:
     out = {
         "pr": args.pr,
         "base": {"rev": args.base, "commit": _git("rev-parse", args.base)},
-        "head": {"commit": _git("rev-parse", "HEAD"),
-                 "dirty": _git("status", "--porcelain", "--untracked-files=no").splitlines()},
+        "head": {"rev": "HEAD", "commit": _git("rev-parse", "HEAD")},
         "seconds": seconds,
         "order": "the base runs first in odd pairs, the head in even ones",
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base = Path(tmp)
-        _extract(args.base, base)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        base, head = Path(tmp) / "base", Path(tmp) / "head"
+        for side, rev in ((base, out["base"]["commit"]), (head, out["head"]["commit"])):
+            side.mkdir()
+            _extract(rev, side)
         for workload in WORKLOADS:
             runs = []
             for seed in range(1, PAIRS + 1):
-                order = [base, ROOT] if seed % 2 else [ROOT, base]
+                order = [base, head] if seed % 2 else [head, base]
                 done = {tree: _run(tree, workload, seed, seconds) for tree in order}
-                runs.append((done[base], done[ROOT]))
-                wall = [done[t]["result"]["metrics"]["wall_s"]["value"] for t in (base, ROOT)]
+                runs.append((done[base], done[head]))
+                wall = [done[t]["result"]["metrics"]["wall_s"]["value"] for t in (base, head)]
                 print(f"{workload} seed {seed}: wall_s base {wall[0]:.4f} head {wall[1]:.4f}",
                       flush=True)
             out["workloads"][workload] = _workload_entry(runs, better)
