@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 bench/pairs.py --pr 15 --base HEAD~1
+    python3 bench/pairs.py --pr 16 --base HEAD~1
 
 Both trees are committed files, of ``--base`` and of ``HEAD``, each
 extracted with ``git archive`` into a fresh temporary directory.  A working
@@ -10,17 +10,22 @@ tree would not do: besides uncommitted edits it can hold bytecode caches,
 and with ``src/logkdv/__pycache__`` present one and the same commit read
 ``max_rss_mb`` 168 MB on ``cli_repro`` (seed 2, a 2-core Xeon host) where a
 fresh copy read 142 MB.
-For each of the ten pairs of every workload,
-``<tree>/perfbench/run.py --trace 0`` runs once on each tree for the
-``run_seconds`` of ``BENCHMARK.json`` with the same seed, one tree after the
-other, and the tree that goes first alternates from pair to pair.  The runs
-are sequential, so they never compete for the host.
+Per workload, ``<tree>/perfbench/run.py --trace 0`` runs ten pairs and
+``--trace 1`` three.  A pair runs once on each tree for the ``run_seconds``
+of ``BENCHMARK.json`` with one seed, the tree that goes first alternating
+from pair to pair.  The runs are sequential, so they never compete for the
+host.
 
-Writes ``BENCH_<pr>.json`` at the root of the checkout: per workload and
-end-to-end metric, the runs, median and quartiles of each side and the
-number of pairs in which the head is better; the failed and attempted
-solves; for ``cli_repro``, whether both trees wrote the same output bytes;
-and the Python, numpy and scipy versions the runs reported.  Imports no numpy.
+Writes ``BENCH_<pr>.json`` at the root of the checkout: per workload, the
+runs, median and quartiles of each side and the number of pairs in which
+the head is better, for every end-to-end metric (``metrics``) and solve
+(``solves``) of the untraced pairs and every ``per_layer`` metric of the
+traced ones.  A solve's time is its median scaled to the reference host
+speed, so a run's solves add up to its ``wall_s``; solves not named the
+same in every run (``cli_repro``'s ``coercivity --seed N``) are left out.
+Also the failed and attempted solves; for ``cli_repro``, whether both trees
+wrote the same output bytes; and the Python, numpy and scipy versions the
+runs reported.  Imports no numpy.
 """
 
 import argparse
@@ -34,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cli_repro", "spectral", "dynamics")
 PAIRS = 10  # the fewest pairs that can back a claimed gain
+TRACED_PAIRS = 3  # per-layer numbers back no claim, they explain the end-to-end ones
 
 
 def _git(*args) -> str:
@@ -48,17 +54,17 @@ def _extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run: its result line plus the record it wrote."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    record = json.loads((tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json")
-                        .read_text())
+    record = json.loads((tree / "perfbench" / "out" /
+                         f"{workload}-seed{seed}-trace{trace}.json").read_text())
     return {"result": result, "record": record}
 
 
@@ -70,25 +76,35 @@ def _summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def _compare(base: list, head: list, better: str) -> dict:
+    sign = 1.0 if better == "lower" else -1.0
+    return {
+        "base": _summary(base),
+        "head": _summary(head),
+        "head_better_pairs": sum(sign * (h - b) < 0.0 for b, h in zip(base, head)),
+    }
+
+
+def _solve_times(run: dict) -> dict:
+    """Each solve's median time, scaled to the reference host speed as ``wall_s`` is."""
+    record = run["record"]
+    return {name: s * record["host_speed_scale"] for name, s in record["solve_median_s"].items()}
+
+
 def _workload_entry(runs: list, better: dict) -> dict:
-    """Per-metric summaries of ``runs``, a list of (base, head) run pairs."""
+    """Summaries of ``runs``, a list of (base, head) run pairs of one workload."""
     metrics = {}
     for name, entry in runs[0][0]["result"]["metrics"].items():
         base = [b["result"]["metrics"][name]["value"] for b, _ in runs]
         head = [h["result"]["metrics"][name]["value"] for _, h in runs]
-        sign = 1.0 if better[name] == "lower" else -1.0
-        metrics[name] = {
-            "unit": entry["unit"],
-            "better": better[name],
-            "base": _summary(base),
-            "head": _summary(head),
-            "head_better_pairs": sum(sign * (h - b) < 0.0 for b, h in zip(base, head)),
-        }
-    out = {
-        "pairs": len(runs),
-        "seeds": list(range(1, len(runs) + 1)),
-        "metrics": metrics,
-    }
+        metrics[name] = {"unit": entry["unit"], "better": better[name],
+                         **_compare(base, head, better[name])}
+    out = {"pairs": len(runs), "seeds": list(range(1, len(runs) + 1)), "metrics": metrics}
+    if not runs[0][0]["record"]["trace"]:  # only untraced runs scale to the host speed
+        times = [(_solve_times(b), _solve_times(h)) for b, h in runs]
+        names = [n for n in times[0][0] if all(n in b and n in h for b, h in times)]
+        out["solves"] = {n: _compare([b[n] for b, _ in times], [h[n] for _, h in times], "lower")
+                         for n in names}
     for side, index in (("base", 0), ("head", 1)):
         out[f"failed_{side}"] = sum(pair[index]["result"]["failed"] for pair in runs)
         out[f"attempted_{side}"] = sum(pair[index]["result"]["attempted"] for pair in runs)
@@ -104,7 +120,7 @@ def main(argv=None) -> int:
     p.add_argument("--base", default="HEAD", help="git revision of the base tree")
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     seconds = spec["run_seconds"]
 
     out = {
@@ -121,15 +137,18 @@ def main(argv=None) -> int:
             side.mkdir()
             _extract(rev, side)
         for workload in WORKLOADS:
-            runs = []
-            for seed in range(1, PAIRS + 1):
-                order = [base, head] if seed % 2 else [head, base]
-                done = {tree: _run(tree, workload, seed, seconds) for tree in order}
-                runs.append((done[base], done[head]))
-                wall = [done[t]["result"]["metrics"]["wall_s"]["value"] for t in (base, head)]
-                print(f"{workload} seed {seed}: wall_s base {wall[0]:.4f} head {wall[1]:.4f}",
-                      flush=True)
-            out["workloads"][workload] = _workload_entry(runs, better)
+            entries = []
+            for trace, pairs, shown in ((0, PAIRS, "wall_s"), (1, TRACED_PAIRS, "trace.wall_s")):
+                runs = []
+                for seed in range(1, pairs + 1):
+                    order = [base, head] if seed % 2 else [head, base]
+                    done = {tree: _run(tree, workload, seed, seconds, trace) for tree in order}
+                    runs.append((done[base], done[head]))
+                    wall = [done[t]["result"]["metrics"][shown]["value"] for t in (base, head)]
+                    print(f"{workload} seed {seed} trace {trace}: {shown} base {wall[0]:.4f} "
+                          f"head {wall[1]:.4f}", flush=True)
+                entries.append(_workload_entry(runs, better))
+            out["workloads"][workload] = {**entries[0], "per_layer": entries[1]}
             env = runs[0][1]["record"]["environment"]
             out["environment"] = {k: env[k] for k in ("python", "numpy", "scipy", "nproc",
                                                       "cpu_model")}

@@ -26,10 +26,11 @@ times the power of two ``2**expo``, which is cached per point at each
 renormalization, not rebuilt per row; points whose exponent lies below
 -1074, where that power flushes to zero, are scaled with ``np.ldexp``.
 
-The module also provides the two closed-form scalar sequences that the
-rest of the package consumes: products of ``sqrt(2k - a)/sqrt(2k + b)``
-and the projections ``f_n = <antideriv(u_0), u_n>``, and the tail fits
-used to extrapolate sums and slopes of such sequences.
+The module also provides the closed-form scalar sequences that the rest
+of the package consumes: the coupling weights ``w(n)`` of the Jacobi
+operator and the lattice, products of ``sqrt(2k - a)/sqrt(2k + b)`` and
+the projections ``f_n = <antideriv(u_0), u_n>``, and the tail fits used to
+extrapolate sums and slopes of such sequences.
 """
 
 from __future__ import annotations
@@ -209,6 +210,12 @@ def hermite_derivative(n: int, x):
     rows = deque((row for _, row in basis_rows(x, n)), maxlen=2)
     vals = np.sqrt(n) * rows[0] - 0.5 * np.asarray(x, dtype=float) * rows[-1]
     return float(vals[0]) if scalar else vals
+
+
+def offdiag_weight(n) -> np.ndarray:
+    """Coupling weight ``w(n) = sqrt(n (n+1) (n+2))``, vectorized."""
+    n = np.asarray(n, dtype=float)
+    return np.sqrt(n * (n + 1.0) * (n + 2.0))
 
 
 def product_sequence(a: float, b: float, m_max: int) -> np.ndarray:

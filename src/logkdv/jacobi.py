@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import zeta
 
-from .hermite import fit_loglog_slope, power_tail_fit, product_sequence
+from .hermite import fit_loglog_slope, offdiag_weight, power_tail_fit, product_sequence
 
 # Shooting length for the decay-exponent fits at each eigenvalue.
 _SLOPE_M_MAX = 10_000
@@ -48,12 +48,6 @@ _SLOPE_M_MAX = 10_000
 # Bisection halvings per W_inf evaluation: the 2**_HALVINGS - 1 midpoints
 # that the next halvings of a bracket can reach are evaluated in one batch.
 _HALVINGS = 4
-
-
-def offdiag_weight(n) -> np.ndarray:
-    """Coupling weight ``w(n) = sqrt(n (n+1) (n+2))``, vectorized."""
-    n = np.asarray(n, dtype=float)
-    return np.sqrt(n * (n + 1.0) * (n + 2.0))
 
 
 def apply_jacobi(f) -> np.ndarray:
@@ -375,8 +369,7 @@ def truncated_matrix_eigenvalues(n_max: int, z_max: float = 20.0) -> np.ndarray:
     the matrix norm, which grows like ``n_max**(3/2)``.
     """
     off = offdiag_weight(np.arange(1, n_max, dtype=float))
-    vals = eigh_tridiagonal(
-        np.zeros(n_max), off, select="v", select_range=(1e-9, z_max),
+    return eigh_tridiagonal(
+        np.zeros(n_max), off, eigvals_only=True, select="v", select_range=(1e-9, z_max),
         tol=np.finfo(float).tiny,
-    )[0]
-    return vals
+    )

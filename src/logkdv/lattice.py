@@ -38,8 +38,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import NumericalError, _march
-from .hermite import RealGrid, basis_rows, projection_sequence
-from .jacobi import offdiag_weight
+from .hermite import RealGrid, basis_rows, offdiag_weight, projection_sequence
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ Three synthesis maps, all linear:
 * :func:`convolution_synthesize` evaluates the Gaussian convolution
   representation ``u = a u_0 + b u_1 + int u_0(x - z) w(z) dz``.
 
-The eigenprofile series converge slowly (coefficients ~ m^(-5/4) for the
-even part, ~ m^(-7/4) for the odd part), so truncation-tail estimates
-are reported alongside the values.  The assembled profiles satisfy the
+The eigenprofile series converge slowly (even coefficients ~ m^(-5/4); odd
+ones ~ m^(-7/4) at an eigenvalue, ~ m^(-5/4) at any other z), so tail
+estimates with a fitted exponent are reported alongside the values.  The assembled profiles satisfy the
 coupled first-order system
 
     z (y_odd + c1 u_1) = 2 d/dx L y_even,

@@ -147,6 +147,7 @@ class TestOperator:
         assert ratios == pytest.approx([4.0, 4.0], abs=0.05)
         extrapolated = (4.0 * top[0.01] - top[0.02]) / 3.0
         z = find_eigenvalues(z_max=8.0, n_max=4000, tol=1e-12).eigenvalues[:2]
+        assert z == pytest.approx([2.7054, 6.1540], abs=1e-4)
         assert abs(extrapolated[0] + z[0] / 2) < 1e-8
         assert abs(extrapolated[1] + z[1] / 2) < 5e-7
 
@@ -170,7 +171,7 @@ class TestEvolution:
     def test_norm_monotone_and_exponentially_bounded(self, coupled_flow):
         flow, _ = coupled_flow
         l2 = flow.step_l2
-        assert np.all(np.diff(l2) <= l2[:-1] * 1e-10)
+        assert np.all(np.diff(l2) <= 0.0)
         t = flow.step_ts
         ratio = (l2 / l2[0]) ** 2 / np.exp(-t)
         assert ratio.max() <= 1.05

@@ -56,6 +56,8 @@ class TestHermiteFunction:
         x = np.linspace(-80.0, 80.0, 801)
         for n in (0, 1, 5, 50, 500, 5000, 10000):
             assert np.max(np.abs(hermite_function(n, x))) <= 1.0
+        # row 2000 on the 2401-point grid of the benchmark's eigenprofiles
+        assert np.max(np.abs(hermite_function(2000, RealGrid.uniform(12.0, 2401).nodes))) <= 1.0
 
     def test_large_argument_does_not_flush_to_zero(self):
         # x = 60 is far beyond where exp(-x^2/4) underflows, but n = 4000

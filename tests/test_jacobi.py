@@ -362,9 +362,16 @@ class TestSpectrum:
         assert spectrum.decay_exponents_a[0] == pytest.approx(-0.75, abs=0.05)
         assert spectrum.decay_exponents_b[0] == pytest.approx(-1.25, abs=0.1)
 
-    def test_generic_even_entries_decay_slower(self):
-        state = shoot(1.0, 10_000)
-        assert fit_loglog_slope(state.B[1:]) == pytest.approx(-0.75, abs=0.05)
+    def test_generic_even_entries_decay_slower(self, spectrum):
+        # W_{2m-1} = w(2m-1) B_m V_m with V_m ~ m^(-3/4), so B_m falls like
+        # m^(-3/4) wherever the Wronskian limit is nonzero, and like m^(-5/4)
+        # only at its roots: shooting alone tells the spectrum apart
+        scale = np.abs(spectrum.scan_w).max()
+        for z in (1.0, 4.0):
+            assert abs(_w_inf_scan(np.array([z]), 1000)[0]) > 0.05 * scale
+            assert fit_loglog_slope(shoot(z, 10_000).B[1:]) == pytest.approx(-0.75, abs=0.01)
+        for z in spectrum.eigenvalues:
+            assert fit_loglog_slope(shoot(z, 10_000).B[1:]) == pytest.approx(-1.25, abs=0.01)
 
     def test_odd_truncations_converge_at_order_half(self, spectrum):
         # at odd N the Dirichlet condition is W_N(v, f) = 0, so the finite

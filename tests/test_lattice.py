@@ -116,6 +116,11 @@ class TestEvolve:
         state = initial_random(100, seed=2)
         traj = evolve(state, 1.0, 1e-3)
         assert np.abs(traj.norms / traj.norms[0] - 1.0).max() < 1e-10
+        # the benchmark's midpoint run: 400 modes, every tenth step kept
+        bump = initial_gaussian_bump(400)
+        traj = evolve(bump, 1.0, 1e-3, sample_every=10)
+        assert traj.states.shape[0] == 101
+        assert traj.norms == pytest.approx(bump.norm(), rel=1e-12)
 
     def test_negative_horizon_and_reversal(self):
         state = initial_gaussian_bump(120)

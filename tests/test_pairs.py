@@ -1,0 +1,76 @@
+"""The summaries of ``bench/pairs.py``, fed synthetic perfbench records."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PAIRS_PY = Path(__file__).resolve().parent.parent / "bench" / "pairs.py"
+_spec = importlib.util.spec_from_file_location("pairs", PAIRS_PY)
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+BETTER = {"wall_s": "lower", "max_rss_mb": "lower", "jacobi.shoot.s": "lower"}
+
+
+def untraced(scale, solves):
+    """A ``--trace 0`` run as ``pairs._run`` returns it: wall_s is the scaled solve sum."""
+    metrics = {"wall_s": {"value": scale * sum(solves.values()), "unit": "s"},
+               "max_rss_mb": {"value": 100.0, "unit": "MB"}}
+    return {"result": {"metrics": metrics, "failed": 0, "attempted": 8},
+            "record": {"trace": 0, "host_speed_scale": scale, "solve_median_s": solves}}
+
+
+def traced(shoot_s):
+    """A ``--trace 1`` run: per-layer metrics, no host-speed scale."""
+    return {"result": {"metrics": {"jacobi.shoot.s": {"value": shoot_s, "unit": "s"}},
+                       "failed": 0, "attempted": 4},
+            "record": {"trace": 1, "solve_median_s": {"find_eigenvalues": 0.3}}}
+
+
+def test_solves_are_scaled_medians_that_add_up_to_wall_s():
+    # binary fractions, so that sums and scaled values are exact and ties are ties
+    scales = [0.75, 1.25, 1.0]
+    runs = [(untraced(s, {"find_eigenvalues": 0.25, "evolve": 0.5}),
+             untraced(s, {"find_eigenvalues": 0.125, "evolve": 0.375 + 0.125 * k}))
+            for k, s in enumerate(scales)]
+    entry = pairs._workload_entry(runs, BETTER)
+    solves = entry["solves"]
+    assert solves["find_eigenvalues"]["base"]["runs"] == [0.25 * s for s in scales]
+    assert solves["find_eigenvalues"]["head"]["median"] == 0.125
+    assert solves["find_eigenvalues"]["head_better_pairs"] == 3
+    assert solves["evolve"]["head_better_pairs"] == 1  # faster, equal, slower
+    for side in ("base", "head"):
+        walls = entry["metrics"]["wall_s"][side]["runs"]
+        sums = [sum(solve[side]["runs"][k] for solve in solves.values()) for k in range(3)]
+        assert sums == walls
+    assert entry["metrics"]["wall_s"]["head_better_pairs"] == 2
+    assert entry["metrics"]["max_rss_mb"]["head_better_pairs"] == 0  # ties count for neither
+    assert (entry["failed_head"], entry["attempted_head"]) == (0, 24)
+
+
+def test_only_solves_named_the_same_in_every_run_are_kept():
+    # cli_repro's coercivity solve carries the seed of its pair
+    runs = [(untraced(1.0, {"spectrum": 0.1, f"coercivity --seed {seed}": 0.05}),
+             untraced(1.0, {"spectrum": 0.1, f"coercivity --seed {seed}": 0.05}))
+            for seed in (1, 2, 3)]
+    assert list(pairs._workload_entry(runs, BETTER)["solves"]) == ["spectrum"]
+
+
+def test_traced_pairs_summarise_the_per_layer_metrics():
+    runs = [(traced(0.02), traced(0.01)), (traced(0.02), traced(0.03)),
+            (traced(0.02), traced(0.01))]
+    entry = pairs._workload_entry(runs, BETTER)
+    assert "solves" not in entry  # a traced run's solve times are not scaled
+    shoot = entry["metrics"]["jacobi.shoot.s"]
+    assert shoot["base"]["runs"] == [0.02] * 3
+    assert shoot["head"]["median"] == 0.01
+    assert shoot["head_better_pairs"] == 2
+    assert entry["pairs"] == 3 and entry["seeds"] == [1, 2, 3]
+
+
+def test_imports_no_numpy():
+    code = "import sys; import pairs; sys.exit('numpy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], cwd=PAIRS_PY.parent, check=True)
