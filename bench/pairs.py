@@ -26,6 +26,12 @@ same in every run (``cli_repro``'s ``coercivity --seed N``) are left out.
 Also the failed and attempted solves; for ``cli_repro``, whether both trees
 wrote the same output bytes; and the Python, numpy and scipy versions the
 runs reported.  Imports no numpy.
+
+Per-layer seconds (``*.s``, ``*.self_s``, ``trace.wall_s``) are not scaled
+to the host speed, so they carry the 20-30% host drift between runs; counts
+(steps, calls, point-modes, bytes) are exact.  ``trace.overhead_s``, the
+mean traced pass minus the mean untraced one in unscaled seconds, reads
+host drift, not tracing cost.
 """
 
 import argparse

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import RealGrid, _ground_state, _loglog_line, basis_rows, hermite_function
+from .lattice import lattice_to_coefficients
 
 
 def synthesize(c, grid: RealGrid) -> np.ndarray:
@@ -80,16 +81,15 @@ def eigenvector_assemble(
         y_odd  = sum_m (-1)^m     B_m / sqrt(2m)   u_{2m+1},
         y_even = sum_m (-1)^(m-1) A_m / sqrt(2m-1) u_{2m},
 
-    and ``c1 = sqrt(2) A_1 / z``.  z = 0 is rejected: its only candidate
-    profile is the zero solution (the null sequence has no even part).
+    and ``c1 = sqrt(2) A_1 / z``: the lattice map of the Jacobi sequence
+    f_n in the gauge a_n = (-1)^(n//2) f_n.  z = 0 is rejected: its only
+    candidate profile is the zero solution (the null sequence has no even part).
     """
     if z == 0.0:
         raise ValueError("z = 0 corresponds to the zero profile and is excluded")
     m_max = shooting.B.size - 1
-    m = np.arange(1, m_max + 1)
-    c = np.zeros(2 * m_max + 2)  # c[n] multiplies u_n
-    c[2::2] = (-1.0) ** (m - 1) * shooting.A[1 : m_max + 1] / np.sqrt(2 * m - 1)
-    c[3::2] = (-1.0) ** m * shooting.B[1 : m_max + 1] / np.sqrt(2 * m)
+    gauge = (-1.0) ** (np.arange(1, 2 * m_max + 1) // 2)
+    c = lattice_to_coefficients(gauge * shooting.full_sequence()[1:])  # c[n] multiplies u_n
 
     y = np.zeros((2, grid.nodes.size))  # (y_even, y_odd)
     for n, row in basis_rows(grid.nodes, 2 * m_max + 1):

@@ -22,9 +22,14 @@ def load_schema():
         return json.load(fh)
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def read_summary(outdir, name):
+    """The summary, parsed as strict JSON: NaN and Infinity are rejected."""
     with open(outdir / f"{name}_summary.json") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def run(args):
@@ -242,6 +247,15 @@ class TestEvolveCommand:
         # the default sample_every is 10; c1 still comes from every step
         assert run(["evolve", "--T", 0.25, "--outdir", tmp_path]) == 0
         assert read_summary(tmp_path, "evolve")["scalars"]["pairing_drift_abs"] < 1e-11
+        # each sample is paired alone, so the samples of a shorter run are the
+        # first rows of a longer run's CSV
+        lines = {}
+        for T in (0.25, 0.5):
+            out = tmp_path / f"T{T}"
+            assert run(["evolve", "--n-modes", 50, "--T", T, "--outdir", out]) == 0
+            lines[T] = (out / "evolve.csv").read_bytes().splitlines(keepends=True)
+        assert len(lines[0.25]) == 27
+        assert lines[0.5][:27] == lines[0.25]
 
     def test_negative_value_in_exponent_notation(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -311,12 +325,7 @@ class TestReconstructCommand:
     def test_non_finite_scalar_written_as_null(self, tmp_path):
         # the even coefficients' fitted power law decays too slowly to sum: inf
         assert run(["reconstruct", "--z", 100, "--m-max", 10, "--outdir", tmp_path]) == 0
-
-        def reject(token):
-            raise ValueError(f"{token} is not JSON")
-
-        text = (tmp_path / "reconstruct_summary.json").read_text()
-        doc = json.loads(text, parse_constant=reject)
+        doc = read_summary(tmp_path, "reconstruct")
         jsonschema.validate(doc, SCHEMA)
         assert doc["scalars"]["tail_even"] is None
 
