@@ -23,9 +23,10 @@ the head is better, for every end-to-end metric (``metrics``) and solve
 traced ones.  A solve's time is its median scaled to the reference host
 speed, so a run's solves add up to its ``wall_s``; solves not named the
 same in every run (``cli_repro``'s ``coercivity --seed N``) are left out.
-Also the failed and attempted solves; for ``cli_repro``, whether both trees
-wrote the same output bytes; and the Python, numpy and scipy versions the
-runs reported.  Imports no numpy.
+Also the failed and attempted solves; for ``cli_repro``, the sorted
+``<run>/<file>`` names whose sha256 differ between the trees in any pair
+(``fingerprints_differ``, empty when both wrote the same bytes); and the
+Python, numpy and scipy versions the runs reported.  Imports no numpy.
 
 Per-layer seconds (``*.s``, ``*.self_s``, ``trace.wall_s``) are not scaled
 to the host speed, so they carry the 20-30% host drift between runs; counts
@@ -115,9 +116,20 @@ def _workload_entry(runs: list, better: dict) -> dict:
         out[f"failed_{side}"] = sum(pair[index]["result"]["failed"] for pair in runs)
         out[f"attempted_{side}"] = sum(pair[index]["result"]["attempted"] for pair in runs)
     if runs[0][0]["record"].get("fingerprints"):  # same seed, same output bytes
-        out["fingerprints_identical"] = all(
-            b["record"]["fingerprints"] == h["record"]["fingerprints"] for b, h in runs)
+        out["fingerprints_differ"] = _fingerprints_differ(runs)
     return out
+
+
+def _fingerprints_differ(runs: list) -> list:
+    """Sorted ``<run>/<file>`` names whose sha256 differ between base and head in any pair."""
+    names = set()
+    for b, h in runs:
+        base, head = b["record"]["fingerprints"], h["record"]["fingerprints"]
+        for run in base.keys() | head.keys():
+            files_b, files_h = base.get(run, {}), head.get(run, {})
+            names.update(f"{run}/{name}" for name in files_b.keys() | files_h.keys()
+                         if files_b.get(name) != files_h.get(name))
+    return sorted(names)
 
 
 def main(argv=None) -> int:

@@ -12,9 +12,9 @@ from logkdv.hermite import (
     ground_state_antiderivative,
     hermite_derivative,
     hermite_function,
-    product_sequence,
     projection_sequence,
 )
+from logkdv.jacobi import null_solution
 
 # --- point evaluation through the stable recurrence ------------------------
 print("u_0(0)   =", hermite_function(0, 0.0), " (= (2 pi)^(-1/4))")
@@ -34,12 +34,16 @@ x = 0.7
 fd = (hermite_function(3, x + 1e-6) - hermite_function(3, x - 1e-6)) / 2e-6
 print("\nu_3'(0.7) ladder:", hermite_derivative(3, x), " finite difference:", fd)
 
-# --- product sequences and their power-law decay ---------------------------
-for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 2.0), (2.0 - 1e-9, 1.0)):
-    seq = product_sequence(a, b, 20_000)
-    slope = fit_loglog_slope(seq[1:], tail_fraction=0.5)
-    print(f"product (a={a:.3g}, b={b}): fitted slope {slope:+.4f}, "
-          f"predicted {-(a + b) / 4:+.4f}")
+# --- the Jacobi null solution is a rescaling of the projections ------------
+# |v_{2m+1}| = prod_k sqrt(2k-1)/sqrt(2k+2) = f_{2m} / sqrt(2 pi (m+1))
+m_max = 20_000
+v_odd = null_solution(m_max).odd_part[1:]  # v_1, v_3, ..., v_{2 m_max + 1}
+k = np.arange(1, m_max + 1, dtype=float)
+naive = np.concatenate(([1.0], np.cumprod(np.sqrt(2 * k - 1) / np.sqrt(2 * k + 2))))
+print(f"\nnull solution: max relative gap to a plain running product, m <= {m_max}:",
+      np.abs(np.abs(v_odd) / naive - 1.0).max())
+slope = fit_loglog_slope(v_odd, tail_fraction=0.5)
+print(f"tail slope of |v_(2m+1)|: {slope:+.4f}  (expected -3/4: -1/4 from f_2m, -1/2 from sqrt)")
 
 # --- projections of the antiderivative of u_0 -------------------------------
 f = projection_sequence(2000)

@@ -47,7 +47,7 @@ _PARAMS = {
     "coercivity": {
         "n_max": (400, lambda v: 10 <= v <= 1_000_000),
         "n_samples": (1000, lambda v: 1 <= v <= 1_000_000),
-        "seed": (0, lambda v: True),
+        "seed": (0, lambda v: v >= 0),
     },
     "evolve": {
         "n_modes": (400, lambda v: 2 <= v <= 100_000),
@@ -56,7 +56,7 @@ _PARAMS = {
         "sample_every": (10, lambda v: v >= 1),
         "method": ("midpoint", lambda v: v in ("midpoint", "rk4")),
         "preset": ("gaussian", lambda v: v in ("gaussian", "random")),
-        "seed": (0, lambda v: True),
+        "seed": (0, lambda v: v >= 0),
     },
     "dissipate": {
         "extent": (40.0, lambda v: v > 0),

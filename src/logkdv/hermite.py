@@ -28,9 +28,10 @@ renormalization, not rebuilt per row; points whose exponent lies below
 
 The module also provides the closed-form scalar sequences that the rest
 of the package consumes: the coupling weights ``w(n)`` of the Jacobi
-operator and the lattice, products of ``sqrt(2k - a)/sqrt(2k + b)`` and
-the projections ``f_n = <antideriv(u_0), u_n>``, and the tail fits used to
-extrapolate sums and slopes of such sequences.
+operator and the lattice, the projections ``f_n = <antideriv(u_0), u_n>``
+(whose running products of ``sqrt(n/(n+1))`` also give the Jacobi null
+solution), and the tail fits used to extrapolate sums and slopes of such
+sequences.
 """
 
 from __future__ import annotations
@@ -216,35 +217,6 @@ def offdiag_weight(n) -> np.ndarray:
     """Coupling weight ``w(n) = sqrt(n (n+1) (n+2))``, vectorized."""
     n = np.asarray(n, dtype=float)
     return np.sqrt(n * (n + 1.0) * (n + 2.0))
-
-
-def product_sequence(a: float, b: float, m_max: int) -> np.ndarray:
-    """Partial products ``f_m = prod_{k=1}^m sqrt(2k - a)/sqrt(2k + b)``.
-
-    Returns an array of length ``m_max + 1`` with ``f_0 = 1`` (empty
-    product) and ``f_m`` at index m.  Accumulated in log space, i.e. as
-    ``exp(cumsum(0.5 * (log(2k - a) - log(2k + b))))``, so arbitrarily
-    long products neither underflow nor lose the tail exponent.  The
-    sequence decays like ``m**(-(a+b)/4)``.
-
-    Raises
-    ------
-    ValueError
-        If ``a >= 2`` (the k = 1 factor would be non-positive), b < 0,
-        or ``m_max < 1``.
-    """
-    if not a < 2.0:
-        raise ValueError(f"need a < 2 so every factor stays positive, got a={a}")
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be non-negative")
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    k = np.arange(1, m_max + 1, dtype=float)
-    logs = 0.5 * (np.log(2.0 * k - a) - np.log(2.0 * k + b))
-    out = np.empty(m_max + 1)
-    out[0] = 1.0
-    np.exp(np.cumsum(logs), out=out[1:])
-    return out
 
 
 def projection_sequence(n_max: int) -> np.ndarray:

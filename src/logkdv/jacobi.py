@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import zeta
 
-from .hermite import fit_loglog_slope, offdiag_weight, power_tail_fit, product_sequence
+from .hermite import fit_loglog_slope, offdiag_weight, power_tail_fit, projection_sequence
 
 # Shooting length for the decay-exponent fits at each eigenvalue.
 _SLOPE_M_MAX = 10_000
@@ -72,26 +72,24 @@ class NullSolution:
     @property
     def odd_part(self) -> np.ndarray:
         """Padded ``V_m = v_{2m-1}`` for m = 1..m_max+1."""
-        v = self.values
-        m_top = (v.size - 1 + 1) // 2
-        out = np.zeros(m_top + 1)
-        out[1:] = v[1 : 2 * m_top : 2]
-        return out
+        return np.append(0.0, self.values[1::2])
 
 
 def null_solution(m_max: int) -> NullSolution:
     """Generate v up to index ``2 m_max + 1``.
 
-    Odd entries are ``v_{2m+1} = (-1)^m prod_k sqrt(2k-1)/sqrt(2k+2)``;
-    the magnitudes come from :func:`logkdv.hermite.product_sequence`
-    with (a, b) = (1, 2) and decay like ``m**(-3/4)``.
+    Odd entries are ``v_{2m+1} = (-1)^m prod_k sqrt(2k-1)/sqrt(2k+2)``.
+    Splitting each factor as ``sqrt((2k-1)/2k) sqrt(2k/(2k+2))`` gives
+    ``|v_{2m+1}| = f_{2m} / (f_0 sqrt(m+1))`` with the projections ``f_n``
+    of :func:`logkdv.hermite.projection_sequence`, the one running product
+    of these ratios; the magnitudes decay like ``m**(-3/4)``.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    mags = product_sequence(1.0, 2.0, m_max)
+    f = projection_sequence(2 * m_max)
     v = np.zeros(2 * m_max + 2)
-    m = np.arange(0, m_max + 1)
-    v[2 * m + 1] = (-1.0) ** m * mags
+    v[1::2] = f[0::2] / (f[0] * np.sqrt(np.arange(1.0, m_max + 2)))
+    v[3::4] *= -1.0
     return NullSolution(v)
 
 

@@ -417,6 +417,8 @@ class TestConfigHandling:
             ["dissipate", "--center", -60, "--width", 1],
             ["evolve", "--dt", 1e-320],
             ["evolve", "--T", 1e-9],
+            ["coercivity", "--seed", -1],
+            ["evolve", "--preset", "random", "--seed", -1],
         ):
             assert run([*args, "--outdir", tmp_path]) == 1, args
             err = capsys.readouterr().err

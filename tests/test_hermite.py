@@ -1,4 +1,4 @@
-"""Basis functions, product/projection sequences, and their oracles."""
+"""Basis functions, projection sequences, and their oracles."""
 
 import math
 
@@ -18,7 +18,6 @@ from logkdv.hermite import (
     ground_state_antiderivative,
     hermite_derivative,
     hermite_function,
-    product_sequence,
     projection_sequence,
 )
 from logkdv.jacobi import _shoot_products, shoot
@@ -171,48 +170,6 @@ class TestBasisRowsBits:
         assert rows_differing_from_ldexp(x, n_max) == []
 
 
-class TestProductSequence:
-    def test_single_factor(self):
-        assert product_sequence(1.0, 0.0, 1)[1] == pytest.approx(
-            1.0 / math.sqrt(2.0), rel=1e-14
-        )
-
-    def test_all_factors_one(self):
-        assert product_sequence(0.0, 0.0, 50) == pytest.approx(np.ones(51))
-
-    def test_two_factor_oracle(self):
-        # direct product: sqrt(1)/sqrt(4) * sqrt(3)/sqrt(6)
-        expected = (math.sqrt(1) / math.sqrt(4)) * (math.sqrt(3) / math.sqrt(6))
-        assert product_sequence(1.0, 2.0, 2)[2] == pytest.approx(expected, rel=1e-13)
-        assert expected == pytest.approx(0.35355, abs=5e-6)
-
-    def test_log_space_matches_naive_product(self):
-        k = np.arange(1, 100_001, dtype=float)
-        naive = np.cumprod(np.sqrt(2 * k - 1.0) / np.sqrt(2 * k + 2.0))
-        log_form = product_sequence(1.0, 2.0, 100_000)[1:]
-        assert np.abs(log_form / naive - 1.0).max() < 1e-12
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            product_sequence(2.0, 0.0, 5)
-        with pytest.raises(ValueError):
-            product_sequence(-0.5, 0.0, 5)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        a=st.floats(min_value=0.0, max_value=1.9),
-        b=st.floats(min_value=0.0, max_value=3.0),
-    )
-    def test_positive_decreasing_with_fitted_slope(self, a, b):
-        values = product_sequence(a, b, 4000)
-        assert np.all(values > 0)
-        if a + b > 1e-9:
-            assert np.all(np.diff(values) <= 0)
-        if a + b > 0.1:  # slope fit is meaningless for a near-constant sequence
-            slope = fit_loglog_slope(values[1:], tail_fraction=0.5)
-            assert slope == pytest.approx(-(a + b) / 4.0, abs=0.05)
-
-
 class TestProjectionSequence:
     def test_known_heads(self):
         f = projection_sequence(4)
@@ -256,13 +213,6 @@ class TestProjectionSequence:
             f[100:], positions=np.arange(100, 2001), tail_fraction=1.0
         )
         assert slope == pytest.approx(-0.25, abs=0.05)
-
-    def test_split_into_product_sequences(self):
-        f = projection_sequence(41)
-        even = f[0] * product_sequence(1.0, 0.0, 20)
-        odd = f[1] * product_sequence(0.0, 1.0, 20)
-        assert f[0::2] == pytest.approx(even, rel=1e-13)
-        assert f[1::2] == pytest.approx(odd, rel=1e-13)
 
 
 class TestRealGrid:

@@ -92,11 +92,21 @@ class TestNullSolution:
         assert v[1] == 1.0
         assert v[2] == 0.0
         assert v[3] == pytest.approx(-0.5, abs=1e-15)  # -sqrt(1/4) v_1
+        # two factors: sqrt(1/4) * sqrt(3/6)
+        expected = (math.sqrt(1) / math.sqrt(4)) * (math.sqrt(3) / math.sqrt(6))
+        assert v[5] == pytest.approx(expected, rel=1e-13)
+        assert expected == pytest.approx(0.35355, abs=5e-6)
         assert np.all(v[2::2] == 0.0)
 
     def test_decay_exponent(self):
         v = null_solution(10_000)
         assert fit_loglog_slope(v.odd_part[1:]) == pytest.approx(-0.75, abs=0.05)
+        # the magnitudes come from the projection recurrence, not from a
+        # product of their own factors; a plain running product must agree
+        k = np.arange(1, 100_001, dtype=float)
+        naive = np.cumprod(np.sqrt(2 * k - 1.0) / np.sqrt(2 * k + 2.0))
+        mags = np.abs(null_solution(100_000).odd_part[2:])
+        assert np.abs(mags / naive - 1.0).max() < 1e-12
 
 
 class TestShooting:
@@ -107,7 +117,7 @@ class TestShooting:
     def test_zero_parameter_kills_even_entries(self):
         state = shoot(0.0, 200)
         assert np.all(state.B == 0.0)
-        # A reduces to the signed pure product sequence = the null solution
+        # A reduces to the signed pure product of ratios = the null solution
         v = null_solution(200)
         assert state.A[1:-1] == pytest.approx(v.odd_part[1:-1], rel=1e-13)
 

@@ -71,6 +71,25 @@ def test_traced_pairs_summarise_the_per_layer_metrics():
     assert entry["pairs"] == 3 and entry["seeds"] == [1, 2, 3]
 
 
+def test_fingerprints_differ_names_each_changed_file_once():
+    def fingerprinted(seed, scan_digest, extra=None):
+        run = untraced(1.0, {"spectrum": 0.1})
+        run["record"]["fingerprints"] = {
+            "spectrum": {"wronskian_scan.csv": scan_digest, "spectrum_summary.json": "s"},
+            f"coercivity --seed {seed}": {"coercivity_summary.json": "c", **(extra or {})},
+        }
+        return run
+
+    same = [(fingerprinted(seed, "a"), fingerprinted(seed, "a")) for seed in (1, 2)]
+    assert pairs._workload_entry(same, BETTER)["fingerprints_differ"] == []
+    # a changed digest in two pairs, and a file only the head wrote
+    runs = [(fingerprinted(1, "a"), fingerprinted(1, "b")),
+            (fingerprinted(2, "a"), fingerprinted(2, "b", {"extra.csv": "e"})),
+            (fingerprinted(3, "a"), fingerprinted(3, "a"))]
+    assert pairs._workload_entry(runs, BETTER)["fingerprints_differ"] == [
+        "coercivity --seed 2/extra.csv", "spectrum/wronskian_scan.csv"]
+
+
 def test_imports_no_numpy():
     code = "import sys; import pairs; sys.exit('numpy' in sys.modules)"
     subprocess.run([sys.executable, "-c", code], cwd=PAIRS_PY.parent, check=True)
