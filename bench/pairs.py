@@ -28,6 +28,15 @@ Also the failed and attempted solves; for ``cli_repro``, the sorted
 (``fingerprints_differ``, empty when both wrote the same bytes); and the
 Python, numpy and scipy versions the runs reported.  Imports no numpy.
 
+``cli_startup`` times what perfbench cannot see, since its workers import
+``logkdv`` once: each subcommand at its defaults as a user starts it,
+``python -m logkdv <sub> --outdir <fresh directory>`` in a fresh
+interpreter, from spawn to exit, import included.  Ten pairs per
+subcommand, alternating as above, with the BLAS/OpenMP pools pinned to one
+thread and no bytecode written, as perfbench runs its workers.  It holds
+the same summaries of the seconds per subcommand, and ``fingerprints_differ``
+names the ``<sub>/<file>`` outputs whose sha256 differ in any pair.
+
 Per-layer seconds (``*.s``, ``*.self_s``, ``trace.wall_s``) are not scaled
 to the host speed, so they carry the 20-30% host drift between runs; counts
 (steps, calls, point-modes, bytes) are exact.  ``trace.overhead_s``, the
@@ -36,15 +45,21 @@ host drift, not tracing cost.
 """
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cli_repro", "spectral", "dynamics")
+SUBCOMMANDS = ("projections", "spectrum", "coercivity", "evolve", "dissipate", "reconstruct")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 PAIRS = 10  # the fewest pairs that can back a claimed gain
 TRACED_PAIRS = 3  # per-layer numbers back no claim, they explain the end-to-end ones
 
@@ -120,16 +135,62 @@ def _workload_entry(runs: list, better: dict) -> dict:
     return out
 
 
+def _differing(base: dict, head: dict) -> set:
+    """``<run>/<file>`` names whose sha256 differ between two ``{run: {file: sha256}}``."""
+    names = set()
+    for run in base.keys() | head.keys():
+        files_b, files_h = base.get(run, {}), head.get(run, {})
+        names.update(f"{run}/{name}" for name in files_b.keys() | files_h.keys()
+                     if files_b.get(name) != files_h.get(name))
+    return names
+
+
 def _fingerprints_differ(runs: list) -> list:
     """Sorted ``<run>/<file>`` names whose sha256 differ between base and head in any pair."""
-    names = set()
-    for b, h in runs:
-        base, head = b["record"]["fingerprints"], h["record"]["fingerprints"]
-        for run in base.keys() | head.keys():
-            files_b, files_h = base.get(run, {}), head.get(run, {})
-            names.update(f"{run}/{name}" for name in files_b.keys() | files_h.keys()
-                         if files_b.get(name) != files_h.get(name))
-    return sorted(names)
+    return sorted(set().union(*(_differing(b["record"]["fingerprints"],
+                                           h["record"]["fingerprints"]) for b, h in runs)))
+
+
+def _cli_run(tree: Path, sub: str, outdir: Path) -> tuple:
+    """Seconds of one fresh ``python -m logkdv <sub>`` at its defaults, and its files' sha256."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("LOGKDV_OUTDIR", None)
+    cmd = [sys.executable, "-m", "logkdv", sub, "--outdir", str(outdir)]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    return seconds, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in sorted(outdir.iterdir())}
+
+
+def _startup_entry(runs: dict) -> dict:
+    """Summaries of ``runs``: per subcommand, (base, head) pairs of ``_cli_run`` results."""
+    subcommands = {sub: {"unit": "s", "better": "lower",
+                         **_compare([b[0] for b, _ in pairs], [h[0] for _, h in pairs], "lower")}
+                   for sub, pairs in runs.items()}
+    differ = set().union(*(_differing({sub: b[1]}, {sub: h[1]})
+                           for sub, pairs in runs.items() for b, h in pairs))
+    return {"pairs": len(next(iter(runs.values()))),
+            "command": "python -m logkdv <sub> --outdir <fresh directory>",
+            "subcommands": subcommands, "fingerprints_differ": sorted(differ)}
+
+
+def _cli_startup(base: Path, head: Path, tmp: Path) -> dict:
+    runs = {}
+    for sub in SUBCOMMANDS:
+        runs[sub] = []
+        for pair in range(1, PAIRS + 1):
+            order = [base, head] if pair % 2 else [head, base]
+            done = {tree: _cli_run(tree, sub, Path(tempfile.mkdtemp(dir=tmp))) for tree in order}
+            runs[sub].append((done[base], done[head]))
+            print(f"cli_startup {sub} pair {pair}: base {done[base][0]:.4f} "
+                  f"head {done[head][0]:.4f}", flush=True)
+    return _startup_entry(runs)
 
 
 def main(argv=None) -> int:
@@ -154,6 +215,7 @@ def main(argv=None) -> int:
         for side, rev in ((base, out["base"]["commit"]), (head, out["head"]["commit"])):
             side.mkdir()
             _extract(rev, side)
+        out["cli_startup"] = _cli_startup(base, head, Path(tmp))
         for workload in WORKLOADS:
             entries = []
             for trace, pairs, shown in ((0, PAIRS, "wall_s"), (1, TRACED_PAIRS, "trace.wall_s")):

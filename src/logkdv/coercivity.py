@@ -35,9 +35,6 @@ truncation is needed.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import brentq
-from scipy.special import zeta
 
 from .hermite import power_tail_fit, projection_sequence
 
@@ -79,6 +76,8 @@ def _tail_model(fsq: np.ndarray):
     powers of 1/k and summed with Hurwitz zetas from ``n_max + 1``; the
     returned function gives the c and d parts of that sum separately.
     """
+    from scipy.special import zeta
+
     n_max = fsq.size - 1
     c, d = power_tail_fit(fsq, np.arange(0.0, n_max + 1), 0.5)
     z32 = zeta(1.5, n_max + 1)
@@ -141,6 +140,8 @@ def coercivity_constant(n_max: int, tail_corrected: bool = True) -> float:
     """
     if n_max < 10:
         raise ValueError("n_max must be at least 10 to support the constraints")
+    from scipy.optimize import brentq
+
     fsq = projection_sequence(n_max) ** 2
     n = np.arange(2, n_max + 1, dtype=float)
     tail = _tail_model(fsq) if tail_corrected else None
@@ -161,6 +162,8 @@ def coercivity_constant_dense(n_max: int) -> float:
     """
     if n_max < 10:
         raise ValueError("n_max must be at least 10 to support the constraints")
+    import scipy.linalg
+
     f = projection_sequence(n_max)
     g = f[1:]  # constraint on modes 1..n_max (mode 0 already eliminated)
     ns = np.arange(1, n_max + 1, dtype=float)

@@ -39,13 +39,15 @@ and b's limit are exact for the stepped flow at any sampling; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, _march
 from .hermite import RealGrid
+
+if TYPE_CHECKING:  # scipy is imported by the functions that use it
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,8 @@ def gaussian_weight(grid: HalfLineGrid) -> np.ndarray:
 
 def assemble_H(grid: HalfLineGrid) -> sp.csr_matrix:
     """Sparse discretization of H on the grid (row 0 empty: Dirichlet)."""
+    import scipy.sparse as sp
+
     J = grid.n_intervals
     z = grid.nodes
     h = grid.spacing
@@ -175,6 +179,9 @@ def evolve_dissipative(
         raise ValueError("T and dt must be positive")
     if method not in ("cn", "be"):
         raise ValueError(f"unknown method {method!r}")
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     grid = w0.grid
     H = assemble_H(grid)
     n = H.shape[0]
@@ -238,6 +245,8 @@ def modulation_integrate(
     the sampling.  ``b_inf = b0 + <psi, w(t0)> / 2`` is the limit of
     ``b - A (t - t0) / 2`` as w decays, so of b itself when A = 0.
     """
+    import scipy.sparse.linalg as spla
+
     grid = flow.grid
     ell = grid.weights * gaussian_weight(grid)
     # one dot per row: a matrix-vector product sums a row in an order that

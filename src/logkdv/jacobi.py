@@ -37,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import zeta
 
 from .hermite import fit_loglog_slope, offdiag_weight, power_tail_fit, projection_sequence
 
@@ -182,6 +180,8 @@ def _w_inf(z, products: np.ndarray) -> np.ndarray:
     on every row; Hurwitz zetas sum the model past the computed range.  Each
     row is summed and fitted alone, so W_inf at a z does not depend on its batch.
     """
+    from scipy.special import zeta
+
     m_max = products.shape[1]
     c, d = power_tail_fit(products, np.arange(1.0, m_max + 1), 1.5)
     tails = c * zeta(1.5, m_max + 1) + d * zeta(2.5, m_max + 1)
@@ -366,6 +366,8 @@ def truncated_matrix_eigenvalues(n_max: int, z_max: float = 20.0) -> np.ndarray:
     is bisected to its own relative accuracy instead of an absolute one set by
     the matrix norm, which grows like ``n_max**(3/2)``.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     off = offdiag_weight(np.arange(1, n_max, dtype=float))
     return eigh_tridiagonal(
         np.zeros(n_max), off, eigvals_only=True, select="v", select_range=(1e-9, z_max),

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import NumericalError, _march
 from .hermite import RealGrid, basis_rows, offdiag_weight, projection_sequence
@@ -143,6 +142,8 @@ def evolve(
     h = math.copysign(dt, T)
     beta = offdiagonal(n_modes)
     if method == "midpoint":
+        from scipy.linalg.lapack import dgtsv  # once per call, not per step
+
         # sub-, main and super-diagonal of (I - h/2 M); dgtsv factors copies
         # of them each step (it is the routine solve_banded uses for (1, 1))
         lower = 0.5 * h * beta

@@ -484,15 +484,48 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error:")
 
 
-def run_module(module, args, **kwargs):
-    """Run ``python -m module args`` with this checkout's package on the path."""
+def run_python(args, **kwargs):
+    """Run ``python -W error::RuntimeWarning args`` with this checkout's package on the path."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, *map(str, args)],
+        [sys.executable, "-W", "error::RuntimeWarning", *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120, **kwargs,
     )
+
+
+def run_module(module, args, **kwargs):
+    """Run ``python -m module args`` with this checkout's package on the path."""
+    return run_python(["-m", module, *args], **kwargs)
+
+
+# The package and its CLI load no scipy; this child loads it first inside
+# ``main``, so under the runner's ``np.errstate`` and with warnings as errors.
+FIRST_SCIPY_IMPORT = """
+import sys
+import logkdv, logkdv.cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+
+assert not scipy_modules(), scipy_modules()
+code = logkdv.cli.main(sys.argv[1:])
+assert scipy_modules(), "the run loaded no scipy"
+sys.exit(code)
+"""
+
+# Small runs of the subcommands that load scipy, with the files each writes.
+SCIPY_RUNS = {
+    "spectrum": (["--z-max", 4, "--n-max", 100],
+                 ["spectrum_summary.json", "wronskian_scan.csv", "wronskian_trace.csv"]),
+    "coercivity": (["--n-max", 20, "--n-samples", 5], ["coercivity_summary.json"]),
+    "evolve": (["--n-modes", 20, "--T", 0.1], ["evolve.csv", "evolve_summary.json"]),
+    "dissipate": (["--T", 0.1, "--extent", 10, "--spacing", 0.1],
+                  ["dissipate.csv", "dissipate_summary.json"]),
+    "reconstruct": (["--m-max", 100, "--num-points", 401],  # the default z is a found root
+                    ["eigenvector_profile.csv", "reconstruct_summary.json"]),
+}
 
 
 class TestModuleEntryPoints:
@@ -503,6 +536,14 @@ class TestModuleEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "projections.csv", "projections_summary.json"]
+
+    @pytest.mark.parametrize("name", SCIPY_RUNS)
+    def test_first_scipy_import_runs_under_the_errstate(self, name, tmp_path):
+        # a float warning raised while scipy imports would exit 2 or fail here
+        args, files = SCIPY_RUNS[name]
+        proc = run_python(["-c", FIRST_SCIPY_IMPORT, name, *args, "--outdir", tmp_path])
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
 
     def test_grid_beyond_memory_exits_1_with_one_line(self, tmp_path):
         # 10^15 nodes ask for 7.11 PiB; the child's address space is capped so

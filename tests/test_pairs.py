@@ -93,3 +93,23 @@ def test_fingerprints_differ_names_each_changed_file_once():
 def test_imports_no_numpy():
     code = "import sys; import pairs; sys.exit('numpy' in sys.modules)"
     subprocess.run([sys.executable, "-c", code], cwd=PAIRS_PY.parent, check=True)
+
+
+def test_cli_startup_summarises_seconds_and_names_changed_outputs():
+    def run(seconds, summary_digest="s"):
+        return seconds, {"projections.csv": "p", "projections_summary.json": summary_digest}
+
+    runs = {
+        "projections": [(run(0.75), run(0.25)), (run(0.5), run(0.25)), (run(0.25), run(0.5))],
+        "coercivity": [(run(0.5), run(0.5, "t")), (run(0.5), run(0.5)), (run(0.5), run(0.5))],
+    }
+    entry = pairs._startup_entry(runs)
+    projections = entry["subcommands"]["projections"]
+    assert projections["base"]["runs"] == [0.75, 0.5, 0.25]
+    assert projections["head"]["median"] == 0.25
+    assert projections["head_better_pairs"] == 2
+    assert entry["subcommands"]["coercivity"]["head_better_pairs"] == 0  # ties count for neither
+    assert entry["pairs"] == 3
+    assert entry["fingerprints_differ"] == ["coercivity/projections_summary.json"]
+    same = {"projections": [(run(0.5), run(0.25))]}
+    assert pairs._startup_entry(same)["fingerprints_differ"] == []
