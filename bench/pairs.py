@@ -181,6 +181,7 @@ def _startup_entry(runs: dict) -> dict:
 
 
 def _cli_startup(base: Path, head: Path, tmp: Path) -> dict:
+    """``PAIRS`` alternating pairs of ``_cli_run`` per subcommand, summarised."""
     runs = {}
     for sub in SUBCOMMANDS:
         runs[sub] = []
