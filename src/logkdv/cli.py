@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import math
 import os
@@ -414,7 +415,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _release_freed_memory() -> None:
+    """Return the C heap's free pages to the OS (glibc; a no-op elsewhere).
+
+    glibc keeps freed pages resident while a live allocation sits above them
+    in the heap, and where the allocations sit depends on the runs and the
+    scipy imports that came before.  Without this, ``projections --n-max
+    1000000`` left 57 MB of freed arrays resident after a ``coercivity`` run
+    in the same process, and 10 MB when it ran first; with it, 2-3 MB.
+    """
+    if sys.platform.startswith("linux"):
+        with contextlib.suppress(OSError, AttributeError):
+            ctypes.CDLL(None).malloc_trim(0)
+
+
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    finally:
+        _release_freed_memory()  # once the run's arrays are freed
+
+
+def _main(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         name = args.subcommand

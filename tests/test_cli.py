@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -475,6 +476,14 @@ class TestConfigHandling:
         assert err == "error: not enough memory: synthetic\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args, code", [(["projections", "--n-max", 3], 0),
+                                            (["projections", "--n-max", 0], 1)])
+    def test_memory_released_after_every_run(self, args, code, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_release_freed_memory", lambda: calls.append(1))
+        assert run([*args, "--outdir", tmp_path]) == code
+        assert calls == [1]
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(config):
             raise NumericalError("synthetic failure")
@@ -527,6 +536,23 @@ SCIPY_RUNS = {
                     ["eigenvector_profile.csv", "reconstruct_summary.json"]),
 }
 
+# Resident MB a ``projections --n-max 1000000`` run leaves behind in a
+# process whose coercivity run loaded scipy.optimize first.
+RSS_AFTER_LARGE_RUN = """
+import sys
+import logkdv.cli
+
+def rss_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
+
+out = ["--outdir", sys.argv[1]]
+assert logkdv.cli.main(["coercivity", "--n-max", "20", "--n-samples", "5", *out]) == 0
+before = rss_mb()
+assert logkdv.cli.main(["projections", "--n-max", "1000000", *out]) == 0
+print(rss_mb() - before)
+"""
+
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["logkdv.cli", "logkdv"])
@@ -544,6 +570,17 @@ class TestModuleEntryPoints:
         proc = run_python(["-c", FIRST_SCIPY_IMPORT, name, *args, "--outdir", tmp_path])
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc" or not Path("/proc/self/status").is_file(),
+        reason="reads VmRSS and frees through glibc",
+    )
+    def test_large_run_returns_its_memory_after_scipy_loaded(self, tmp_path):
+        # without the trim in main, the freed 10^6-row arrays stayed resident:
+        # +48 MB after this coercivity run, +10 MB with no run before
+        proc = run_python(["-c", RSS_AFTER_LARGE_RUN, tmp_path])
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout.split()[-1]) < 15.0
 
     def test_grid_beyond_memory_exits_1_with_one_line(self, tmp_path):
         # 10^15 nodes ask for 7.11 PiB; the child's address space is capped so
