@@ -37,6 +37,12 @@ thread and no bytecode written, as perfbench runs its workers.  It holds
 the same summaries of the seconds per subcommand, and ``fingerprints_differ``
 names the ``<sub>/<file>`` outputs whose sha256 differ in any pair.
 
+``tier1`` times the test suite of each tree on its own source, from spawn
+to exit: the whole tier-1 suite (``TIER1_PAIRS`` pairs) and criterion 4, the
+lattice norm-conservation acceptance test that takes much of it, alone
+(``PAIRS`` pairs), alternating as above and writing no bytecode or cache.
+These run after perfbench, so they cannot touch the trees it runs.
+
 Per-layer seconds (``*.s``, ``*.self_s``, ``trace.wall_s``) are not scaled
 to the host speed, so they carry the 20-30% host drift between runs; counts
 (steps, calls, point-modes, bytes) are exact.  ``trace.overhead_s``, the
@@ -62,6 +68,10 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 PAIRS = 10  # the fewest pairs that can back a claimed gain
 TRACED_PAIRS = 3  # per-layer numbers back no claim, they explain the end-to-end ones
+TIER1_PAIRS = 3  # the whole suite takes most of a minute per run
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+          "--continue-on-collection-errors"]
+CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_norm_conservation"
 
 
 def _git(*args) -> str:
@@ -194,6 +204,36 @@ def _cli_startup(base: Path, head: Path, tmp: Path) -> dict:
     return _startup_entry(runs)
 
 
+def _pytest_seconds(tree: Path, args: list) -> float:
+    """Seconds of one pytest run over ``args`` in ``tree``, on the tree's own source."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    start = time.perf_counter()
+    proc = subprocess.run(PYTEST + args, cwd=tree, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"pytest {' '.join(args)} in {tree} exited {proc.returncode}:\n"
+                           f"{proc.stdout[-2000:]}")
+    return seconds
+
+
+def _tier1(base: Path, head: Path) -> dict:
+    """Alternating pairs of the whole suite and of criterion 4 alone, summarised."""
+    suites = {}
+    for name, args, pairs in (("tier1", [], TIER1_PAIRS), ("criterion_4", [CRITERION_4], PAIRS)):
+        runs = []
+        for pair in range(1, pairs + 1):
+            order = [base, head] if pair % 2 else [head, base]
+            done = {tree: _pytest_seconds(tree, args) for tree in order}
+            runs.append((done[base], done[head]))
+            print(f"{name} pair {pair}: base {done[base]:.2f} head {done[head]:.2f}", flush=True)
+        suites[name] = {"unit": "s", "better": "lower", "pairs": pairs,
+                        **_compare([b for b, _ in runs], [h for _, h in runs], "lower")}
+    return {"command": " ".join(["python", *PYTEST[1:]]) + " [" + CRITERION_4 + "]",
+            "suites": suites}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("--pr", required=True, help="label of the output file BENCH_<pr>.json")
@@ -233,6 +273,7 @@ def main(argv=None) -> int:
             env = runs[0][1]["record"]["environment"]
             out["environment"] = {k: env[k] for k in ("python", "numpy", "scipy", "nproc",
                                                       "cpu_model")}
+        out["tier1"] = _tier1(base, head)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")

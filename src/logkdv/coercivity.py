@@ -106,13 +106,18 @@ def c0_tail_estimate(n_max: int) -> float:
     return float(c_part + d_part)
 
 
-def _phi(mu, fsq, n, tail):
+def _phi(mu, fsq, n_minus, n_plus, buf, tail):
     """Secular function at mu.
 
-    ``fsq`` holds f_n^2 for n = 0..n_max and ``n`` the indices 2..n_max.
+    ``fsq``, ``n_minus`` and ``n_plus`` hold f_n^2, n - 1 and n + 1 for
+    n = 2..n_max.  Their terms ``f_n^2 / ((n - 1) - (n + 1) mu)`` are formed
+    in ``buf``, which every evaluation reuses, in the order of that expression.
     """
+    np.multiply(n_plus, mu, out=buf)
+    np.subtract(n_minus, buf, out=buf)
+    np.divide(fsq, buf, out=buf)
     # n = 1 term is f_1^2 / (0 - 2 mu) = -2/mu
-    val = -2.0 / mu + np.sum(fsq[2:] / ((n - 1.0) - (n + 1.0) * mu))
+    val = -2.0 / mu + np.sum(buf)
     if tail is not None:
         c_part, d_part = tail(mu)
         val += c_part  # one part at a time: the sum order is part of the result
@@ -145,10 +150,12 @@ def coercivity_constant(n_max: int, tail_corrected: bool = True) -> float:
     fsq = projection_sequence(n_max) ** 2
     n = np.arange(2, n_max + 1, dtype=float)
     tail = _tail_model(fsq) if tail_corrected else None
-    # phi is strictly increasing, -inf at 0+ and +inf at (1/3)-.  A module-level
+    # phi is strictly increasing, -inf at 0+ and +inf at (1/3)-.  n - 1 and n + 1
+    # are formed once here and each evaluation reuses one buffer.  A module-level
     # objective with the arrays in ``args`` keeps them out of the reference
     # cycle that brentq's wrapper forms with a closure, so they are freed on return.
-    return float(brentq(_phi, 1e-12, 1.0 / 3.0 - 1e-12, args=(fsq, n, tail),
+    args = (fsq[2:], n - 1.0, n + 1.0, np.empty_like(n), tail)
+    return float(brentq(_phi, 1e-12, 1.0 / 3.0 - 1e-12, args=args,
                         xtol=1e-15, rtol=8.9e-16))
 
 

@@ -88,18 +88,25 @@ def skew_matrix(n_modes: int) -> np.ndarray:
     return m
 
 
-def _apply_skew(beta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``M a`` for the generator with upper off-diagonal ``beta``."""
-    out = np.zeros_like(a)
-    out[:-1] += beta * a[1:]
-    out[1:] -= beta * a[:-1]
+def _apply_skew(beta: np.ndarray, a: np.ndarray, out: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """Write ``M a`` into ``out`` for the generator with upper off-diagonal ``beta``.
+
+    ``prod``, of ``beta``'s size, holds the products.  ``out`` is zeroed and
+    then added to and subtracted from, so an entry ``0 + beta a`` is never -0.
+    """
+    out.fill(0.0)
+    np.multiply(beta, a[1:], out=prod)
+    out[:-1] += prod
+    np.multiply(beta, a[:-1], out=prod)
+    out[1:] -= prod
     return out
 
 
 def skew_rhs(a) -> np.ndarray:
     """Right-hand side ``M a`` with the truncation ``a_{N+1} = 0``."""
     a = np.asarray(a, dtype=float)
-    return _apply_skew(offdiagonal(a.size), a)
+    beta = offdiagonal(a.size)
+    return _apply_skew(beta, a, np.empty_like(a), np.empty_like(beta))
 
 
 def _rk4_dt_cap(n_modes: int) -> float:
@@ -141,6 +148,12 @@ def evolve(
         raise ValueError(f"unknown method {method!r}")
     h = math.copysign(dt, T)
     beta = offdiagonal(n_modes)
+    # work buffers, once per call: each step writes its state into ``y`` (never
+    # into a0.a) and its intermediates into the others, so a step allocates
+    # nothing; the operations and their order are those of the plain formulas
+    y = np.empty(n_modes)
+    prod = np.empty(n_modes - 1)
+    k1 = np.empty(n_modes)
     if method == "midpoint":
         from scipy.linalg.lapack import dgtsv  # once per call, not per step
 
@@ -151,8 +164,10 @@ def evolve(
         upper = -0.5 * h * beta
 
         def step(a, k):
-            rhs = a + 0.5 * h * _apply_skew(beta, a)
-            *_, a, info = dgtsv(lower, diag, upper, rhs, overwrite_b=True)
+            # the right side a + (h/2) M a, solved for in place
+            np.multiply(_apply_skew(beta, a, k1, prod), 0.5 * h, out=k1)
+            np.add(a, k1, out=y)
+            *_, a, info = dgtsv(lower, diag, upper, y, overwrite_b=True)
             if info != 0:
                 raise NumericalError(
                     f"midpoint solve failed at step {k} (t={a0.t + (k - 1) * h:.6g}): "
@@ -160,12 +175,25 @@ def evolve(
                 )
             return a
     else:
+        stage, k2, k3, k4 = (np.empty(n_modes) for _ in range(4))
+
+        def stage_rhs(a, kin, c, out):
+            """``M (a + c kin)`` into ``out``."""
+            np.multiply(kin, c, out=stage)
+            np.add(a, stage, out=stage)
+            return _apply_skew(beta, stage, out, prod)
+
         def step(a, k):
-            k1 = _apply_skew(beta, a)
-            k2 = _apply_skew(beta, a + 0.5 * h * k1)
-            k3 = _apply_skew(beta, a + 0.5 * h * k2)
-            k4 = _apply_skew(beta, a + h * k3)
-            return a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            _apply_skew(beta, a, k1, prod)
+            stage_rhs(a, k1, 0.5 * h, k2)
+            stage_rhs(a, k2, 0.5 * h, k3)
+            stage_rhs(a, k3, h, k4)
+            # a + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
+            np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(k1, h / 6.0, out=k1)
+            return np.add(a, k1, out=y)
 
     times, kept, states, a1 = _march(step, a0.a, a0.t, T, dt, sample_every, lambda a: a[0])
     # the running trapezoid of a_1, added in step order from c1 = 0

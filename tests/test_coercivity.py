@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from logkdv.coercivity import (
+    _tail_model,
     c0_constant,
     c0_tail_estimate,
     coercivity_constant,
@@ -97,6 +98,27 @@ class TestCoercivityConstant:
         b_raw = coercivity_constant(400, tail_corrected=False)
         assert abs(a_raw - b_raw) > 1e-4
         assert b_raw < a_raw  # decreasing toward the limit
+
+    @pytest.mark.parametrize("n_max", [400, 100_000])
+    @pytest.mark.parametrize("tail_corrected", [True, False])
+    def test_same_root_as_the_unbuffered_secular_sum(self, n_max, tail_corrected):
+        # the secular terms written as one expression, new arrays at every evaluation
+        from scipy.optimize import brentq
+
+        fsq = projection_sequence(n_max) ** 2
+        n = np.arange(2, n_max + 1, dtype=float)
+        tail = _tail_model(fsq) if tail_corrected else None
+
+        def phi(mu):
+            val = -2.0 / mu + np.sum(fsq[2:] / ((n - 1.0) - (n + 1.0) * mu))
+            if tail is not None:
+                c_part, d_part = tail(mu)
+                val += c_part
+                val += d_part
+            return val
+
+        root = brentq(phi, 1e-12, 1.0 / 3.0 - 1e-12, xtol=1e-15, rtol=8.9e-16)
+        assert coercivity_constant(n_max, tail_corrected=tail_corrected) == root
 
     def test_degenerate_truncation_rejected(self):
         with pytest.raises(ValueError):

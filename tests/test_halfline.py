@@ -220,6 +220,7 @@ class TestEvolution:
         ref = reference_dissipate(w0, 0.1234, 1e-3, method, sample_every)
         for got, want in zip((flow.ts, flow.states, flow.step_ts, flow.step_l2), ref):
             assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # the signs of zeros too
 
     def test_bad_arguments(self, grid):
         w0 = initial_gaussian_bump(grid)

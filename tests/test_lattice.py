@@ -152,6 +152,7 @@ class TestEvolve:
         ref = reference_evolve(state.a.copy(), T, dt, 7, method)
         for got, want in zip((traj.ts, traj.states, traj.norms, traj.c1), ref):
             assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # the signs of zeros too
 
     def test_rk4_step_cap_enforced(self):
         state = initial_random(400, seed=3)
