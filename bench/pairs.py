@@ -230,8 +230,7 @@ def _tier1(base: Path, head: Path) -> dict:
             print(f"{name} pair {pair}: base {done[base]:.2f} head {done[head]:.2f}", flush=True)
         suites[name] = {"unit": "s", "better": "lower", "pairs": pairs,
                         **_compare([b for b, _ in runs], [h for _, h in runs], "lower")}
-    return {"command": " ".join(["python", *PYTEST[1:]]) + " [" + CRITERION_4 + "]",
-            "suites": suites}
+    return {"command": f"python {' '.join(PYTEST[1:])} [{CRITERION_4}]", "suites": suites}
 
 
 def main(argv=None) -> int:

@@ -148,13 +148,15 @@ def coercivity_constant(n_max: int, tail_corrected: bool = True) -> float:
     from scipy.optimize import brentq
 
     fsq = projection_sequence(n_max) ** 2
-    n = np.arange(2, n_max + 1, dtype=float)
     tail = _tail_model(fsq) if tail_corrected else None
     # phi is strictly increasing, -inf at 0+ and +inf at (1/3)-.  n - 1 and n + 1
-    # are formed once here and each evaluation reuses one buffer.  A module-level
-    # objective with the arrays in ``args`` keeps them out of the reference
-    # cycle that brentq's wrapper forms with a closure, so they are freed on return.
-    args = (fsq[2:], n - 1.0, n + 1.0, np.empty_like(n), tail)
+    # (n = 2..n_max) are formed once, after the tail fit and with no array of n
+    # kept, so that with the one buffer every evaluation reuses they hold no more
+    # memory than an evaluation's temporaries did.  A module-level objective with
+    # the arrays in ``args`` keeps them out of the reference cycle that brentq's
+    # wrapper forms with a closure, so they are freed on return.
+    n_minus = np.arange(1.0, n_max)
+    args = (fsq[2:], n_minus, n_minus + 2.0, np.empty_like(n_minus), tail)
     return float(brentq(_phi, 1e-12, 1.0 / 3.0 - 1e-12, args=args,
                         xtol=1e-15, rtol=8.9e-16))
 

@@ -12,10 +12,13 @@ is the Cayley transform of the skew generator, hence orthogonal, and
 conserves the norm to solver roundoff at any step size.  An explicit
 RK4 path is kept for cross-checks; its step size is capped at
 ``0.5 N**-1.5`` because the off-diagonal growth makes the truncated
-generator stiff.  Both steppers build the generator's off-diagonal once
-per :func:`evolve` call, and the midpoint rule also builds the bands of
-``I - h/2 M`` once and hands them to LAPACK's tridiagonal solver each step.
-The step count, sampling and storage are the package's one step loop,
+generator stiff.  Both steppers build the generator's off-diagonal and
+their work buffers once per :func:`evolve` call and allocate nothing per
+step: the midpoint rule forms its right side in those buffers and hands it,
+with the bands of ``I - h/2 M`` built once, to LAPACK's tridiagonal solver,
+and RK4 writes its four stages into them.  Each step performs the operations
+of the plain formulas in their order, so the buffers change no bit.  The
+step count, sampling and storage are the package's one step loop,
 ``errors._march``, which the half-line flow shares.
 
 Truncation caveat: the lattice transports energy toward large n at speed
