@@ -150,9 +150,9 @@ def coercivity_constant(n_max: int, tail_corrected: bool = True) -> float:
     fsq = projection_sequence(n_max) ** 2
     tail = _tail_model(fsq) if tail_corrected else None
     # phi is strictly increasing, -inf at 0+ and +inf at (1/3)-.  n - 1 and n + 1
-    # (n = 2..n_max) are formed once, after the tail fit and with no array of n
-    # kept, so that with the one buffer every evaluation reuses they hold no more
-    # memory than an evaluation's temporaries did.  A module-level objective with
+    # (n = 2..n_max) are formed once, after the tail fit, and no array of n is
+    # kept, so the search holds three arrays of that size besides fsq, the one
+    # buffer that every evaluation reuses included.  A module-level objective with
     # the arrays in ``args`` keeps them out of the reference cycle that brentq's
     # wrapper forms with a closure, so they are freed on return.
     n_minus = np.arange(1.0, n_max)
