@@ -186,12 +186,10 @@ def evolve_dissipative(
     H = assemble_H(grid)
     n = H.shape[0]
     eye = sp.identity(n, format="csr")
-    if method == "cn":
-        lhs = (eye - 0.5 * dt * H).tocsc()
-        rhs_op = (eye + 0.5 * dt * H).tocsr()
-    else:  # backward Euler solves against the state itself
-        lhs = (eye - dt * H).tocsc()
-        rhs_op = None
+    # theta rule; backward Euler (theta = 1) solves against the state itself
+    theta = 0.5 if method == "cn" else 1.0
+    lhs = (eye - theta * dt * H).tocsc()
+    rhs_op = (eye + 0.5 * dt * H).tocsr() if method == "cn" else None
     try:
         solver = spla.splu(lhs)
     except RuntimeError as exc:  # singular factorization
@@ -205,7 +203,7 @@ def evolve_dissipative(
 
     w = w0.w.copy()
     w[0] = 0.0
-    times, kept, states, step_l2 = _march(step, w, w0.t, T, dt, sample_every, grid.norm)
+    times, kept, states, _, step_l2 = _march(step, w, w0.t, T, dt, sample_every, grid.norm)
     return HalfLineFlow(
         grid=grid, ts=times[kept], states=states, step_ts=times, step_l2=step_l2
     )
@@ -233,7 +231,7 @@ def modulation_integrate(
     """Integrate ``da/dt = 2 w(t,0)`` and ``db/dt = a/2`` along the flow.
 
     a is advanced in flux form (see module docstring), i.e. through the
-    telescoped identity ``a(t) = a0 + <phi, w(0)> - <phi, w(t))>``, which
+    telescoped identity ``a(t) = a0 + <phi, w(0)> - <phi, w(t)>``, which
     is the exact discrete time integral of ``2 beta`` under either
     stepper and keeps ``A = a + <phi, w>`` constant to roundoff.  b
     telescopes the same way: with node 0 pinned, either stepper's
@@ -249,13 +247,13 @@ def modulation_integrate(
 
     grid = flow.grid
     ell = grid.weights * gaussian_weight(grid)
-    # one dot per row: a matrix-vector product sums a row in an order that
-    # depends on its place in the matrix, so on how many samples are kept
-    ell_w = np.array([np.dot(w, ell) for w in flow.states])
+    psi = spla.splu(assemble_H(grid)[1:, 1:].tocsc()).solve(ell[1:], trans="T")
+    # one sweep over the samples, one dot per row and weight: a matrix-vector
+    # product sums a row in an order that depends on its place in the matrix,
+    # so on how many samples are kept
+    ell_w, psi_w = np.array([(np.dot(w, ell), np.dot(w[1:], psi)) for w in flow.states]).T
     a = a0 + ell_w[0] - ell_w
     A = a + ell_w
-    psi = spla.splu(assemble_H(grid)[1:, 1:].tocsc()).solve(ell[1:], trans="T")
-    psi_w = np.array([np.dot(w[1:], psi) for w in flow.states])
     b = b0 + 0.5 * (A[0] * (flow.ts - flow.ts[0]) + psi_w[0] - psi_w)
     return ModulationTrajectory(flow.ts, a, b, A, float(b0 + 0.5 * psi_w[0]))
 

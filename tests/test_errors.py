@@ -1,4 +1,4 @@
-"""The shared step loop ``errors._march``: its check for non-finite states."""
+"""The shared step loop ``errors._march``: its check for non-finite states and its sums."""
 
 import numpy as np
 import pytest
@@ -30,7 +30,35 @@ def test_finite_entries_whose_squares_overflow_run_to_the_end():
     # error state set to raise, as the command line runs, must not stop it either
     step = constant_steps(scale=1e200)
     with np.errstate(over="raise", invalid="raise"):
-        times, kept, states, probes = _march(step, np.ones(4), 0.0, 1.0, 0.1, 1, lambda y: y[0])
+        times, kept, states, sums, probes = _march(
+            step, np.ones(4), 0.0, 1.0, 0.1, 1, lambda y: y[0]
+        )
     assert kept[-1] == 10
     assert np.all(states[1:] == 1e200)
     assert np.all(probes[1:] == 1e200)
+    assert sums[0] == 4.0
+    assert np.all(sums[1:] == np.inf)
+    assert_sums_of_rows(sums, states)
+
+
+def assert_sums_of_rows(sums, states):
+    """The returned sums are ``np.vdot`` of each stored row, to the bit."""
+    want = np.array([np.vdot(s, s) for s in states])
+    assert sums.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+def test_sums_are_those_of_the_kept_rows(sample_every):
+    # a step whose entries change each time, so every kept row has its own sum;
+    # 11 steps are not a multiple of 3, so the last is kept off the grid
+    rng = np.random.default_rng(7)
+    draws = rng.standard_normal((12, 5))
+
+    def step(y, k):
+        return y * 0.5 + draws[k]
+
+    times, kept, states, sums, probes = _march(
+        step, draws[0], 0.0, 1.1, 0.1, sample_every, lambda y: y[0]
+    )
+    assert kept[-1] == 11 and kept.size == states.shape[0] == sums.size
+    assert_sums_of_rows(sums, states)

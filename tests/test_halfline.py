@@ -47,6 +47,25 @@ def reference_dissipate(w0, T, dt, method, sample_every):
     return np.array(ts), np.array(states), np.array(step_ts), np.array(step_l2)
 
 
+def reference_modulation(flow, a0, b0):
+    """Two loops over the samples, the <phi, w> dots before the adjoint solve."""
+    grid = flow.grid
+    ell = grid.weights * gaussian_weight(grid)
+    ell_w = np.array([np.dot(w, ell) for w in flow.states])
+    a = a0 + ell_w[0] - ell_w
+    A = a + ell_w
+    psi = spla.splu(assemble_H(grid)[1:, 1:].tocsc()).solve(ell[1:], trans="T")
+    psi_w = np.array([np.dot(w[1:], psi) for w in flow.states])
+    b = b0 + 0.5 * (A[0] * (flow.ts - flow.ts[0]) + psi_w[0] - psi_w)
+    return a, b, A, float(b0 + 0.5 * psi_w[0])
+
+
+@pytest.fixture(scope="module")
+def jacobi_z():
+    """The Jacobi eigenvalues z_k below 8, from shooting and a zeta tail."""
+    return find_eigenvalues(z_max=8.0, n_max=4000, tol=1e-13).eigenvalues
+
+
 @pytest.fixture(scope="module")
 def grid():
     return HalfLineGrid(extent=40.0, spacing=0.02)
@@ -134,7 +153,7 @@ class TestOperator:
         assert worst[0.04] <= -0.5
         assert worst[0.02] <= -0.5
 
-    def test_spectrum_is_minus_half_the_jacobi_eigenvalues(self):
+    def test_spectrum_is_minus_half_the_jacobi_eigenvalues(self, jacobi_z):
         # the top eigenvalues of H (Dirichlet node removed) converge at order
         # h^2 to -z_k/2, with z_k from shooting and a zeta tail: two routes
         # that share no code
@@ -146,7 +165,7 @@ class TestOperator:
         ratios = (top[0.04] - top[0.02]) / (top[0.02] - top[0.01])
         assert ratios == pytest.approx([4.0, 4.0], abs=0.05)
         extrapolated = (4.0 * top[0.01] - top[0.02]) / 3.0
-        z = find_eigenvalues(z_max=8.0, n_max=4000, tol=1e-12).eigenvalues[:2]
+        z = jacobi_z[:2]
         assert z == pytest.approx([2.7054, 6.1540], abs=1e-4)
         assert abs(extrapolated[0] + z[0] / 2) < 1e-8
         assert abs(extrapolated[1] + z[1] / 2) < 5e-7
@@ -199,6 +218,22 @@ class TestEvolution:
             flow = evolve_dissipative(HalfLineState(w, 0.0, g), T=0.5, dt=5e-4)
             norms[extent] = g.norm(flow.states[-1])
         assert abs(norms[40.0] - norms[80.0]) < 1e-6 * norms[40.0]
+
+    def test_late_decay_rate_is_minus_half_z1_at_second_order(self, jacobi_z):
+        # once the higher modes have died out, the L2 norm decays at the top
+        # eigenvalue of H, -z1/2; Crank-Nicolson with dt proportional to h
+        # reaches it at order h^2 (backward Euler, first order in dt, gives a
+        # ratio near 2 and a Richardson gap near 6e-4)
+        rates = []
+        for h, dt in ((0.04, 2e-3), (0.02, 1e-3)):
+            w0 = initial_gaussian_bump(HalfLineGrid(40.0, h))
+            # step_l2 holds every step whatever the sampling: keep two states
+            flow = evolve_dissipative(w0, T=12.0, dt=dt, sample_every=12000)
+            late = (flow.step_ts >= 8.0) & (flow.step_ts <= 12.0)
+            rates.append(np.polyfit(flow.step_ts[late], np.log(flow.step_l2[late]), 1)[0])
+        errors = np.array(rates) + jacobi_z[0] / 2
+        assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.1)
+        assert abs((4.0 * rates[1] - rates[0]) / 3.0 + jacobi_z[0] / 2) < 1e-7
 
     def test_spatial_convergence_second_order(self):
         finals = []
@@ -328,6 +363,16 @@ class TestModulation:
             for key in ("a", "b", "A"):
                 assert np.array_equal(getattr(short, key), getattr(mod, key)[:n]), (n, key)
             assert short.b_inf == mod.b_inf, n
+
+    @pytest.mark.parametrize("method", ["cn", "be"])
+    @pytest.mark.parametrize("sample_every", [1, 7])
+    def test_bit_identical_to_two_loop_reference(self, method, sample_every):
+        g = HalfLineGrid(20.0, 0.05)
+        w0 = initial_gaussian_bump(g)
+        flow = evolve_dissipative(w0, 0.1234, 1e-3, method=method, sample_every=sample_every)
+        mod = modulation_integrate(flow, 0.3, 0.7)
+        for got, want in zip((mod.a, mod.b, mod.A, mod.b_inf), reference_modulation(flow, 0.3, 0.7)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_b_limit_estimate(self, grid, coupled_flow, long_flow):
         _, mod = coupled_flow
