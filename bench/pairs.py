@@ -10,11 +10,19 @@ tree would not do: besides uncommitted edits it can hold bytecode caches,
 and with ``src/logkdv/__pycache__`` present one and the same commit read
 ``max_rss_mb`` 168 MB on ``cli_repro`` (seed 2, a 2-core Xeon host) where a
 fresh copy read 142 MB.
+
+Every child (perfbench, a ``logkdv`` command, pytest) runs in one
+environment, built by ``_spawn``: in its tree, with the tree's ``src``
+first on ``PYTHONPATH``, ``PYTHONDONTWRITEBYTECODE=1``, each BLAS/OpenMP
+thread variable of ``THREAD_VARS`` set to 1 as perfbench pins its workers,
+and no ``LOGKDV_OUTDIR``.  Every comparison runs in pairs, through
+``_alternate``: a pair runs once on each tree, the base first in odd pairs
+and the head first in even ones.  The runs are sequential, so they never
+compete for the host.
+
 Per workload, ``<tree>/perfbench/run.py --trace 0`` runs ten pairs and
-``--trace 1`` three.  A pair runs once on each tree for the ``run_seconds``
-of ``BENCHMARK.json`` with one seed, the tree that goes first alternating
-from pair to pair.  The runs are sequential, so they never compete for the
-host.
+``--trace 1`` three, each run for the ``run_seconds`` of ``BENCHMARK.json``
+with the pair's number as its seed.
 
 Writes ``BENCH_<pr>.json`` at the root of the checkout: per workload, the
 runs, median and quartiles of each side and the number of pairs in which
@@ -32,16 +40,15 @@ Python, numpy and scipy versions the runs reported.  Imports no numpy.
 ``logkdv`` once: each subcommand at its defaults as a user starts it,
 ``python -m logkdv <sub> --outdir <fresh directory>`` in a fresh
 interpreter, from spawn to exit, import included.  Ten pairs per
-subcommand, alternating as above, with the BLAS/OpenMP pools pinned to one
-thread and no bytecode written, as perfbench runs its workers.  It holds
-the same summaries of the seconds per subcommand, and ``fingerprints_differ``
-names the ``<sub>/<file>`` outputs whose sha256 differ in any pair.
+subcommand.  It holds the same summaries of the seconds per subcommand,
+and ``fingerprints_differ`` names the ``<sub>/<file>`` outputs whose
+sha256 differ in any pair.
 
 ``tier1`` times the test suite of each tree on its own source, from spawn
 to exit: the whole tier-1 suite (``TIER1_PAIRS`` pairs) and criterion 4, the
 lattice norm-conservation acceptance test that takes much of it, alone
-(``PAIRS`` pairs), alternating as above and writing no bytecode or cache.
-These run after perfbench, so they cannot touch the trees it runs.
+(``PAIRS`` pairs), writing no pytest cache.  These run after perfbench,
+so they cannot touch the trees it runs.
 
 Per-layer seconds (``*.s``, ``*.self_s``, ``trace.wall_s``) are not scaled
 to the host speed, so they carry the 20-30% host drift between runs; counts
@@ -86,15 +93,46 @@ def _extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run: its result line plus the record it wrote."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+def _spawn(tree: Path, cmd: list) -> tuple:
+    """Seconds from spawn to exit of ``cmd`` run in ``tree``, and its stdout.
+
+    The one child environment is built here.  A nonzero exit raises
+    ``RuntimeError`` with the exit code and the tail of stderr plus stdout.
+    """
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("LOGKDV_OUTDIR", None)
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+                           f"{(proc.stderr + proc.stdout)[-2000:]}")
+    return seconds, proc.stdout
+
+
+def _alternate(base: Path, head: Path, pairs: int, run, label: str, shown) -> list:
+    """``(base, head)`` results of ``run(tree, pair)`` for pairs 1 to ``pairs``.
+
+    The base runs first in odd pairs, the head in even ones; each pair prints
+    ``shown`` of both results under ``label``.
+    """
+    runs = []
+    for pair in range(1, pairs + 1):
+        done = {tree: run(tree, pair) for tree in ([base, head] if pair % 2 else [head, base])}
+        runs.append((done[base], done[head]))
+        print(f"{label} pair {pair}: base {shown(done[base]):.4f} "
+              f"head {shown(done[head]):.4f}", flush=True)
+    return runs
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run: its result line plus the record it wrote."""
+    _, stdout = _spawn(tree, [sys.executable, "perfbench/run.py", "--workload", workload,
+                              "--seed", str(seed), "--seconds", str(seconds),
+                              "--trace", str(trace)])
+    result = json.loads(stdout.strip().splitlines()[-1])
     record = json.loads((tree / "perfbench" / "out" /
                          f"{workload}-seed{seed}-trace{trace}.json").read_text())
     return {"result": result, "record": record}
@@ -163,17 +201,7 @@ def _fingerprints_differ(runs: list) -> list:
 
 def _cli_run(tree: Path, sub: str, outdir: Path) -> tuple:
     """Seconds of one fresh ``python -m logkdv <sub>`` at its defaults, and its files' sha256."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{var: "1" for var in THREAD_VARS})
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env.pop("LOGKDV_OUTDIR", None)
-    cmd = [sys.executable, "-m", "logkdv", sub, "--outdir", str(outdir)]
-    start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    seconds = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
+    seconds, _ = _spawn(tree, [sys.executable, "-m", "logkdv", sub, "--outdir", str(outdir)])
     return seconds, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                      for p in sorted(outdir.iterdir())}
 
@@ -192,42 +220,19 @@ def _startup_entry(runs: dict) -> dict:
 
 def _cli_startup(base: Path, head: Path, tmp: Path) -> dict:
     """``PAIRS`` alternating pairs of ``_cli_run`` per subcommand, summarised."""
-    runs = {}
-    for sub in SUBCOMMANDS:
-        runs[sub] = []
-        for pair in range(1, PAIRS + 1):
-            order = [base, head] if pair % 2 else [head, base]
-            done = {tree: _cli_run(tree, sub, Path(tempfile.mkdtemp(dir=tmp))) for tree in order}
-            runs[sub].append((done[base], done[head]))
-            print(f"cli_startup {sub} pair {pair}: base {done[base][0]:.4f} "
-                  f"head {done[head][0]:.4f}", flush=True)
-    return _startup_entry(runs)
-
-
-def _pytest_seconds(tree: Path, args: list) -> float:
-    """Seconds of one pytest run over ``args`` in ``tree``, on the tree's own source."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    start = time.perf_counter()
-    proc = subprocess.run(PYTEST + args, cwd=tree, env=env, capture_output=True, text=True)
-    seconds = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise RuntimeError(f"pytest {' '.join(args)} in {tree} exited {proc.returncode}:\n"
-                           f"{proc.stdout[-2000:]}")
-    return seconds
+    return _startup_entry({
+        sub: _alternate(base, head, PAIRS,
+                        lambda tree, _: _cli_run(tree, sub, Path(tempfile.mkdtemp(dir=tmp))),
+                        f"cli_startup {sub}", lambda done: done[0])
+        for sub in SUBCOMMANDS})
 
 
 def _tier1(base: Path, head: Path) -> dict:
     """Alternating pairs of the whole suite and of criterion 4 alone, summarised."""
     suites = {}
     for name, args, pairs in (("tier1", [], TIER1_PAIRS), ("criterion_4", [CRITERION_4], PAIRS)):
-        runs = []
-        for pair in range(1, pairs + 1):
-            order = [base, head] if pair % 2 else [head, base]
-            done = {tree: _pytest_seconds(tree, args) for tree in order}
-            runs.append((done[base], done[head]))
-            print(f"{name} pair {pair}: base {done[base]:.2f} head {done[head]:.2f}", flush=True)
+        runs = _alternate(base, head, pairs, lambda tree, _: _spawn(tree, PYTEST + args)[0],
+                          name, float)
         suites[name] = {"unit": "s", "better": "lower", "pairs": pairs,
                         **_compare([b for b, _ in runs], [h for _, h in runs], "lower")}
     return {"command": f"python {' '.join(PYTEST[1:])} [{CRITERION_4}]", "suites": suites}
@@ -259,14 +264,10 @@ def main(argv=None) -> int:
         for workload in WORKLOADS:
             entries = []
             for trace, pairs, shown in ((0, PAIRS, "wall_s"), (1, TRACED_PAIRS, "trace.wall_s")):
-                runs = []
-                for seed in range(1, pairs + 1):
-                    order = [base, head] if seed % 2 else [head, base]
-                    done = {tree: _run(tree, workload, seed, seconds, trace) for tree in order}
-                    runs.append((done[base], done[head]))
-                    wall = [done[t]["result"]["metrics"][shown]["value"] for t in (base, head)]
-                    print(f"{workload} seed {seed} trace {trace}: {shown} base {wall[0]:.4f} "
-                          f"head {wall[1]:.4f}", flush=True)
+                runs = _alternate(base, head, pairs,
+                                  lambda tree, seed: _run(tree, workload, seed, seconds, trace),
+                                  f"{workload} trace {trace} {shown}",
+                                  lambda run: run["result"]["metrics"][shown]["value"])
                 entries.append(_workload_entry(runs, better))
             out["workloads"][workload] = {**entries[0], "per_layer": entries[1]}
             env = runs[0][1]["record"]["environment"]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, _march
-from .hermite import RealGrid, basis_rows, offdiag_weight, projection_sequence
+from .hermite import MAX_INDEX, RealGrid, basis_rows, offdiag_weight, projection_sequence
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,11 @@ def initial_gaussian_bump(
     Coefficients are computed by quadrature on ``RealGrid.uniform()`` and
     mapped through :func:`coefficients_to_lattice`; they decay
     superexponentially, so the truncated dynamics is initially fully resolved.
+    The quadrature reaches basis index ``n_modes + 1``, so ``n_modes`` is at
+    most ``MAX_INDEX - 1``.
     """
+    if n_modes > MAX_INDEX - 1:
+        raise ValueError(f"n_modes {n_modes} above the gaussian bump's maximum {MAX_INDEX - 1}")
     grid = RealGrid.uniform()
     bump = np.exp(-((grid.nodes - center) ** 2) / (2.0 * width**2))
     weighted = grid.weights * bump

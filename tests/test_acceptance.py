@@ -7,7 +7,6 @@ they are produced (without ``-s`` they still appear in captured output).
 import math
 
 import numpy as np
-import pytest
 
 from logkdv.coercivity import (
     c0_constant,
@@ -16,13 +15,6 @@ from logkdv.coercivity import (
     compat_norm_form,
     energy_form,
     random_constrained_coefficients,
-)
-from logkdv.halfline import (
-    HalfLineGrid,
-    evolve_dissipative,
-    gaussian_weight,
-    initial_gaussian_bump,
-    modulation_integrate,
 )
 from logkdv.hermite import (
     RealGrid,
@@ -33,7 +25,7 @@ from logkdv.hermite import (
     hermite_function,
     projection_sequence,
 )
-from logkdv.jacobi import find_eigenvalues, null_solution, shoot
+from logkdv.jacobi import null_solution, shoot
 from logkdv.lattice import c1_track, evolve, initial_gaussian_bump as lattice_bump
 
 
@@ -42,13 +34,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def spectrum_0_8():
-    return find_eigenvalues(z_min=0.05, z_max=8.0, scan_step=0.05, n_max=1000)
-
-
-def test_criterion_1_eigenvalue_reproduction(spectrum_0_8):
-    z = spectrum_0_8.eigenvalues
+def test_criterion_1_eigenvalue_reproduction(spectrum):
+    z = spectrum.eigenvalues
     ok = (
         z.size == 2
         and abs(z[0] - 2.7054) <= 1e-3
@@ -79,9 +66,9 @@ def test_criterion_2_projection_constants():
     )
 
 
-def test_criterion_3_decay_exponents(spectrum_0_8):
+def test_criterion_3_decay_exponents(spectrum):
     m_max = 10_000
-    z1 = float(spectrum_0_8.eigenvalues[0])
+    z1 = float(spectrum.eigenvalues[0])
     s_null = fit_loglog_slope(null_solution(m_max).odd_part[1:])
     state = shoot(z1, m_max)
     s_a = fit_loglog_slope(state.A[1:-1])
@@ -116,16 +103,12 @@ def test_criterion_4_norm_conservation():
     )
 
 
-def test_criterion_5_dissipative_decay():
-    grid = HalfLineGrid(extent=40.0, spacing=0.02)
-    w0 = initial_gaussian_bump(grid)
-    flow = evolve_dissipative(w0, T=5.0, dt=1e-3, sample_every=5)
+def test_criterion_5_dissipative_decay(coupled_flow):
+    flow, mod = coupled_flow  # the bump with A = 0 data, from conftest
     t = flow.step_ts
     ratio = (flow.step_l2 / flow.step_l2[0]) ** 2 / np.exp(-t)
     monotone = bool(np.all(np.diff(flow.step_l2) <= flow.step_l2[:-1] * 1e-10))
 
-    a0 = -grid.integrate(gaussian_weight(grid) * w0.w)  # A = 0 data
-    mod = modulation_integrate(flow, a0, 0.0)
     drift = float(np.abs(mod.A - mod.A[0]).max())
     a_bound = 1.1 * math.sqrt(math.pi) * flow.step_l2[0] ** 2 * np.exp(-mod.ts)
     a_ok = bool(np.all(mod.a**2 <= a_bound))
@@ -195,7 +178,7 @@ def test_criterion_7_basis_integrity():
     )
 
 
-def test_criterion_8_figure_reproduction(spectrum_0_8):
+def test_criterion_8_figure_reproduction(spectrum):
     from logkdv.jacobi import wronskian_trace
 
     trace = wronskian_trace(1.0, 1000)
@@ -203,12 +186,12 @@ def test_criterion_8_figure_reproduction(spectrum_0_8):
     sign_definite = bool(np.all(tail > 0) or np.all(tail < 0))
     plateau = trace.plateau_spread < 0.05 * abs(trace.tail_mean)
 
-    signs = np.sign(spectrum_0_8.scan_w)
+    signs = np.sign(spectrum.scan_w)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     brackets = [
-        (spectrum_0_8.scan_z[i], spectrum_0_8.scan_z[i + 1]) for i in flips
+        (spectrum.scan_z[i], spectrum.scan_z[i + 1]) for i in flips
     ]
-    roots = spectrum_0_8.eigenvalues
+    roots = spectrum.eigenvalues
     bracketing = len(brackets) == roots.size and all(
         lo <= z <= hi for (lo, hi), z in zip(brackets, roots)
     )

@@ -425,6 +425,18 @@ class TestConfigHandling:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "\n" not in err.strip()
         assert not list(tmp_path.iterdir())
+        # the gaussian bump's quadrature reaches basis index n_modes + 1
+        assert run(["evolve", "--n-modes", 10_000, "--T", 0.001, "--outdir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_modes" in err and "9999" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_random_preset_takes_every_n_modes_in_range(self, tmp_path):
+        # only the gaussian bump has a quadrature to bound
+        args = ["evolve", "--preset", "random", "--n-modes", 100_000, "--T", 0]
+        assert run([*args, "--outdir", tmp_path]) == 0
+        summary = json.loads((tmp_path / "evolve_summary.json").read_text())
+        assert summary["config"]["n_modes"] == 100_000
 
     @pytest.mark.parametrize(
         "args",

@@ -72,16 +72,6 @@ def grid():
 
 
 @pytest.fixture(scope="module")
-def coupled_flow(grid):
-    """The standard run: Gaussian bump, Crank-Nicolson, zero total constraint."""
-    w0 = initial_gaussian_bump(grid)
-    flow = evolve_dissipative(w0, T=5.0, dt=1e-3, sample_every=5)
-    a0 = -grid.integrate(gaussian_weight(grid) * w0.w)
-    mod = modulation_integrate(flow, a0, 0.0)
-    return flow, mod
-
-
-@pytest.fixture(scope="module")
 def long_flow(grid):
     """The standard bump run to T = 20, where w has decayed to about 1e-12."""
     return evolve_dissipative(initial_gaussian_bump(grid), T=20.0, dt=1e-2, sample_every=100)

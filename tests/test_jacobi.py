@@ -28,11 +28,6 @@ Z1_REFERENCE = 2.7054  # first eigenvalue, 5 significant digits
 Z2_REFERENCE = 6.1540
 
 
-@pytest.fixture(scope="module")
-def spectrum() -> SpectrumResult:
-    return find_eigenvalues(z_max=8.0, n_max=1000)
-
-
 def per_bracket_roots(result: SpectrumResult, z_min: float, tol: float) -> np.ndarray:
     """Reference bisection: one bracket at a time, one W_inf value per step."""
     zs, ws, n_max = result.scan_z, result.scan_w, result.diagnostics["n_max"]

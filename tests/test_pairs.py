@@ -1,6 +1,8 @@
-"""The summaries of ``bench/pairs.py``, fed synthetic perfbench records."""
+"""``bench/pairs.py``: summaries of synthetic perfbench records, pair order, child environment."""
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -113,3 +115,38 @@ def test_cli_startup_summarises_seconds_and_names_changed_outputs():
     assert entry["fingerprints_differ"] == ["coercivity/projections_summary.json"]
     same = {"projections": [(run(0.5), run(0.25))]}
     assert pairs._startup_entry(same)["fingerprints_differ"] == []
+
+
+def test_alternate_puts_the_base_first_in_odd_pairs(capsys):
+    calls = []
+
+    def run(tree, pair):
+        calls.append((tree, pair))
+        return 10.0 * pair + (tree == "head")
+
+    runs = pairs._alternate("base", "head", 4, run, "label", float)
+    assert calls == [("base", 1), ("head", 1), ("head", 2), ("base", 2),
+                     ("base", 3), ("head", 3), ("head", 4), ("base", 4)]
+    assert runs == [(10.0, 11.0), (20.0, 21.0), (30.0, 31.0), (40.0, 41.0)]
+    assert capsys.readouterr().out.splitlines()[1] == "label pair 2: base 20.0000 head 21.0000"
+
+
+def test_spawn_runs_every_child_in_one_pinned_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("LOGKDV_OUTDIR", str(tmp_path))
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    for var in pairs.THREAD_VARS:
+        monkeypatch.setenv(var, "4")
+    code = "import json, os; print(json.dumps([os.getcwd(), dict(os.environ)]))"
+    seconds, stdout = pairs._spawn(tmp_path, [sys.executable, "-c", code])
+    cwd, env = json.loads(stdout)
+    assert seconds > 0.0 and Path(cwd) == tmp_path.resolve()
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert [env[var] for var in pairs.THREAD_VARS] == ["1"] * len(pairs.THREAD_VARS)
+    assert env["PYTHONPATH"].split(os.pathsep) == [str(tmp_path / "src"), "elsewhere"]
+    assert "LOGKDV_OUTDIR" not in env
+
+
+def test_spawn_raises_on_a_nonzero_exit(tmp_path):
+    code = "import sys; print('said', file=sys.stderr); sys.exit(3)"
+    with pytest.raises(RuntimeError, match=r"exited 3:\nsaid"):
+        pairs._spawn(tmp_path, [sys.executable, "-c", code])
