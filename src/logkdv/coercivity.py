@@ -19,10 +19,10 @@ unique root in ``(0, 1/3)`` of the secular function
 
     phi(mu) = sum_{n>=1} f_n^2 / ((n - 1) - (n + 1) mu),
 
-which ``scipy.optimize.brentq`` locates at O(n_max) per evaluation.  A
-dense reference route (explicit orthogonal projection onto the
-constraint null space followed by a symmetric generalized eigensolve)
-is kept alongside.
+which the Brent root finder ``_brentq`` locates at O(n_max) per
+evaluation.  A dense reference route (explicit orthogonal projection
+onto the constraint null space followed by a symmetric generalized
+eigensolve) is kept alongside.
 
 The truncated minimum creeps downward like ``n_max**(-1/2)`` because the
 constraint vector has an ``n**(-1/4)`` tail.  ``coercivity_constant``
@@ -34,8 +34,11 @@ truncation is needed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import NumericalError
 from .hermite import power_tail_fit, projection_sequence
 
 
@@ -125,6 +128,72 @@ def _phi(mu, fsq, n_minus, n_plus, buf, tail):
     return val
 
 
+def _brentq(f, xa, xb, args, xtol, rtol, maxiter=100):
+    """Root of ``f(x, *args)`` in the bracket [xa, xb] by Brent's method.
+
+    An operation-for-operation copy of scipy's ``brentq.c``, the routine
+    behind ``scipy.optimize.brentq``: the same IEEE double operations in the
+    same order, so the same root after the same number of calls to f, and
+    no import of scipy's optimize package.  A bracket whose ends have the
+    same sign raises ValueError, as scipy's does; a NaN from f, or no root
+    within tolerance after ``maxiter`` steps, raises NumericalError.
+    """
+    def value(x):
+        fx = float(f(x, *args))
+        if math.isnan(fx):
+            raise NumericalError(f"root finder: the function is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):  # signbit
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        # both nonzero and not NaN here, so ``< 0`` is signbit
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or NaN, which fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NumericalError(f"root finder: no convergence after {maxiter} steps, x={xcur!r}")
+
+
 def coercivity_constant(n_max: int, tail_corrected: bool = True) -> float:
     """Smallest value of ``energy_form / compat_norm_form`` under both constraints.
 
@@ -145,20 +214,15 @@ def coercivity_constant(n_max: int, tail_corrected: bool = True) -> float:
     """
     if n_max < 10:
         raise ValueError("n_max must be at least 10 to support the constraints")
-    from scipy.optimize import brentq
-
     fsq = projection_sequence(n_max) ** 2
     tail = _tail_model(fsq) if tail_corrected else None
     # phi is strictly increasing, -inf at 0+ and +inf at (1/3)-.  n - 1 and n + 1
     # (n = 2..n_max) are formed once, after the tail fit, and no array of n is
     # kept, so the search holds three arrays of that size besides fsq, the one
-    # buffer that every evaluation reuses included.  A module-level objective with
-    # the arrays in ``args`` keeps them out of the reference cycle that brentq's
-    # wrapper forms with a closure, so they are freed on return.
+    # buffer that every evaluation reuses included.  They are freed on return.
     n_minus = np.arange(1.0, n_max)
     args = (fsq[2:], n_minus, n_minus + 2.0, np.empty_like(n_minus), tail)
-    return float(brentq(_phi, 1e-12, 1.0 / 3.0 - 1e-12, args=args,
-                        xtol=1e-15, rtol=8.9e-16))
+    return _brentq(_phi, 1e-12, 1.0 / 3.0 - 1e-12, args, xtol=1e-15, rtol=8.9e-16)
 
 
 def coercivity_constant_dense(n_max: int) -> float:

@@ -26,7 +26,7 @@ from logkdv.hermite import (
     projection_sequence,
 )
 from logkdv.jacobi import null_solution, shoot
-from logkdv.lattice import c1_track, evolve, initial_gaussian_bump as lattice_bump
+from logkdv.lattice import evolve, initial_gaussian_bump as lattice_bump
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -548,11 +548,23 @@ SCIPY_RUNS = {
                     ["eigenvector_profile.csv", "reconstruct_summary.json"]),
 }
 
+# No run loads scipy.optimize: coercivity finds its root without it.
+NO_SCIPY_OPTIMIZE = """
+import sys
+import logkdv.cli
+
+code = logkdv.cli.main(sys.argv[1:])
+assert "scipy.optimize" not in sys.modules, "the run loaded scipy.optimize"
+sys.exit(code)
+"""
+
 # Resident MB a ``projections --n-max 1000000`` run leaves behind in a
-# process whose coercivity run loaded scipy.optimize first.
+# process that loaded scipy.optimize, the largest scipy import, and ran
+# coercivity first.
 RSS_AFTER_LARGE_RUN = """
 import sys
 import logkdv.cli
+import scipy.optimize
 
 def rss_mb():
     with open("/proc/self/status") as fh:
@@ -583,13 +595,19 @@ class TestModuleEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == files
 
+    @pytest.mark.parametrize("name", [*SCIPY_RUNS, "projections"])
+    def test_no_run_loads_scipy_optimize(self, name, tmp_path):
+        args = SCIPY_RUNS[name][0] if name in SCIPY_RUNS else ["--n-max", 3]
+        proc = run_python(["-c", NO_SCIPY_OPTIMIZE, name, *args, "--outdir", tmp_path])
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.skipif(
         platform.libc_ver()[0] != "glibc" or not Path("/proc/self/status").is_file(),
         reason="reads VmRSS and frees through glibc",
     )
     def test_large_run_returns_its_memory_after_scipy_loaded(self, tmp_path):
         # without the trim in main, the freed 10^6-row arrays stayed resident:
-        # +48 MB after this coercivity run, +10 MB with no run before
+        # +49 MB in this child, +12 MB without its scipy.optimize import
         proc = run_python(["-c", RSS_AFTER_LARGE_RUN, tmp_path])
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout.split()[-1]) < 15.0

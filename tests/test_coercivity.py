@@ -6,8 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logkdv import cli
+from logkdv import coercivity as coerc
 from logkdv.coercivity import (
+    _brentq,
     _tail_model,
     c0_constant,
     c0_tail_estimate,
@@ -17,6 +22,7 @@ from logkdv.coercivity import (
     energy_form,
     random_constrained_coefficients,
 )
+from logkdv.errors import NumericalError
 from logkdv.hermite import RealGrid, ground_state_antiderivative, hermite_function
 from logkdv.hermite import projection_sequence
 
@@ -137,6 +143,104 @@ class TestCoercivityConstant:
             tracemalloc.stop()
             gc.enable()
         assert left < 100_000  # bytes; one f_n^2 array alone is 800 kB
+
+
+def _cubic(x, r, c, q):  # one real root, r
+    return (x - r) * ((x - c) ** 2 + q)
+
+
+def _tanh(x, r, k):
+    return math.tanh(k * (x - r))
+
+
+def _power(x, r, p):
+    return x**p - r**p
+
+
+def _exp(x, r, k):
+    return math.exp(k * x) - math.exp(k * r)
+
+
+@st.composite
+def brackets(draw):
+    """An objective, its parameters and a bracket, either way round, on which it changes sign."""
+    r = draw(st.floats(0.5, 10.0))
+    lo = r * draw(st.floats(0.0, 0.999))
+    hi = r + draw(st.floats(1e-3, 10.0))
+    f, params = draw(st.sampled_from([
+        (_cubic, st.tuples(st.floats(-10.0, 10.0), st.floats(1e-3, 10.0))),
+        (_tanh, st.tuples(st.floats(0.1, 50.0))),
+        (_power, st.tuples(st.floats(0.2, 5.0))),
+        (_exp, st.tuples(st.floats(0.1, 5.0))),
+    ]))
+    xa, xb = (hi, lo) if draw(st.booleans()) else (lo, hi)
+    return f, xa, xb, (r, *draw(params))
+
+
+class Counted:
+    """``f`` that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x, *args):
+        self.calls += 1
+        return self.f(x, *args)
+
+
+class TestBrentPort:
+    @settings(max_examples=300, deadline=None)
+    @given(bracket=brackets(), xtol=st.sampled_from([1e-15, 2e-12, 1e-6]),
+           rtol=st.sampled_from([8.9e-16, 1e-10]))
+    def test_same_root_after_the_same_calls_as_scipy(self, bracket, xtol, rtol):
+        from scipy.optimize import brentq
+
+        f, xa, xb, params = bracket
+        port, ref = Counted(f), Counted(f)
+        root = _brentq(port, xa, xb, params, xtol, rtol)
+        assert root == brentq(ref, xa, xb, args=params, xtol=xtol, rtol=rtol)
+        assert port.calls == ref.calls
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310, 1e-320])
+    @pytest.mark.parametrize("f, root", [(_cubic, 1.5), (_tanh, 0.3), (_exp, 1.1)])
+    def test_steps_that_divide_by_an_underflow_bisect_as_scipy(self, f, root, scale):
+        # tiny values make the extrapolation's denominator 0: C takes inf or NaN
+        # for the step, fails the short-step test and bisects
+        from scipy.optimize import brentq
+
+        def g(x, *params):
+            return scale * f(x, *params)
+
+        params = (root, 1.0, 1.0) if f is _cubic else (root, 3.0)
+        port, ref = Counted(g), Counted(g)
+        got = _brentq(port, -1.0, 4.0, params, 1e-15, 8.9e-16)
+        assert got == brentq(ref, -1.0, 4.0, args=params, xtol=1e-15, rtol=8.9e-16)
+        assert port.calls == ref.calls
+
+    def test_same_sign_at_both_ends_raises_value_error(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(_cubic, 2.0, 3.0, (1.0, 0.0, 1.0), 1e-15, 8.9e-16)
+
+    @pytest.mark.parametrize("xa", [0.0, math.nan])
+    def test_nan_from_the_objective_raises_numerical_error(self, xa):
+        def f(x):  # NaN at the first interpolated point, 0.5, or at the end xa
+            return math.nan if 0.4 < x < 0.6 or math.isnan(x) else x - 0.5
+
+        with pytest.raises(NumericalError, match="NaN"):
+            _brentq(f, xa, 1.0, (), 1e-15, 8.9e-16)
+
+    def test_no_convergence_within_maxiter_raises_numerical_error(self):
+        _brentq(_tanh, 0.0, 1.0, (0.3, 50.0), 1e-15, 8.9e-16)  # converges in 100
+        with pytest.raises(NumericalError, match="after 3 steps"):
+            _brentq(_tanh, 0.0, 1.0, (0.3, 50.0), 1e-15, 8.9e-16, maxiter=3)
+
+    def test_search_failure_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(coerc, "_phi", lambda mu, *args: math.nan)
+        assert cli.main(["coercivity", "--n-max", "20", "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "NaN" in err
+        assert "\n" not in err.strip()
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,6 @@ from logkdv.jacobi import (
     discrete_wronskian,
     find_eigenvalues,
     null_solution,
-    offdiag_weight,
     shoot,
     truncated_matrix_eigenvalues,
     wronskian_trace,
