@@ -29,6 +29,7 @@ import numpy as np
 
 from . import coercivity as coerc
 from . import halfline, jacobi, lattice, reconstruct
+from ._shortest import csv_rows
 from .errors import NumericalError
 from .hermite import MAX_INDEX, RealGrid, _line_fit, fit_loglog_slope, projection_sequence
 
@@ -99,19 +100,17 @@ def _is_finite_number(value) -> bool:
 def _write_csv(path: Path, table: dict[str, np.ndarray]) -> None:
     """Write ``{column name: values}`` as a CSV with one header row.
 
-    Every value is the ``repr`` of a float64, its shortest round-trip form,
-    so integer columns read ``0.0``, ``1.0``; lines end in ``\\n``.  To bound
-    memory, rows are formatted ``_CSV_BLOCK_ROWS`` at a time, one write per block.
+    Every value is written as the ``repr`` of a float64, its shortest
+    round-trip form, so integer columns read ``0.0``, ``1.0``; lines end in
+    ``\\n``.  To bound memory, rows are formatted ``_CSV_BLOCK_ROWS`` at a time,
+    one write per block.
     """
     columns = list(table.values())
-    with open(path, "w") as fh:
-        fh.write(",".join(table) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(table) + "\n").encode())
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            cells = [
-                map(repr, np.asarray(col[start : start + _CSV_BLOCK_ROWS], dtype=float).tolist())
-                for col in columns
-            ]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write(csv_rows([np.asarray(col[start : start + _CSV_BLOCK_ROWS], dtype=float)
+                               for col in columns]))
 
 
 def _write_outputs(outdir: Path, name: str, config: dict, scalars: dict,
@@ -226,7 +225,7 @@ def _run_projections(config: dict) -> tuple[dict, dict, dict]:
     invariants = {"all_positive": bool(np.all(f > 0))}
     if config["n_max"] >= 1000:
         scalars["tail_slope"] = fit_loglog_slope(
-            f[100:], positions=np.arange(100, f.size), tail_fraction=1.0
+            f[100:], positions=np.arange(100.0, f.size), tail_fraction=1.0
         )
         invariants["quarter_power_decay"] = abs(scalars["tail_slope"] + 0.25) < 0.05
     return scalars, invariants, {"projections.csv": {"n": np.arange(f.size), "f_n": f}}

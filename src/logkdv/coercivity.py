@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError
-from .hermite import power_tail_fit, projection_sequence
+from .hermite import hurwitz_zeta, power_tail_fit, projection_sequence
 
 
 def energy_form(c) -> float:
@@ -79,13 +79,11 @@ def _tail_model(fsq: np.ndarray):
     powers of 1/k and summed with Hurwitz zetas from ``n_max + 1``; the
     returned function gives the c and d parts of that sum separately.
     """
-    from scipy.special import zeta
-
     n_max = fsq.size - 1
     c, d = power_tail_fit(fsq, np.arange(0.0, n_max + 1), 0.5)
-    z32 = zeta(1.5, n_max + 1)
-    z52 = zeta(2.5, n_max + 1)
-    z72 = zeta(3.5, n_max + 1)
+    z32 = hurwitz_zeta(1.5, n_max + 1)
+    z52 = hurwitz_zeta(2.5, n_max + 1)
+    z72 = hurwitz_zeta(3.5, n_max + 1)
 
     def parts(mu):
         r = (1.0 + mu) / (1.0 - mu)

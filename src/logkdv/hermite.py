@@ -36,6 +36,7 @@ sequences.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -53,6 +54,15 @@ _LOG2E = 1.0 / np.log(2.0)
 
 # Smallest binary exponent of a nonzero double: 2**-1074 is the least subnormal.
 _MIN_EXPONENT = -1074
+
+# Euler-Maclaurin coefficients (2k)! / B_2k, k = 1..12, and the machine
+# epsilon 2**-53 of the Cephes Hurwitz zeta.
+_ZETA_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16
 
 
 @dataclass(frozen=True)
@@ -272,10 +282,13 @@ def _line_fit(x, y):
     Rows lie along the last axis.  The closed form in centred sums reduces each
     row alone, never by a matrix product, so a row's line keeps its bits in any batch.
     """
-    dx = x - x.mean()
+    x_mean = x.mean()
+    dx = x - x_mean
     y_mean = y.mean(axis=-1)
-    slope = np.sum(dx * (y - y_mean[..., None]), axis=-1) / np.sum(dx * dx)
-    return y_mean - slope * x.mean(), slope
+    centred = y - y_mean[..., None]
+    sxy = np.multiply(dx, centred, out=centred).sum(axis=-1)
+    slope = sxy / np.multiply(dx, dx, out=dx).sum()
+    return y_mean - slope * x_mean, slope
 
 
 def _loglog_line(values, positions, min_points: int):
@@ -286,8 +299,11 @@ def _loglog_line(values, positions, min_points: int):
     """
     v = np.abs(values)
     keep = v > 0
-    if np.count_nonzero(keep) < min_points:
+    kept = np.count_nonzero(keep)
+    if kept < min_points:
         return None
+    if kept == v.size:  # no copies to drop zeros
+        return _line_fit(np.log(positions), np.log(v, out=v))
     return _line_fit(np.log(positions[keep]), np.log(v[keep]))
 
 
@@ -321,3 +337,50 @@ def power_tail_fit(values, positions, power: float):
     k0 = int(0.75 * positions[-1])
     p = positions[k0:]
     return _line_fit(1.0 / p, np.asarray(values, dtype=float)[..., k0:] * p ** power)
+
+
+def hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta ``sum_{k>=0} (k + q)**-x`` for ``x > 1`` and ``q > 0``.
+
+    An operation-for-operation copy of Cephes' ``zeta(x, q)``, the routine
+    behind ``scipy.special.zeta(x, q)``, on Python floats, so it has that
+    routine's bits without loading scipy.  Above ``q = 1e8`` it returns the
+    first two terms of the asymptotic expansion.  Below, it sums the first
+    terms until ``q`` has passed 9 and at least nine terms are added, then
+    closes the sum with at most twelve Euler-Maclaurin terms; each stage
+    stops once its last term is below ``2**-53`` of the sum.  Cephes' poles
+    and its domain errors (``x <= 1`` or ``q <= 0``) raise ValueError here.
+    """
+    x, q = float(x), float(q)
+    if not (x > 1.0 and q > 0.0):
+        raise ValueError("hurwitz_zeta needs x > 1 and q > 0")
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * math.pow(q, 1 - x)
+    s = math.pow(q, -x)
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coefficient in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coefficient
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s

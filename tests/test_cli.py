@@ -7,12 +7,15 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logkdv import cli, jacobi
 from logkdv.errors import NumericalError
@@ -93,7 +96,46 @@ def assert_same_csv_bytes(table, directory):
     assert (directory / "blocked.csv").read_bytes() == (directory / "reference.csv").read_bytes()
 
 
+def _bit_neighbours(values, reach):
+    """Each float64 value and the ``reach`` doubles on either side of it."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    return (bits[:, None] + np.arange(-reach, reach + 1)).ravel().view(float)
+
+
+_POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1074, 1024))
+# Families where a shortest-digit formatter is most likely to go wrong,
+# each also with its negatives
+FORMAT_FAMILIES = {
+    # every power of two and both its neighbours: the boundaries where the
+    # rounding interval is asymmetric
+    "powers_of_two": np.concatenate([
+        _POWERS_OF_TWO, np.nextafter(_POWERS_OF_TWO, 0.0), np.nextafter(_POWERS_OF_TWO, np.inf)]),
+    "powers_of_ten": np.array([float(f"1e{k}") for k in range(-323, 309)]),
+    "smallest_subnormals": np.arange(1, 100_001, dtype=np.int64).view(float),
+    "integers_near_2_53_and_1e16": np.concatenate([
+        np.arange(2**53 - 2000, 2**53 + 2000), np.arange(10**16 - 2000, 10**16 + 2000)]).astype(float),
+    # the switches between positional and exponent form
+    "format_thresholds": _bit_neighbours([1e-4, 1e16], 1000),
+}
+
+
 class TestCsvWriter:
+    @pytest.mark.parametrize("family", FORMAT_FAMILIES)
+    def test_value_family_matches_row_by_row_writer(self, family, tmp_path):
+        values = FORMAT_FAMILIES[family]
+        values = np.concatenate([values, -values])
+        assert_same_csv_bytes({"v": values}, tmp_path / "csv")
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(), st.floats()), max_size=40),
+           block_rows=st.integers(1, 8))
+    def test_any_floats_match_row_by_row_writer(self, rows, block_rows):
+        # st.floats() draws subnormals, both zeros, both infinities and nan
+        table = {"a": np.array([a for a, _ in rows]), "b": np.array([b for _, b in rows])}
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            patch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+            assert_same_csv_bytes(table, Path(tmp) / "csv")
+
     @pytest.mark.parametrize("run_id", SMALL_RUNS)
     def test_every_small_run_table_matches_row_by_row_writer(self, run_id, tmp_path):
         name = run_id.split("-")[0]
@@ -538,15 +580,30 @@ sys.exit(code)
 
 # Small runs of the subcommands that load scipy, with the files each writes.
 SCIPY_RUNS = {
-    "spectrum": (["--z-max", 4, "--n-max", 100],
-                 ["spectrum_summary.json", "wronskian_scan.csv", "wronskian_trace.csv"]),
-    "coercivity": (["--n-max", 20, "--n-samples", 5], ["coercivity_summary.json"]),
     "evolve": (["--n-modes", 20, "--T", 0.1], ["evolve.csv", "evolve_summary.json"]),
     "dissipate": (["--T", 0.1, "--extent", 10, "--spacing", 0.1],
                   ["dissipate.csv", "dissipate_summary.json"]),
+}
+
+# Small runs of the subcommands that run on numpy alone, with the files each writes.
+NUMPY_RUNS = {
+    "spectrum": (["--z-max", 4, "--n-max", 100],
+                 ["spectrum_summary.json", "wronskian_scan.csv", "wronskian_trace.csv"]),
+    "coercivity": (["--n-max", 20, "--n-samples", 5], ["coercivity_summary.json"]),
     "reconstruct": (["--m-max", 100, "--num-points", 401],  # the default z is a found root
                     ["eigenvector_profile.csv", "reconstruct_summary.json"]),
 }
+
+# These runs load no scipy module at all.
+NO_SCIPY = """
+import sys
+import logkdv.cli
+
+code = logkdv.cli.main(sys.argv[1:])
+loaded = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+assert not loaded, f"the run loaded {loaded}"
+sys.exit(code)
+"""
 
 # No run loads scipy.optimize: coercivity finds its root without it.
 NO_SCIPY_OPTIMIZE = """
@@ -595,9 +652,18 @@ class TestModuleEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == files
 
-    @pytest.mark.parametrize("name", [*SCIPY_RUNS, "projections"])
+    @pytest.mark.parametrize("name", NUMPY_RUNS)
+    def test_run_loads_no_scipy(self, name, tmp_path):
+        # zeta and the root finder are ports with scipy's bits
+        args, files = NUMPY_RUNS[name]
+        proc = run_python(["-c", NO_SCIPY, name, *args, "--outdir", tmp_path])
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+    @pytest.mark.parametrize("name", [*SCIPY_RUNS, *NUMPY_RUNS, "projections"])
     def test_no_run_loads_scipy_optimize(self, name, tmp_path):
-        args = SCIPY_RUNS[name][0] if name in SCIPY_RUNS else ["--n-max", 3]
+        runs = {**SCIPY_RUNS, **NUMPY_RUNS}
+        args = runs[name][0] if name in runs else ["--n-max", 3]
         proc = run_python(["-c", NO_SCIPY_OPTIMIZE, name, *args, "--outdir", tmp_path])
         assert proc.returncode == 0, proc.stderr
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from logkdv import jacobi
+from logkdv.errors import NumericalError
 from logkdv.hermite import fit_loglog_slope, power_tail_fit
 from logkdv.jacobi import (
     SpectrumResult,
@@ -143,6 +144,16 @@ class TestShooting:
             shoot(np.inf, 10)
         with pytest.raises(ValueError):
             shoot(1.0, 1)
+
+    def test_overflow_raises(self):
+        # the recursion runs on Python floats, which overflow to inf silently
+        with pytest.raises(NumericalError, match="overflowed"):
+            shoot(1e300, 10)
+
+    @pytest.mark.parametrize("z", [0.3, Z1_REFERENCE, 17.5])
+    def test_numpy_and_python_float_z_shoot_the_same_bits(self, z):
+        a, b = shoot(z, 500), shoot(np.float64(z), 500)
+        assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
 
 
 class TestDiscreteWronskian:
