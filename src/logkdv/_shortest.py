@@ -21,8 +21,7 @@ special path for tiny subnormals (Java's would print ``4.9e-324`` for
 
 Every cell is laid out in four 64-bit words, with NUL where a shorter
 text leaves room, and a whole block of rows leaves as one ``bytes`` with
-the NULs dropped: ``bytes.translate`` did that in half the time of a
-boolean compress of the bytes.
+the NULs dropped.
 """
 
 from __future__ import annotations
@@ -106,6 +105,7 @@ def _schubfach(c, q):
     element and is several times slower on masks that mix both values.
     """
     irregular = (c == _HIDDEN_BIT) & (q != _Q_MIN)  # the interval below v is half as wide
+    # floor(log10(2**q)), or floor(log10(3/4 * 2**q)) for an irregular interval
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
     h = (q + _flog2pow10(-k) + 2).astype(_U)
     g1 = _G1[k - _K_MIN]
@@ -153,7 +153,11 @@ def _eight_digits(x):
 
 
 def _bit_length(x):
-    """Bits of each ``x < 2**57`` up to its highest set one; 4 for every x below 16."""
+    """Bits of each ``x`` up to its highest set one; 4 for every x below 16.
+
+    Exact wherever ``x >> 4`` does not round up to a power of two as a float64:
+    below 2**57, and for any word of digit bytes (each at most 9).
+    """
     return np.frexp((x >> _U(4)).astype(np.float64))[1] + 4
 
 
@@ -193,6 +197,7 @@ def write_cells(values, out) -> None:
     last = rest - middle * _U(100)
     tens = last * _U(103) >> _U(10)
     words = [_eight_digits(top), _eight_digits(middle), tens | (last - tens * _U(10)) << _U(8)]
+    # the significant digits, through the last nonzero one (zero counts one)
     count = np.maximum(_bit_length(words[0]) + 7 >> 3,
                        np.maximum((_bit_length(words[1]) + 7 >> 3) + 8 * (words[1] != 0),
                                   17 * (words[2] != 0)))
@@ -244,4 +249,5 @@ def csv_rows(columns) -> bytes:
     write_cells(values.ravel(), buf.reshape(-1, CELL_WORDS))
     buf[:, :-1, -1] |= _U(ord(",")) << _U(56)
     buf[:, -1, -1] |= _U(ord("\n")) << _U(56)
-    return buf.tobytes().translate(None, b"\0")
+    flat = buf.view(np.uint8)
+    return flat[flat != 0].tobytes()
