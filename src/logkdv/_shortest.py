@@ -68,7 +68,7 @@ _POW10 = 10 ** np.arange(19, dtype=_U)
 #   bytes 8-25: the digits with a point among them; bytes 26-30: "e+308";
 #   byte 31: the separator,
 # with NUL wherever the text is shorter.
-CELL_WORDS = 4
+_CELL_WORDS = 4
 _EVERY_BYTE = _U(0x0101_0101_0101_0101)
 # _LOW[16 + b]: the low b bytes of a word set, for b in -16..17 clipped to 0..8
 _LOW = np.array([(1 << 8 * min(max(b, 0), 8)) - 1 for b in range(-16, 18)], dtype=_U)
@@ -161,7 +161,7 @@ def _bit_length(x):
     return np.frexp((x >> _U(4)).astype(np.float64))[1] + 4
 
 
-def write_cells(values, out) -> None:
+def _write_cells(values, out) -> None:
     """Write ``repr`` of each float64 value into its 32-byte cell.
 
     ``out`` is a ``(values.size, 4)`` array of words; every word is written,
@@ -245,8 +245,8 @@ def csv_rows(columns) -> bytes:
     values = np.empty((len(columns[0]), len(columns)))
     for i, col in enumerate(columns):
         values[:, i] = col
-    buf = np.empty(values.shape + (CELL_WORDS,), dtype="<u8")
-    write_cells(values.ravel(), buf.reshape(-1, CELL_WORDS))
+    buf = np.empty(values.shape + (_CELL_WORDS,), dtype="<u8")
+    _write_cells(values.ravel(), buf.reshape(-1, _CELL_WORDS))
     buf[:, :-1, -1] |= _U(ord(",")) << _U(56)
     buf[:, -1, -1] |= _U(ord("\n")) << _U(56)
     flat = buf.view(np.uint8)
