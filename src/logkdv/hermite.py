@@ -349,7 +349,9 @@ def hurwitz_zeta(x: float, q: float) -> float:
     terms until ``q`` has passed 9 and at least nine terms are added, then
     closes the sum with at most twelve Euler-Maclaurin terms; each stage
     stops once its last term is below ``2**-53`` of the sum.  Cephes' poles
-    and its domain errors (``x <= 1`` or ``q <= 0``) raise ValueError here.
+    and its domain errors (``x <= 1`` or ``q <= 0``) raise ValueError here,
+    and a power beyond float range, which Cephes returns as inf (``q**-x`` for
+    ``q`` near 0), raises OverflowError.
     """
     x, q = float(x), float(q)
     if not (x > 1.0 and q > 0.0):
