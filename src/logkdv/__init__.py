@@ -3,8 +3,8 @@
 Submodules
 ----------
 hermite
-    Scaled Hermite eigenfunctions of the harmonic Schrodinger operator
-    and the closed-form product/projection sequences.
+    Scaled Hermite eigenfunctions of the harmonic Schrodinger operator,
+    the closed-form projection sequence and the coupling weights.
 coercivity
     Energy and compatible-norm quadratic forms in coefficient space; the
     constrained coercivity constant.

@@ -35,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .halfline import HalfLineState
 from .hermite import RealGrid, _ground_state, _loglog_line, basis_rows, hermite_function
+from .jacobi import ShootingState
 from .lattice import lattice_to_coefficients
 
 

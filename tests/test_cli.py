@@ -40,6 +40,22 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def run_python(args, **kwargs):
+    """Run ``python -W error::RuntimeWarning args`` with this checkout's package on the path."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120, **kwargs,
+    )
+
+
+def run_module(module, args, **kwargs):
+    """Run ``python -m module args`` with this checkout's package on the path."""
+    return run_python(["-m", module, *args], **kwargs)
+
+
 SCHEMA = load_schema()
 
 NUMERIC_KEYS = [
@@ -50,29 +66,56 @@ NUMERIC_KEYS = [
 ]
 
 
+# A small run of each subcommand, and whether it loads scipy: only evolve
+# (LAPACK's dgtsv) and dissipate (splu) do. The other runs use the package's
+# ports of Cephes' zeta and of brentq.
 SMALL_RUNS = {
-    "spectrum": ["--z-max", 4.0, "--n-max", 200],
-    "projections": ["--n-max", 2000],
-    "coercivity": ["--n-max", 100, "--n-samples", 50],
-    "evolve": ["--T", 0.5, "--n-modes", 50],
-    "dissipate": ["--T", 0.2, "--extent", 10.0, "--spacing", 0.1, "--dt", 0.01],
-    "reconstruct": ["--z", 2.705497, "--m-max", 100, "--num-points", 401],
-    "reconstruct-bump": ["--mode", "bump", "--num-points", 401],
+    "spectrum": (["--z-max", 4.0, "--n-max", 200], False),
+    "projections": (["--n-max", 2000], False),
+    "coercivity": (["--n-max", 100, "--n-samples", 50], False),
+    "evolve": (["--T", 0.5, "--n-modes", 50], True),
+    "dissipate": (["--T", 0.2, "--extent", 10.0, "--spacing", 0.1, "--dt", 0.01], True),
+    # the default z is a root that find_eigenvalues finds
+    "reconstruct": (["--m-max", 100, "--num-points", 401], False),
+    "reconstruct-bump": (["--mode", "bump", "--num-points", 401], False),
 }
+
+# Importing the CLI loads no scipy, so a run's first scipy import happens
+# inside ``main``, under its ``np.errstate`` and, in this child, with runtime
+# warnings as errors. The last line printed lists the scipy modules then loaded.
+FRESH_RUN = """
+import json, sys
+import logkdv.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+code = logkdv.cli.main(sys.argv[1:])
+print(json.dumps(scipy_modules()))
+sys.exit(code)
+"""
 
 
 @pytest.mark.parametrize("run_id", SMALL_RUNS)
 def test_every_subcommand_writes_identical_bytes_twice(run_id, tmp_path):
-    args = [run_id.split("-")[0], *SMALL_RUNS[run_id]]
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    assert run([*args, "--outdir", d1]) == 0
-    assert run([*args, "--outdir", d2]) == 0
-    doc = read_summary(d1, args[0])
-    files = sorted(p.name for p in d1.iterdir())
-    assert files == sorted([*doc["outputs"], f"{args[0]}_summary.json"])
-    assert sorted(p.name for p in d2.iterdir()) == files
-    for name in files:
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+    # once in a fresh interpreter, once in this one
+    name = run_id.split("-")[0]
+    args, loads_scipy = SMALL_RUNS[run_id]
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    proc = run_python(["-c", FRESH_RUN, name, *args, "--outdir", fresh])
+    assert proc.returncode == 0, proc.stderr
+    assert run([name, *args, "--outdir", here]) == 0
+    doc = read_summary(fresh, name)
+    jsonschema.validate(doc, SCHEMA)
+    files = sorted([*doc["outputs"], f"{name}_summary.json"])
+    assert sorted(p.name for p in fresh.iterdir()) == files
+    assert sorted(p.name for p in here.iterdir()) == files
+    for file_name in files:
+        assert (fresh / file_name).read_bytes() == (here / file_name).read_bytes(), file_name
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "scipy.optimize" not in loaded
+    assert bool(loaded) == loads_scipy, loaded
 
 
 def write_csv_row_by_row(path, table):
@@ -139,7 +182,7 @@ class TestCsvWriter:
     @pytest.mark.parametrize("run_id", SMALL_RUNS)
     def test_every_small_run_table_matches_row_by_row_writer(self, run_id, tmp_path):
         name = run_id.split("-")[0]
-        args = cli._build_parser().parse_args([name, *map(str, SMALL_RUNS[run_id])])
+        args = cli._build_parser().parse_args([name, *map(str, SMALL_RUNS[run_id][0])])
         config = cli._resolve_config(name, None, {k: getattr(args, k) for k in cli._PARAMS[name]})
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             _, _, tables = cli._RUNNERS[name](config)
@@ -181,21 +224,6 @@ class TestProjectionsCommand:
         assert float(f0) == pytest.approx(2.50663, abs=1e-5)
         assert float(f1) == 2.0
         assert len(lines) == 3
-
-    def test_summary_validates(self, tmp_path):
-        run(["projections", "--outdir", tmp_path])
-        doc = read_summary(tmp_path, "projections")
-        jsonschema.validate(doc, SCHEMA)
-
-    def test_deterministic_output(self, tmp_path):
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        run(["projections", "--n-max", 2000, "--outdir", d1])
-        run(["projections", "--n-max", 2000, "--outdir", d2])
-        assert (d1 / "projections.csv").read_bytes() == (d2 / "projections.csv").read_bytes()
-        assert (
-            (d1 / "projections_summary.json").read_bytes()
-            == (d2 / "projections_summary.json").read_bytes()
-        )
 
 
 class TestSpectrumCommand:
@@ -306,7 +334,7 @@ class TestEvolveCommand:
         assert run(["evolve", "--n-modes", 50, "--T=-1e-1", "--outdir", d2]) == 0
         for name in ("evolve.csv", "evolve_summary.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
-        args = ["dissipate", *SMALL_RUNS["dissipate"], "--center", "-5e0"]
+        args = ["dissipate", *SMALL_RUNS["dissipate"][0], "--center", "-5e0"]
         assert run([*args, "--outdir", tmp_path / "c"]) == 0
 
 
@@ -331,7 +359,7 @@ class TestDissipateCommand:
 
     def test_narrow_bump_runs_without_warning(self, tmp_path):
         # the bump's square overflows off its centre node, where exp(-inf) = 0
-        args = SMALL_RUNS["dissipate"]
+        args = SMALL_RUNS["dissipate"][0]
         assert run(["dissipate", *args, "--width", 1e-300, "--outdir", tmp_path]) == 0
         doc = read_summary(tmp_path, "dissipate")
         assert all(v is not None for v in doc["scalars"].values())
@@ -547,74 +575,6 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error:")
 
 
-def run_python(args, **kwargs):
-    """Run ``python -W error::RuntimeWarning args`` with this checkout's package on the path."""
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=120, **kwargs,
-    )
-
-
-def run_module(module, args, **kwargs):
-    """Run ``python -m module args`` with this checkout's package on the path."""
-    return run_python(["-m", module, *args], **kwargs)
-
-
-# The package and its CLI load no scipy; this child loads it first inside
-# ``main``, so under the runner's ``np.errstate`` and with warnings as errors.
-FIRST_SCIPY_IMPORT = """
-import sys
-import logkdv, logkdv.cli
-
-def scipy_modules():
-    return [m for m in sys.modules if m.partition(".")[0] == "scipy"]
-
-assert not scipy_modules(), scipy_modules()
-code = logkdv.cli.main(sys.argv[1:])
-assert scipy_modules(), "the run loaded no scipy"
-sys.exit(code)
-"""
-
-# Small runs of the subcommands that load scipy, with the files each writes.
-SCIPY_RUNS = {
-    "evolve": (["--n-modes", 20, "--T", 0.1], ["evolve.csv", "evolve_summary.json"]),
-    "dissipate": (["--T", 0.1, "--extent", 10, "--spacing", 0.1],
-                  ["dissipate.csv", "dissipate_summary.json"]),
-}
-
-# Small runs of the subcommands that run on numpy alone, with the files each writes.
-NUMPY_RUNS = {
-    "spectrum": (["--z-max", 4, "--n-max", 100],
-                 ["spectrum_summary.json", "wronskian_scan.csv", "wronskian_trace.csv"]),
-    "coercivity": (["--n-max", 20, "--n-samples", 5], ["coercivity_summary.json"]),
-    "reconstruct": (["--m-max", 100, "--num-points", 401],  # the default z is a found root
-                    ["eigenvector_profile.csv", "reconstruct_summary.json"]),
-}
-
-# These runs load no scipy module at all.
-NO_SCIPY = """
-import sys
-import logkdv.cli
-
-code = logkdv.cli.main(sys.argv[1:])
-loaded = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
-assert not loaded, f"the run loaded {loaded}"
-sys.exit(code)
-"""
-
-# No run loads scipy.optimize: coercivity finds its root without it.
-NO_SCIPY_OPTIMIZE = """
-import sys
-import logkdv.cli
-
-code = logkdv.cli.main(sys.argv[1:])
-assert "scipy.optimize" not in sys.modules, "the run loaded scipy.optimize"
-sys.exit(code)
-"""
-
 # Resident MB a ``projections --n-max 1000000`` run leaves behind in a
 # process that loaded scipy.optimize, the largest scipy import, and ran
 # coercivity first.
@@ -643,29 +603,6 @@ class TestModuleEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "projections.csv", "projections_summary.json"]
-
-    @pytest.mark.parametrize("name", SCIPY_RUNS)
-    def test_first_scipy_import_runs_under_the_errstate(self, name, tmp_path):
-        # a float warning raised while scipy imports would exit 2 or fail here
-        args, files = SCIPY_RUNS[name]
-        proc = run_python(["-c", FIRST_SCIPY_IMPORT, name, *args, "--outdir", tmp_path])
-        assert proc.returncode == 0, proc.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == files
-
-    @pytest.mark.parametrize("name", NUMPY_RUNS)
-    def test_run_loads_no_scipy(self, name, tmp_path):
-        # zeta and the root finder are ports with scipy's bits
-        args, files = NUMPY_RUNS[name]
-        proc = run_python(["-c", NO_SCIPY, name, *args, "--outdir", tmp_path])
-        assert proc.returncode == 0, proc.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == files
-
-    @pytest.mark.parametrize("name", [*SCIPY_RUNS, *NUMPY_RUNS, "projections"])
-    def test_no_run_loads_scipy_optimize(self, name, tmp_path):
-        runs = {**SCIPY_RUNS, **NUMPY_RUNS}
-        args = runs[name][0] if name in runs else ["--n-max", 3]
-        proc = run_python(["-c", NO_SCIPY_OPTIMIZE, name, *args, "--outdir", tmp_path])
-        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.skipif(
         platform.libc_ver()[0] != "glibc" or not Path("/proc/self/status").is_file(),

@@ -1,6 +1,7 @@
 """Synthesis maps back to physical space and their cross-checks."""
 
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from logkdv.halfline import (
     modulation_integrate,
 )
 from logkdv.hermite import RealGrid, basis_rows, hermite_function
-from logkdv.jacobi import find_eigenvalues, shoot
+from logkdv.jacobi import ShootingState, find_eigenvalues, shoot
 from logkdv.reconstruct import (
     _apply_dx_l,
     _tail_estimate,
@@ -23,6 +24,12 @@ from logkdv.reconstruct import (
     eigenvector_assemble,
     synthesize,
 )
+
+
+def test_annotations_resolve():
+    # the hints name classes that the module imports, so tools can resolve them
+    assert typing.get_type_hints(eigenvector_assemble)["shooting"] is ShootingState
+    assert typing.get_type_hints(convolution_synthesize)["state"] is HalfLineState
 
 
 @pytest.fixture(scope="module")
