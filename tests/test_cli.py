@@ -97,15 +97,37 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("run_id", SMALL_RUNS)
-def test_every_subcommand_writes_identical_bytes_twice(run_id, tmp_path):
-    # once in a fresh interpreter, once in this one
-    name = run_id.split("-")[0]
-    args, loads_scipy = SMALL_RUNS[run_id]
-    fresh, here = tmp_path / "fresh", tmp_path / "here"
-    proc = run_python(["-c", FRESH_RUN, name, *args, "--outdir", fresh])
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Run a row of ``SMALL_RUNS`` once for the module: ``FRESH_RUN`` in a fresh
+    interpreter into ``fresh/``, ``cli.main`` in this one into ``here/``."""
+    done = {}
+
+    def get(run_id):
+        if run_id not in done:
+            name = run_id.split("-")[0]
+            args = SMALL_RUNS[run_id][0]
+            fresh, here = (tmp_path_factory.mktemp(run_id) / side for side in ("fresh", "here"))
+            proc = run_python(["-c", FRESH_RUN, name, *args, "--outdir", fresh])
+            done[run_id] = name, proc, run([name, *args, "--outdir", here]), fresh, here
+        return done[run_id]
+
+    return get
+
+
+def fresh_scipy_modules(small_run, run_id):
+    """The scipy modules loaded by the fresh-interpreter run of a row."""
+    proc = small_run(run_id)[1]
     assert proc.returncode == 0, proc.stderr
-    assert run([name, *args, "--outdir", here]) == 0
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("run_id", SMALL_RUNS)
+def test_every_subcommand_writes_identical_bytes_twice(run_id, small_run):
+    # once in a fresh interpreter, once in this one
+    name, proc, code, fresh, here = small_run(run_id)
+    assert proc.returncode == 0, proc.stderr
+    assert code == 0
     doc = read_summary(fresh, name)
     jsonschema.validate(doc, SCHEMA)
     files = sorted([*doc["outputs"], f"{name}_summary.json"])
@@ -113,9 +135,6 @@ def test_every_subcommand_writes_identical_bytes_twice(run_id, tmp_path):
     assert sorted(p.name for p in here.iterdir()) == files
     for file_name in files:
         assert (fresh / file_name).read_bytes() == (here / file_name).read_bytes(), file_name
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert "scipy.optimize" not in loaded
-    assert bool(loaded) == loads_scipy, loaded
 
 
 def write_csv_row_by_row(path, table):
@@ -224,6 +243,20 @@ class TestProjectionsCommand:
         assert float(f0) == pytest.approx(2.50663, abs=1e-5)
         assert float(f1) == 2.0
         assert len(lines) == 3
+
+    def test_summary_validates(self, tmp_path):
+        # at the default --n-max, which no row of SMALL_RUNS uses
+        assert run(["projections", "--outdir", tmp_path]) == 0
+        doc = read_summary(tmp_path, "projections")
+        jsonschema.validate(doc, SCHEMA)
+
+    def test_deterministic_output(self, tmp_path):
+        # twice in one process: nothing the first run leaves behind changes the bytes
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        assert run(["projections", "--n-max", 2000, "--outdir", d1]) == 0
+        assert run(["projections", "--n-max", 2000, "--outdir", d2]) == 0
+        for name in ("projections.csv", "projections_summary.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
 class TestSpectrumCommand:
@@ -603,6 +636,20 @@ class TestModuleEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "projections.csv", "projections_summary.json"]
+
+    @pytest.mark.parametrize("run_id", [r for r, (_, scipy) in SMALL_RUNS.items() if scipy])
+    def test_first_scipy_import_runs_under_the_errstate(self, run_id, small_run):
+        # a float warning raised while scipy imports would exit 2 in the child
+        assert fresh_scipy_modules(small_run, run_id)
+
+    @pytest.mark.parametrize("run_id", [r for r, (_, scipy) in SMALL_RUNS.items() if not scipy])
+    def test_run_loads_no_scipy(self, run_id, small_run):
+        # zeta and the root finder are ports with scipy's bits
+        assert fresh_scipy_modules(small_run, run_id) == []
+
+    @pytest.mark.parametrize("run_id", SMALL_RUNS)
+    def test_no_run_loads_scipy_optimize(self, run_id, small_run):
+        assert "scipy.optimize" not in fresh_scipy_modules(small_run, run_id)
 
     @pytest.mark.skipif(
         platform.libc_ver()[0] != "glibc" or not Path("/proc/self/status").is_file(),
