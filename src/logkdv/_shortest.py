@@ -78,24 +78,36 @@ _HEAD = np.array([int.from_bytes(sign + lead, "little")
                  dtype=_U)
 _INF, _NEG_INF, _NAN = (int.from_bytes(text, "little") for text in (b"inf", b"-inf", b"nan"))
 
+# The uint64 scalars of the arithmetic below, each built once: numpy takes
+# about 0.6 us to build one, and a block used about a hundred.
+_1, _2, _4, _8, _10, _16, _19, _32, _52, _56, _63, _100, _103 = (
+    _U(v) for v in (1, 2, 4, 8, 10, 16, 19, 32, 52, 56, 63, 100, 103))
+_5243, _10_000, _1E10 = _U(5243), _U(10_000), _U(10**10)
+_EXP_MASK = _U(0x7FF)
+_HUNDREDS_MASK = _U(0x0000_007F_0000_007F)  # the low 7 bits of each 32-bit half
+_TENS_MASK = _U(0x000F_000F_000F_000F)  # the low 4 bits of each 16-bit quarter
+_ZEROS = _U(0x30) * _EVERY_BYTE  # "0" in every byte
+_DOTS = _U(ord(".")) * _EVERY_BYTE
+_COMMA_LAST, _NEWLINE_LAST = (_U(ord(sep)) << _56 for sep in ",\n")  # in a cell's byte 31
+
 
 def _mul_hi(a_lo, a_hi, b_lo, b_hi):
     """High 64 bits of ``a * b`` for ``a < 2**63`` and ``b < 2**59``, from 32-bit halves.
 
     The two cross products and the carry out of the low product sum below 2**64.
     """
-    mid = (a_lo * b_lo >> _U(32)) + a_lo * b_hi + a_hi * b_lo
-    return a_hi * b_hi + (mid >> _U(32))
+    mid = (a_lo * b_lo >> _32) + a_lo * b_hi + a_hi * b_lo
+    return a_hi * b_hi + (mid >> _32)
 
 
 def _round_to_odd(g1, g1_halves, g0_halves, cp):
     """``g * cp / 2**127`` for the 126-bit ``g``, rounded down with a sticky last bit."""
-    cp_halves = cp & _MASK_32, cp >> _U(32)
+    cp_halves = cp & _MASK_32, cp >> _32
     x1 = _mul_hi(*g0_halves, *cp_halves)
     y1 = _mul_hi(*g1_halves, *cp_halves)
-    z = ((g1 * cp) >> _U(1)) + x1
-    vbp = y1 + (z >> _U(63))
-    return vbp | (((z & _MASK_63) + _MASK_63) >> _U(63))
+    z = ((g1 * cp) >> _1) + x1
+    vbp = y1 + (z >> _63)
+    return vbp | (((z & _MASK_63) + _MASK_63) >> _63)
 
 
 def _schubfach(c, q):
@@ -110,31 +122,31 @@ def _schubfach(c, q):
     h = (q + _flog2pow10(-k) + 2).astype(_U)
     g1 = _G1[k - _K_MIN]
     g0 = _G0[k - _K_MIN]
-    g1_halves = g1 & _MASK_32, g1 >> _U(32)
-    g0_halves = g0 & _MASK_32, g0 >> _U(32)
-    cb = c << _U(2)
+    g1_halves = g1 & _MASK_32, g1 >> _32
+    g0_halves = g0 & _MASK_32, g0 >> _32
+    cb = c << _2
     vb = _round_to_odd(g1, g1_halves, g0_halves, cb << h)
-    vbl = _round_to_odd(g1, g1_halves, g0_halves, (cb - _U(2) + irregular) << h)
-    vbr = _round_to_odd(g1, g1_halves, g0_halves, (cb + _U(2)) << h)
-    out = c & _U(1)  # an even significand's interval includes its ends
+    vbl = _round_to_odd(g1, g1_halves, g0_halves, (cb - _2 + irregular) << h)
+    vbr = _round_to_odd(g1, g1_halves, g0_halves, (cb + _2) << h)
+    out = c & _1  # an even significand's interval includes its ends
     vbl += out
     vbr -= out
 
     # s 10**k or t 10**k = (s+1) 10**k: the one inside, or the one closer to v, ties to even
-    s = vb >> _U(2)
-    t = s + _U(1)
-    uin = vbl <= s << _U(2)
-    win = t << _U(2) <= vbr
-    cmp = vb.astype(np.int64) - ((s + t) << _U(1)).astype(np.int64)
-    closer_t = (cmp > 0) | ((cmp == 0) & (s & _U(1) == 1))
+    s = vb >> _2
+    t = s + _1
+    uin = vbl <= s << _2
+    win = t << _2 <= vbr
+    cmp = vb.astype(np.int64) - ((s + t) << _1).astype(np.int64)
+    closer_t = (cmp > 0) | ((cmp == 0) & (s & _1 == 1))
     one_in = uin ^ win
     digits = s + ((one_in & win) | (~one_in & closer_t))
     # but one digit shorter, s' 10**(k+1) or (s'+1) 10**(k+1), if exactly one is inside
-    sp10 = s // _U(10) * _U(10)
-    upin = vbl <= sp10 << _U(2)
-    wpin = (sp10 + _U(10)) << _U(2) <= vbr
+    sp10 = s // _10 * _10
+    upin = vbl <= sp10 << _2
+    wpin = (sp10 + _10) << _2 <= vbr
     shorter = upin ^ wpin
-    digits += shorter * (sp10 + wpin * _U(10) - digits)
+    digits += shorter * (sp10 + wpin * _10 - digits)
     return digits, k
 
 
@@ -144,12 +156,12 @@ def _eight_digits(x):
     Splits into 4-digit halves, then 2-digit quarters, then digits, every
     lane at once; each quotient is an exact multiply-and-shift for its range.
     """
-    hi = x // _U(10_000)
-    v = hi | (x - hi * _U(10_000)) << _U(32)
-    hundreds = (v * _U(5243) >> _U(19)) & _U(0x0000_007F_0000_007F)
-    v = hundreds | (v - hundreds * _U(100)) << _U(16)
-    tens = (v * _U(103) >> _U(10)) & _U(0x000F_000F_000F_000F)
-    return tens | (v - tens * _U(10)) << _U(8)
+    hi = x // _10_000
+    v = hi | (x - hi * _10_000) << _32
+    hundreds = (v * _5243 >> _19) & _HUNDREDS_MASK
+    v = hundreds | (v - hundreds * _100) << _16
+    tens = (v * _103 >> _10) & _TENS_MASK
+    return tens | (v - tens * _10) << _8
 
 
 def _bit_length(x):
@@ -158,7 +170,7 @@ def _bit_length(x):
     Exact wherever ``x >> 4`` does not round up to a power of two as a float64:
     below 2**57, and for any word of digit bytes (each at most 9).
     """
-    return np.frexp((x >> _U(4)).astype(np.float64))[1] + 4
+    return np.frexp((x >> _4).astype(np.float64))[1] + 4
 
 
 def _write_cells(values, out) -> None:
@@ -168,12 +180,12 @@ def _write_cells(values, out) -> None:
     byte 31 of each cell as NUL.
     """
     bits = values.view(_U)
-    negative = bits >> _U(63)
-    biased = (bits >> _U(52)) & _U(0x7FF)
+    negative = bits >> _63
+    biased = (bits >> _52) & _EXP_MASK
     normal = biased != 0
     c = bits & _MASK_52 | normal * _HIDDEN_BIT
     q = biased.astype(np.int64) - 1075 + ~normal  # subnormals share q = -1074
-    special = np.flatnonzero(biased == _U(0x7FF))
+    special = np.flatnonzero(biased == _EXP_MASK)
     c[special] = 0
 
     # an integer below 2**53 is its own shortest form; zero goes this way too
@@ -191,12 +203,12 @@ def _write_cells(values, out) -> None:
     length = guess + (digits >= _POW10[guess])
     digits *= _POW10[18 - length]
     decpt += length
-    top = digits // _U(10**10)
-    rest = digits - top * _U(10**10)
-    middle = rest // _U(100)
-    last = rest - middle * _U(100)
-    tens = last * _U(103) >> _U(10)
-    words = [_eight_digits(top), _eight_digits(middle), tens | (last - tens * _U(10)) << _U(8)]
+    top = digits // _1E10
+    rest = digits - top * _1E10
+    middle = rest // _100
+    last = rest - middle * _100
+    tens = last * _103 >> _10
+    words = [_eight_digits(top), _eight_digits(middle), tens | (last - tens * _10) << _8]
     # the significant digits, through the last nonzero one (zero counts one)
     count = np.maximum(_bit_length(words[0]) + 7 >> 3,
                        np.maximum((_bit_length(words[1]) + 7 >> 3) + 8 * (words[1] != 0),
@@ -215,14 +227,14 @@ def _write_cells(values, out) -> None:
 
     carry = 0
     for i, word in enumerate(words):
-        word |= _U(0x30) * _EVERY_BYTE
+        word |= _ZEROS
         word &= _LOW[shown - 8 * i]
         below = _LOW[point - 8 * i]
         before = word & below
         after = word ^ before
-        dot = (_LOW[point_end - 8 * i] ^ below) & (_U(ord(".")) * _EVERY_BYTE)
-        out[:, i + 1] = before | after << _U(8) | carry | dot
-        carry = after >> _U(56)
+        dot = (_LOW[point_end - 8 * i] ^ below) & _DOTS
+        out[:, i + 1] = before | after << _8 | carry | dot
+        carry = after >> _56
     out[:, 0] = _HEAD[2 * (1 - decpt) * below_one + negative.astype(np.intp)]
 
     rows = np.flatnonzero(exp_form)
@@ -232,7 +244,7 @@ def _write_cells(values, out) -> None:
         text = (ord("e") | np.where(e < 0, ord("-"), ord("+")) << 8
                 | np.where(mag >= 100, mag // 100 + ord("0"), 0) << 16
                 | (mag // 10 % 10 + ord("0")) << 24 | (mag % 10 + ord("0")) << 32)
-        out[rows, 3] |= text.astype(_U) << _U(16)
+        out[rows, 3] |= text.astype(_U) << _16
 
     if special.size:
         nan = np.isnan(values[special])
@@ -247,7 +259,7 @@ def csv_rows(columns) -> bytes:
         values[:, i] = col
     buf = np.empty(values.shape + (_CELL_WORDS,), dtype="<u8")
     _write_cells(values.ravel(), buf.reshape(-1, _CELL_WORDS))
-    buf[:, :-1, -1] |= _U(ord(",")) << _U(56)
-    buf[:, -1, -1] |= _U(ord("\n")) << _U(56)
+    buf[:, :-1, -1] |= _COMMA_LAST
+    buf[:, -1, -1] |= _NEWLINE_LAST
     flat = buf.view(np.uint8)
     return flat[flat != 0].tobytes()

@@ -20,6 +20,17 @@ Discretization (uniform grid z_j = -Z + j h, j = 0..J, z_J = 0):
   stencils for the advection and flux terms;
 * j = 0: Dirichlet (row kept zero, value pinned to 0 by the stepper).
 
+So H has three bands and one entry below them, at (J, J-2), from the
+one-sided stencil.  Every linear solve removes that entry first: row J
+minus ``m = M[J, J-2] / M[J-1, J-2]`` times row J-1 leaves the matrix M
+tridiagonal, and the same row operation on the right side is
+``b[J] -= m b[J-1]``.  LAPACK's ``dgttrf`` factors the result once and
+``dgttrs`` solves with it, so no solve loads ``scipy.sparse``;
+:func:`assemble_H` builds the CSR matrix from the same bands for callers
+that want it.  Crank-Nicolson needs no matrix-vector product either:
+``(I - dt/2 H)^{-1} (I + dt/2 H) = 2 (I - dt/2 H)^{-1} - I``, so a step
+is ``2 solve(w) - w``.
+
 Constraint bookkeeping.  With ``phi(z) = exp(-z^2/8)`` the functional
 ``A = a + <phi, w>`` is an exact invariant of the coupled system when
 ``da/dt = 2 w(t, 0)``.  Discretely, the boundary value that the scheme
@@ -109,10 +120,12 @@ def gaussian_weight(grid: HalfLineGrid) -> np.ndarray:
     return np.exp(-z * z / 8.0)
 
 
-def assemble_H(grid: HalfLineGrid) -> sp.csr_matrix:
-    """Sparse discretization of H on the grid (row 0 empty: Dirichlet)."""
-    import scipy.sparse as sp
+def _h_bands(grid: HalfLineGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The bands of H at offsets -2, -1, 0 and 1 (row 0 empty: Dirichlet).
 
+    The band at offset -2 holds one nonzero entry, at (J, J-2), from the
+    one-sided stencil at z = 0.
+    """
     J = grid.n_intervals
     z = grid.nodes
     h = grid.spacing
@@ -135,7 +148,34 @@ def assemble_H(grid: HalfLineGrid) -> sp.csr_matrix:
     lower[J - 1] = 3.0 * 4.0 / (2.0 * h) + -4.0 * q[J - 1] / (2.0 * h)
     lower2 = np.zeros(J - 1)
     lower2[J - 2] = -3.0 / (2.0 * h) + q[J - 2] / (2.0 * h)
-    return sp.diags([lower2, lower, diag, upper], [-2, -1, 0, 1], format="csr")
+    return lower2, lower, diag, upper
+
+
+def assemble_H(grid: HalfLineGrid) -> sp.csr_matrix:
+    """Sparse discretization of H on the grid (row 0 empty: Dirichlet)."""
+    import scipy.sparse as sp
+
+    return sp.diags(_h_bands(grid), [-2, -1, 0, 1], format="csr")
+
+
+def _tridiagonal_lu(corner: float, lower, diag, upper):
+    """LAPACK's LU of the matrix with these three bands and ``corner`` at (n-1, n-3).
+
+    Subtracting ``m = corner / lower[-2]`` times row n-2 from row n-1 leaves
+    the matrix tridiagonal; ``lower`` and ``diag`` are changed in place to
+    that row.  Returns ``dgttrf``'s factors, in the order ``dgttrs`` takes
+    them, and m: a right side b is solved for as ``b[-1] -= m * b[-2]``
+    and then ``dgttrs``.
+    """
+    from scipy.linalg.lapack import dgttrf
+
+    m = corner / lower[-2]
+    lower[-1] -= m * diag[-2]
+    diag[-1] -= m * upper[-1]
+    *lu, info = dgttrf(lower, diag, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    if info != 0:  # a zero pivot: the matrix is singular
+        raise NumericalError(f"tridiagonal factorization failed: dgttrf info={info}")
+    return lu, m
 
 
 def flux_boundary_value(h_matrix: sp.spmatrix, grid: HalfLineGrid, w) -> float:
@@ -171,7 +211,13 @@ def evolve_dissipative(
 
     Both steppers are unconditionally contractive here (the symmetric
     part of the discrete operator is negative definite), so the discrete
-    L2 norm is non-increasing step by step.  The step count
+    L2 norm is non-increasing step by step.  ``I - theta dt H`` (theta =
+    1/2 or 1) is made tridiagonal by the row elimination of the module
+    docstring and factored once per call with ``dgttrf``; each step is
+    one ``dgttrs`` solve against the state with its last entry
+    eliminated.  Backward Euler takes the solution as the new state;
+    Crank-Nicolson takes ``2 x - w``, which is ``(I + dt/2 H) w`` solved
+    for without forming that product.  The step count
     ``round(T / dt)``, sampling and storage are the package's one step
     loop, ``errors._march``, which the lattice flow shares.
     """
@@ -179,27 +225,31 @@ def evolve_dissipative(
         raise ValueError("T and dt must be positive")
     if method not in ("cn", "be"):
         raise ValueError(f"unknown method {method!r}")
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+    from scipy.linalg.lapack import dgttrs
 
     grid = w0.grid
-    H = assemble_H(grid)
-    n = H.shape[0]
-    eye = sp.identity(n, format="csr")
-    # theta rule; backward Euler (theta = 1) solves against the state itself
-    theta = 0.5 if method == "cn" else 1.0
-    lhs = (eye - theta * dt * H).tocsc()
-    rhs_op = (eye + 0.5 * dt * H).tocsr() if method == "cn" else None
-    try:
-        solver = spla.splu(lhs)
-    except RuntimeError as exc:  # singular factorization
-        raise NumericalError(f"time-step factorization failed: {exc}") from exc
+    lower2, lower, diag, upper = _h_bands(grid)
+    # theta rule: the factors of E (I - theta dt H), E the row elimination
+    theta_dt = (0.5 if method == "cn" else 1.0) * dt
+    lu, m = _tridiagonal_lu(
+        -theta_dt * lower2[-1], -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper)
+    J = grid.n_intervals
+    fold = method == "cn"
+    spare = np.empty(J + 1)
 
     def step(w, k):
-        # row 0 of both operators is the identity's, so the pin hides nothing
-        w = solver.solve(w if rhs_op is None else rhs_op @ w)
-        w[0] = 0.0
-        return w
+        # solve into the spare buffer; w, the state before, becomes the next spare
+        nonlocal spare
+        x, spare = spare, w
+        np.copyto(x, w)
+        x[J] -= m * x[J - 1]
+        dgttrs(*lu, x, overwrite_b=True)
+        if fold:  # (I - dt/2 H)^{-1} (I + dt/2 H) w = 2 (I - dt/2 H)^{-1} w - w
+            np.multiply(x, 2.0, out=x)
+            np.subtract(x, w, out=x)
+        # row 0 of the operator is the identity's, so the pin hides nothing
+        x[0] = 0.0
+        return x
 
     w = w0.w.copy()
     w[0] = 0.0
@@ -225,6 +275,22 @@ class ModulationTrajectory:
     b_inf: float
 
 
+def _psi(grid: HalfLineGrid, ell: np.ndarray) -> np.ndarray:
+    """``psi = H[1:, 1:]^{-T} ell[1:]``, the weight that telescopes b.
+
+    With E the row elimination of the module docstring, E H[1:, 1:] = T is
+    tridiagonal, so psi = E^T T^{-T} ell[1:]: a transposed ``dgttrs`` solve,
+    then E^T's one off-diagonal entry.
+    """
+    from scipy.linalg.lapack import dgttrs
+
+    lower2, lower, diag, upper = _h_bands(grid)
+    lu, m = _tridiagonal_lu(lower2[-1], lower[1:], diag[1:], upper[1:])
+    psi, _ = dgttrs(*lu, ell[1:], trans="T")
+    psi[-2] -= m * psi[-1]
+    return psi
+
+
 def modulation_integrate(
     flow: HalfLineFlow, a0: float, b0: float
 ) -> ModulationTrajectory:
@@ -243,11 +309,9 @@ def modulation_integrate(
     the sampling.  ``b_inf = b0 + <psi, w(t0)> / 2`` is the limit of
     ``b - A (t - t0) / 2`` as w decays, so of b itself when A = 0.
     """
-    import scipy.sparse.linalg as spla
-
     grid = flow.grid
     ell = grid.weights * gaussian_weight(grid)
-    psi = spla.splu(assemble_H(grid)[1:, 1:].tocsc()).solve(ell[1:], trans="T")
+    psi = _psi(grid, ell)
     # one sweep over the samples, one dot per row and weight: a matrix-vector
     # product sums a row in an order that depends on its place in the matrix,
     # so on how many samples are kept

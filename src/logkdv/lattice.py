@@ -16,7 +16,7 @@ generator stiff.  Both steppers build the generator's off-diagonal and
 their work buffers once per :func:`evolve` call and allocate nothing per
 step: the midpoint rule forms its right side in those buffers and hands it,
 with the bands of ``I - h/2 M`` built once, to LAPACK's tridiagonal solver,
-and RK4 writes its four stages into them.  Each step performs the operations
+and RK4 writes its four stages into them through slices cut once per call.  Each step performs the operations
 of the plain formulas in their order, so the buffers change no bit.  The
 step count, sampling and storage are the package's one step loop,
 ``errors._march``, which the half-line flow shares.  The trajectory's norms
@@ -93,17 +93,25 @@ def skew_matrix(n_modes: int) -> np.ndarray:
     return m
 
 
-def _apply_skew(beta: np.ndarray, a: np.ndarray, out: np.ndarray, prod: np.ndarray) -> np.ndarray:
+def _skew_views(a: np.ndarray, out: np.ndarray) -> tuple:
+    """The slices of ``a`` and ``out`` that :func:`_apply_skew` reads and writes."""
+    return a[1:], a[:-1], out, out[:-1], out[1:]
+
+
+def _apply_skew(beta: np.ndarray, views: tuple, prod: np.ndarray) -> np.ndarray:
     """Write ``M a`` into ``out`` for the generator with upper off-diagonal ``beta``.
 
-    ``prod``, of ``beta``'s size, holds the products.  ``out`` is zeroed and
-    then added to and subtracted from, so an entry ``0 + beta a`` is never -0.
+    ``views`` is ``_skew_views(a, out)``, which a loop that reuses its
+    buffers cuts once.  ``prod``, of ``beta``'s size, holds the products.
+    ``out`` is zeroed and then added to and subtracted from, so an entry
+    ``0 + beta a`` is never -0.
     """
+    a_tail, a_head, out, out_head, out_tail = views
     out.fill(0.0)
-    np.multiply(beta, a[1:], out=prod)
-    out[:-1] += prod
-    np.multiply(beta, a[:-1], out=prod)
-    out[1:] -= prod
+    np.multiply(beta, a_tail, out=prod)
+    np.add(out_head, prod, out=out_head)
+    np.multiply(beta, a_head, out=prod)
+    np.subtract(out_tail, prod, out=out_tail)
     return out
 
 
@@ -111,7 +119,7 @@ def skew_rhs(a) -> np.ndarray:
     """Right-hand side ``M a`` with the truncation ``a_{N+1} = 0``."""
     a = np.asarray(a, dtype=float)
     beta = offdiagonal(a.size)
-    return _apply_skew(beta, a, np.empty_like(a), np.empty_like(beta))
+    return _apply_skew(beta, _skew_views(a, np.empty_like(a)), np.empty_like(beta))
 
 
 def _rk4_dt_cap(n_modes: int) -> float:
@@ -153,10 +161,10 @@ def evolve(
         raise ValueError(f"unknown method {method!r}")
     h = math.copysign(dt, T)
     beta = offdiagonal(n_modes)
-    # work buffers, once per call: each step writes its state into ``y`` (never
-    # into a0.a) and its intermediates into the others, so a step allocates
+    # work buffers, once per call: each step writes its state into ``y``, a
+    # copy of a0.a, and its intermediates into the others, so a step allocates
     # nothing; the operations and their order are those of the plain formulas
-    y = np.empty(n_modes)
+    y = a0.a.copy()
     prod = np.empty(n_modes - 1)
     k1 = np.empty(n_modes)
     if method == "midpoint":
@@ -170,7 +178,7 @@ def evolve(
 
         def step(a, k):
             # the right side a + (h/2) M a, solved for in place
-            np.multiply(_apply_skew(beta, a, k1, prod), 0.5 * h, out=k1)
+            np.multiply(_apply_skew(beta, _skew_views(a, k1), prod), 0.5 * h, out=k1)
             np.add(a, k1, out=y)
             *_, a, info = dgtsv(lower, diag, upper, y, overwrite_b=True)
             if info != 0:
@@ -181,26 +189,30 @@ def evolve(
             return a
     else:
         stage, k2, k3, k4 = (np.empty(n_modes) for _ in range(4))
+        # the state is y at every step, so the slices of M y and of each
+        # stage's M (y + c k) are cut once
+        y_k1 = _skew_views(y, k1)
+        stage_k2, stage_k3, stage_k4 = (_skew_views(stage, out) for out in (k2, k3, k4))
 
-        def stage_rhs(a, kin, c, out):
-            """``M (a + c kin)`` into ``out``."""
+        def stage_rhs(kin, c, views):
+            """``M (y + c kin)`` into the output of ``views``."""
             np.multiply(kin, c, out=stage)
-            np.add(a, stage, out=stage)
-            return _apply_skew(beta, stage, out, prod)
+            np.add(y, stage, out=stage)
+            return _apply_skew(beta, views, prod)
 
-        def step(a, k):
-            _apply_skew(beta, a, k1, prod)
-            stage_rhs(a, k1, 0.5 * h, k2)
-            stage_rhs(a, k2, 0.5 * h, k3)
-            stage_rhs(a, k3, h, k4)
-            # a + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        def step(a, k):  # a is y
+            _apply_skew(beta, y_k1, prod)
+            stage_rhs(k1, 0.5 * h, stage_k2)
+            stage_rhs(k2, 0.5 * h, stage_k3)
+            stage_rhs(k3, h, stage_k4)
+            # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
             np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
             np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
             np.add(k1, k4, out=k1)
             np.multiply(k1, h / 6.0, out=k1)
-            return np.add(a, k1, out=y)
+            return np.add(y, k1, out=y)
 
-    times, kept, states, sums, a1 = _march(step, a0.a, a0.t, T, dt, sample_every, lambda a: a[0])
+    times, kept, states, sums, a1 = _march(step, y, a0.t, T, dt, sample_every, lambda a: a[0])
     # the running trapezoid of a_1, added in step order from c1 = 0
     c1 = np.cumsum(np.append(0.0, h * (a1[:-1] + a1[1:]) / (2.0 * np.sqrt(2.0))))
     return LatticeTrajectory(

@@ -67,8 +67,9 @@ NUMERIC_KEYS = [
 
 
 # A small run of each subcommand, and whether it loads scipy: only evolve
-# (LAPACK's dgtsv) and dissipate (splu) do. The other runs use the package's
-# ports of Cephes' zeta and of brentq.
+# (LAPACK's dgtsv) and dissipate (LAPACK's dgttrf and dgttrs) do, and neither
+# loads scipy.sparse. The other runs use the package's ports of Cephes' zeta
+# and of brentq.
 SMALL_RUNS = {
     "spectrum": (["--z-max", 4.0, "--n-max", 200], False),
     "projections": (["--n-max", 2000], False),
@@ -650,6 +651,11 @@ class TestModuleEntryPoints:
     @pytest.mark.parametrize("run_id", SMALL_RUNS)
     def test_no_run_loads_scipy_optimize(self, run_id, small_run):
         assert "scipy.optimize" not in fresh_scipy_modules(small_run, run_id)
+
+    @pytest.mark.parametrize("run_id", SMALL_RUNS)
+    def test_no_run_loads_scipy_sparse(self, run_id, small_run):
+        # the half-line solves run on LAPACK's tridiagonal routines
+        assert "scipy.sparse" not in fresh_scipy_modules(small_run, run_id)
 
     @pytest.mark.skipif(
         platform.libc_ver()[0] != "glibc" or not Path("/proc/self/status").is_file(),

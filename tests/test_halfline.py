@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from logkdv.halfline import (
     HalfLineFlow,
     HalfLineGrid,
     HalfLineState,
+    _h_bands,
+    _psi,
     assemble_H,
     constraint_functional,
     evolve_dissipative,
@@ -22,8 +25,57 @@ from logkdv.halfline import (
 from logkdv.jacobi import find_eigenvalues
 
 
+def eliminated(matrix):
+    """A copy of ``matrix`` with row n-1 minus ``m = M[n-1, n-3] / M[n-2, n-3]``
+    times row n-2, and m."""
+    matrix = matrix.copy()
+    m = matrix[-1, -3] / matrix[-2, -3]
+    matrix[-1] -= m * matrix[-2]
+    return matrix, m
+
+
+def dense_lu(matrix):
+    """``dgttrf``'s factors of the three bands of a dense matrix."""
+    *lu, info = dgttrf(np.diagonal(matrix, -1), np.diagonal(matrix), np.diagonal(matrix, 1))
+    assert info == 0
+    return lu
+
+
 def reference_dissipate(w0, T, dt, method, sample_every):
-    """Step-by-step loop with one ``splu`` and list appends, pinning after the check."""
+    """Step-by-step loop with list appends, pinning after the check.
+
+    The dense ``I - theta dt H`` with its last row eliminated, factored once
+    by ``dgttrf``; each step one ``dgttrs`` solve x, taken as the new state
+    (backward Euler) or as ``2 x - w`` (Crank-Nicolson).
+    """
+    grid = w0.grid
+    theta = 0.5 if method == "cn" else 1.0
+    L, m = eliminated(np.eye(grid.n_intervals + 1) - theta * dt * assemble_H(grid).toarray())
+    lu = dense_lu(L)
+    n_steps = int(round(T / dt))
+    w = w0.w.copy()
+    w[0] = 0.0
+    ts, states, step_ts, step_l2 = [w0.t], [w.copy()], [w0.t], [grid.norm(w)]
+    for k in range(n_steps):
+        b = w.copy()
+        b[-1] -= m * b[-2]
+        x, info = dgttrs(*lu, b)
+        assert info == 0
+        w = 2.0 * x - w if method == "cn" else x
+        assert np.all(np.isfinite(w))
+        w[0] = 0.0
+        t_now = w0.t + (k + 1) * dt
+        step_ts.append(t_now)
+        step_l2.append(grid.norm(w))
+        if (k + 1) % sample_every == 0 or k == n_steps - 1:
+            ts.append(t_now)
+            states.append(w.copy())
+    return np.array(ts), np.array(states), np.array(step_ts), np.array(step_l2)
+
+
+def splu_dissipate(w0, T, dt, method, sample_every):
+    """The same loop on ``splu`` of the sparse ``I - theta dt H``, with the
+    Crank-Nicolson right side ``(I + dt/2 H) w`` formed as a product."""
     grid = w0.grid
     H = assemble_H(grid)
     eye = sp.identity(H.shape[0], format="csr")
@@ -48,13 +100,17 @@ def reference_dissipate(w0, T, dt, method, sample_every):
 
 
 def reference_modulation(flow, a0, b0):
-    """Two loops over the samples, the <phi, w> dots before the adjoint solve."""
+    """Two loops over the samples, the <phi, w> dots before the adjoint solve,
+    which is ``dgttrs`` on the dense H[1:, 1:] with its last row eliminated."""
     grid = flow.grid
     ell = grid.weights * gaussian_weight(grid)
     ell_w = np.array([np.dot(w, ell) for w in flow.states])
     a = a0 + ell_w[0] - ell_w
     A = a + ell_w
-    psi = spla.splu(assemble_H(grid)[1:, 1:].tocsc()).solve(ell[1:], trans="T")
+    T, m = eliminated(assemble_H(grid).toarray()[1:, 1:])
+    psi, info = dgttrs(*dense_lu(T), ell[1:], trans="T")
+    assert info == 0
+    psi[-2] -= m * psi[-1]
     psi_w = np.array([np.dot(w[1:], psi) for w in flow.states])
     b = b0 + 0.5 * (A[0] * (flow.ts - flow.ts[0]) + psi_w[0] - psi_w)
     return a, b, A, float(b0 + 0.5 * psi_w[0])
@@ -160,6 +216,34 @@ class TestOperator:
         assert abs(extrapolated[0] + z[0] / 2) < 1e-8
         assert abs(extrapolated[1] + z[1] / 2) < 5e-7
 
+    def test_sparse_operator_is_the_bands(self, grid):
+        lower2, *_ = bands = _h_bands(grid)
+        assert np.flatnonzero(lower2).tolist() == [grid.n_intervals - 2]
+        want = sp.diags(bands, [-2, -1, 0, 1]).toarray()
+        assert assemble_H(grid).toarray().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
+    def test_row_elimination_leaves_three_bands(self, h):
+        # every entry off the three bands is 0.0 but the corner, which is
+        # left at most an ulp of the entry it removed by the rounding of m;
+        # the solves drop it, as dgttrf drops each entry it eliminates
+        H = assemble_H(HalfLineGrid(20.0, h)).toarray()
+        eye = np.eye(H.shape[0])
+        for matrix in (H[1:, 1:], eye - 0.5e-3 * H, eye - 1e-3 * H, eye - 0.05 * H):
+            out, _ = eliminated(matrix)
+            off = np.triu(out, 2) + np.tril(out, -2)
+            corner = off[-1, -3]
+            off[-1, -3] = 0.0
+            assert np.all(off == 0.0)
+            assert abs(corner) <= np.finfo(float).eps * abs(matrix[-1, -3])
+
+    @pytest.mark.parametrize("h", [0.1, 0.04])
+    def test_adjoint_weight_matches_dense_solve(self, h):
+        grid = HalfLineGrid(40.0, h)
+        ell = grid.weights * gaussian_weight(grid)
+        want = np.linalg.solve(assemble_H(grid).toarray()[1:, 1:].T, ell[1:])
+        assert np.abs(_psi(grid, ell) - want).max() <= 1e-12 * np.abs(want).max()
+
     @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
     def test_numerical_abscissa_at_most_minus_half(self, h):
         # the discrete energy estimate: the symmetric part of H in the
@@ -246,6 +330,18 @@ class TestEvolution:
         for got, want in zip((flow.ts, flow.states, flow.step_ts, flow.step_l2), ref):
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()  # the signs of zeros too
+
+    @pytest.mark.parametrize("method", ["cn", "be"])
+    def test_agrees_with_splu_loop(self, grid, method):
+        # 5000 steps on the tridiagonal LU, with Crank-Nicolson's right side
+        # folded into the solve, against splu and a sparse product
+        w0 = initial_gaussian_bump(grid)
+        flow = evolve_dissipative(w0, 5.0, 1e-3, method=method, sample_every=500)
+        ts, states, step_ts, step_l2 = splu_dissipate(w0, 5.0, 1e-3, method, 500)
+        assert np.array_equal(flow.ts, ts) and np.array_equal(flow.step_ts, step_ts)
+        scale = np.abs(states).max(axis=1)
+        assert np.all(np.abs(flow.states - states).max(axis=1) <= 1e-12 * scale)
+        assert np.all(np.abs(flow.step_l2 - step_l2) <= 1e-12 * step_l2)
 
     def test_bad_arguments(self, grid):
         w0 = initial_gaussian_bump(grid)
