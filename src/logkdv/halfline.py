@@ -162,10 +162,9 @@ def _tridiagonal_lu(corner: float, lower, diag, upper):
     """LAPACK's LU of the matrix with these three bands and ``corner`` at (n-1, n-3).
 
     Subtracting ``m = corner / lower[-2]`` times row n-2 from row n-1 leaves
-    the matrix tridiagonal; ``lower`` and ``diag`` are changed in place to
-    that row.  Returns ``dgttrf``'s factors, in the order ``dgttrs`` takes
-    them, and m: a right side b is solved for as ``b[-1] -= m * b[-2]``
-    and then ``dgttrs``.
+    the matrix tridiagonal.  The band arrays are overwritten.  Returns
+    ``dgttrf``'s factors, in the order ``dgttrs`` takes them, and m: a
+    right side b is solved for as ``b[-1] -= m * b[-2]`` and then ``dgttrs``.
     """
     from scipy.linalg.lapack import dgttrf
 
@@ -243,7 +242,7 @@ def evolve_dissipative(
         x, spare = spare, w
         np.copyto(x, w)
         x[J] -= m * x[J - 1]
-        dgttrs(*lu, x, overwrite_b=True)
+        x, _ = dgttrs(*lu, x, overwrite_b=True)
         if fold:  # (I - dt/2 H)^{-1} (I + dt/2 H) w = 2 (I - dt/2 H)^{-1} w - w
             np.multiply(x, 2.0, out=x)
             np.subtract(x, w, out=x)
