@@ -16,12 +16,13 @@ generator stiff.  Both steppers build the generator's off-diagonal and
 their work buffers once per :func:`evolve` call and allocate nothing per
 step: the midpoint rule forms its right side in those buffers and hands it,
 with the bands of ``I - h/2 M`` built once, to LAPACK's tridiagonal solver,
-and RK4 writes its four stages into them through slices cut once per call.  Each step performs the operations
-of the plain formulas in their order, so the buffers change no bit.  The
-step count, sampling and storage are the package's one step loop,
-``errors._march``, which the half-line flow shares.  The trajectory's norms
-are the square roots of the sums of squares that loop already takes to
-check each state, so no second pass walks the kept states.
+and RK4 writes its four stages into them through slices cut once per
+call.  Each step performs the operations of the plain formulas in their
+order, so the buffers change no bit.  The step count, sampling and
+storage are the package's one step loop, ``errors._march``, which the
+half-line flow shares.  The trajectory's norms are the square roots of
+the sums of squares that loop already takes to check each state, so no
+second pass walks the kept states.
 
 Truncation caveat: the lattice transports energy toward large n at speed
 ~ n^(3/2), so wave content launched from modes around n0 reaches *any*
