@@ -12,17 +12,26 @@ is the Cayley transform of the skew generator, hence orthogonal, and
 conserves the norm to solver roundoff at any step size.  An explicit
 RK4 path is kept for cross-checks; its step size is capped at
 ``0.5 N**-1.5`` because the off-diagonal growth makes the truncated
-generator stiff.  Both steppers build the generator's off-diagonal and
-their work buffers once per :func:`evolve` call and allocate nothing per
-step: the midpoint rule forms its right side in those buffers and hands it,
-with the bands of ``I - h/2 M`` built once, to LAPACK's tridiagonal solver,
-and RK4 writes its four stages into them through slices cut once per
-call.  Each step performs the operations of the plain formulas in their
-order, so the buffers change no bit.  The step count, sampling and
-storage are the package's one step loop, ``errors._march``, which the
-half-line flow shares.  The trajectory's norms are the square roots of
-the sums of squares that loop already takes to check each state, so no
-second pass walks the kept states.
+generator stiff.  Both steppers build their work buffers once per
+:func:`evolve` call and allocate nothing per step.  The midpoint rule
+forms no product with M:
+
+    (I - h/2 M)^{-1} (I + h/2 M) = 2 (I - h/2 M)^{-1} - I,
+
+so a step is ``2 solve(a) - a``, with ``I - h/2 M`` factored once per call
+by LAPACK's ``dgttrf`` and each solve one in-place ``dgttrs``.  The
+factored matrix has one decoupled identity mode after the N lattice modes
+(zero couplings, diagonal 1), because scipy's ``dgttrf`` wrapper rejects
+N = 2.  The pad changes no bit of the first N entries: ``dgttrf``
+eliminates the last row with multiplier 0 and never pivots there, and the
+padded entry of every solution is 0.0, so every N takes the one path.
+RK4 writes its four stages into its buffers through slices cut once per
+call and performs the operations of the plain formulas in their order,
+so the buffers change no bit.  The step count, sampling and storage are
+the package's one step loop, ``errors._march``, which the half-line flow
+shares.  The trajectory's norms are the square roots of the sums of
+squares that loop already takes to check each state, so no second pass
+walks the kept states.
 
 Truncation caveat: the lattice transports energy toward large n at speed
 ~ n^(3/2), so wave content launched from modes around n0 reaches *any*
@@ -141,6 +150,14 @@ def evolve(
     values before and after each step, so it is the discrete integral
     of the stepped flow, not a separate quadrature.
 
+    The midpoint rule factors ``I - h/2 M``, padded with one decoupled
+    identity mode, once per call with ``dgttrf``.  Each step solves
+    against ``2 a`` in place with ``dgttrs`` and subtracts ``a``, which is
+    ``(I + h/2 M) a`` solved for without forming ``M a``.  Two padded
+    buffers alternate between steps; the pad's entry stays 0.0 and the
+    states are the first N entries of each, so every N, 2 included, takes
+    this one path.
+
     Parameters
     ----------
     a0 : LatticeState
@@ -162,34 +179,39 @@ def evolve(
         raise ValueError(f"unknown method {method!r}")
     h = math.copysign(dt, T)
     beta = offdiagonal(n_modes)
-    # work buffers, once per call: each step writes its state into ``y``, a
-    # copy of a0.a, and its intermediates into the others, so a step allocates
-    # nothing; the operations and their order are those of the plain formulas
-    y = a0.a.copy()
-    prod = np.empty(n_modes - 1)
-    k1 = np.empty(n_modes)
     if method == "midpoint":
-        from scipy.linalg.lapack import dgtsv  # once per call, not per step
+        from scipy.linalg.lapack import dgttrf, dgttrs  # once per call, not per step
 
-        # sub-, main and super-diagonal of (I - h/2 M); dgtsv factors copies
-        # of them each step (it is the routine solve_banded uses for (1, 1))
-        lower = 0.5 * h * beta
-        diag = np.ones(n_modes)
-        upper = -0.5 * h * beta
+        # sub-, main and super-diagonal of (I - h/2 M), with one decoupled
+        # identity mode appended, factored once
+        lower = np.append(0.5 * h * beta, 0.0)
+        upper = np.append(-0.5 * h * beta, 0.0)
+        *lu, info = dgttrf(lower, np.ones(n_modes + 1), upper,
+                           overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+        if info != 0:  # a zero pivot: the matrix is singular
+            raise NumericalError(f"midpoint factorization failed: dgttrf info={info}")
+        # two padded states alternate: step k reads pads[(k - 1) % 2] and
+        # writes pads[k % 2]; _march sees the first N entries of each
+        pads = (np.zeros(n_modes + 1), np.zeros(n_modes + 1))
+        heads = tuple(pad[:n_modes] for pad in pads)
+        y = heads[0]
+        y[:] = a0.a
 
         def step(a, k):
-            # the right side a + (h/2) M a, solved for in place
-            np.multiply(_apply_skew(beta, _skew_views(a, k1), prod), 0.5 * h, out=k1)
-            np.add(a, k1, out=y)
-            *_, a, info = dgtsv(lower, diag, upper, y, overwrite_b=True)
-            if info != 0:
-                raise NumericalError(
-                    f"midpoint solve failed at step {k} (t={a0.t + (k - 1) * h:.6g}): "
-                    f"dgtsv info={info}"
-                )
-            return a
+            old, x = pads[(k - 1) % 2], pads[k % 2]
+            # (I - h/2 M)^{-1} (I + h/2 M) a = 2 (I - h/2 M)^{-1} a - a
+            np.add(old, old, out=x)
+            dgttrs(*lu, x, overwrite_b=True)
+            np.subtract(x, old, out=x)
+            return heads[k % 2]
     else:
-        stage, k2, k3, k4 = (np.empty(n_modes) for _ in range(4))
+        # work buffers, once per call: each step writes its state into ``y``,
+        # a copy of a0.a, and its intermediates into the others, so a step
+        # allocates nothing; the operations and their order are those of the
+        # plain formulas
+        y = a0.a.copy()
+        prod = np.empty(n_modes - 1)
+        k1, stage, k2, k3, k4 = (np.empty(n_modes) for _ in range(5))
         # the state is y at every step, so the slices of M y and of each
         # stage's M (y + c k) are cut once
         y_k1 = _skew_views(y, k1)

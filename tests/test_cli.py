@@ -67,8 +67,8 @@ NUMERIC_KEYS = [
 
 
 # A small run of each subcommand, and whether it loads scipy: only evolve
-# (LAPACK's dgtsv) and dissipate (LAPACK's dgttrf and dgttrs) do, and neither
-# loads scipy.sparse. The other runs use the package's ports of Cephes' zeta
+# and dissipate (LAPACK's dgttrf and dgttrs, both) do, and neither loads
+# scipy.sparse. The other runs use the package's ports of Cephes' zeta
 # and of brentq.
 SMALL_RUNS = {
     "spectrum": (["--z-max", 4.0, "--n-max", 200], False),
@@ -347,6 +347,11 @@ class TestEvolveCommand:
         jsonschema.validate(doc, SCHEMA)
         assert doc["invariants"]["norm_conserved"]
         assert doc["scalars"]["max_norm_drift"] < 1e-8
+
+    def test_two_modes_at_the_range_checks_lower_bound(self, tmp_path):
+        # the smallest --n-modes accepted, the size the midpoint solve's pad is for
+        assert run(["evolve", "--n-modes", 2, "--T", 0.5, "--outdir", tmp_path]) == 0
+        assert read_summary(tmp_path, "evolve")["invariants"]["norm_conserved"]
 
     def test_pre_edge_pairing_drift_at_roundoff(self, tmp_path):
         # the default sample_every is 10; c1 still comes from every step

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from logkdv.coercivity import energy_form
 from logkdv.jacobi import truncated_matrix_eigenvalues
@@ -26,27 +27,25 @@ from logkdv.lattice import (
 C0_LIMIT = 4.0 + 2.0 * math.pi
 
 
-def reference_evolve(a, T, dt, sample_every, method):
-    """Step-by-step loop with a generic banded solve and ``skew_rhs`` per stage."""
+def padded_lu(n, h):
+    """LAPACK's LU of I - h/2 M, M = ``skew_matrix(n)``, with one decoupled identity mode."""
+    m = skew_matrix(n)
+    lower = np.append(-0.5 * h * np.diag(m, -1), 0.0)
+    upper = np.append(-0.5 * h * np.diag(m, 1), 0.0)
+    *lu, info = dgttrf(lower, np.ones(n + 1), upper)
+    assert info == 0
+    return lu
+
+
+def stepped(a, T, dt, sample_every, step):
+    """Step-by-step loop ``a = step(a, h)`` with evolve's sampling and c1 trapezoid."""
     h = dt if T >= 0 else -dt
     n_steps = int(round(abs(T) / dt))
-    beta = offdiagonal(a.size)
-    ab = np.zeros((3, a.size))
-    ab[0, 1:] = -0.5 * h * beta
-    ab[1, :] = 1.0
-    ab[2, :-1] = 0.5 * h * beta
     ts, states, norms, c1s = [0.0], [a.copy()], [float(np.linalg.norm(a))], [0.0]
     c1 = 0.0
     for k in range(n_steps):
         a1_old = a[0]
-        if method == "midpoint":
-            a = solve_banded((1, 1), ab, a + 0.5 * h * skew_rhs(a))
-        else:
-            k1 = skew_rhs(a)
-            k2 = skew_rhs(a + 0.5 * h * k1)
-            k3 = skew_rhs(a + 0.5 * h * k2)
-            k4 = skew_rhs(a + h * k3)
-            a = a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a = step(a, h)
         c1 += h * (a1_old + a[0]) / (2.0 * np.sqrt(2.0))
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             ts.append((k + 1) * h)
@@ -54,6 +53,37 @@ def reference_evolve(a, T, dt, sample_every, method):
             norms.append(float(np.linalg.norm(a)))
             c1s.append(c1)
     return np.array(ts), np.array(states), np.array(norms), np.array(c1s)
+
+
+def reference_evolve(a, T, dt, sample_every, method):
+    """evolve's flow step by step: ``2 x - a`` on the padded LU, or ``skew_rhs`` per RK4 stage."""
+    if method == "midpoint":
+        lu = padded_lu(a.size, dt if T >= 0 else -dt)
+
+        def step(a, h):
+            x, info = dgttrs(*lu, np.append(2.0 * a, 0.0))
+            assert info == 0
+            return x[:-1] - a
+    else:
+        def step(a, h):
+            k1 = skew_rhs(a)
+            k2 = skew_rhs(a + 0.5 * h * k1)
+            k3 = skew_rhs(a + 0.5 * h * k2)
+            k4 = skew_rhs(a + h * k3)
+            return a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return stepped(a, T, dt, sample_every, step)
+
+
+def banded_evolve(a, T, dt, sample_every):
+    """The midpoint rule as a generic banded solve against ``(I + h/2 M) a`` per step."""
+    h = dt if T >= 0 else -dt
+    beta = offdiagonal(a.size)
+    ab = np.zeros((3, a.size))
+    ab[0, 1:] = -0.5 * h * beta
+    ab[1, :] = 1.0
+    ab[2, :-1] = 0.5 * h * beta
+    return stepped(a, T, dt, sample_every,
+                   lambda a, h: solve_banded((1, 1), ab, a + 0.5 * h * skew_rhs(a)))
 
 
 class TestSkewStructure:
@@ -154,6 +184,26 @@ class TestEvolve:
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()  # the signs of zeros too
 
+    def test_agrees_with_banded_loop(self):
+        # the fold 2 solve(a) - a on one LU against a banded solve of
+        # (I + h/2 M) a per step: the same flow up to roundoff over 10^4 steps
+        state = initial_gaussian_bump(400)
+        traj = evolve(state, 10.0, 1e-3)
+        ts, states, norms, c1 = banded_evolve(state.a.copy(), 10.0, 1e-3, 1)
+        assert np.array_equal(traj.ts, ts)
+        assert np.abs(traj.states - states).max() <= 1e-12 * np.abs(states).max()
+        assert np.abs(traj.norms - norms).max() <= 1e-12 * np.abs(norms).max()
+        assert np.abs(traj.c1 - c1).max() <= 1e-12 * np.abs(c1).max()
+
+    def test_midpoint_error_falls_as_dt_squared(self):
+        # each halving of dt cuts the gap between successive final states by 4
+        state = initial_gaussian_bump(80)
+        finals = [evolve(state, 0.2, dt, sample_every=10**6).states[-1]
+                  for dt in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)]
+        gaps = [np.linalg.norm(b - a) for a, b in zip(finals, finals[1:])]
+        ratios = [g / g_next for g, g_next in zip(gaps, gaps[1:])]
+        assert all(3.9 <= r <= 4.1 for r in ratios), ratios
+
     def test_rk4_step_cap_enforced(self):
         state = initial_random(400, seed=3)
         with pytest.raises(ValueError):
@@ -169,6 +219,36 @@ class TestEvolve:
             evolve(state, 1.0, 1e-320)
         with pytest.raises(ValueError, match="zero steps"):
             evolve(state, 1e-9, 1e-3)
+
+
+class TestPaddedSolve:
+    """evolve factors I - h/2 M with one decoupled identity mode appended."""
+
+    @pytest.mark.parametrize("h", [1e-3, -1.0])
+    @pytest.mark.parametrize("n", [3, 4, 400])
+    def test_pad_changes_no_bit(self, n, h):
+        # dgttrf eliminates the pad's row with multiplier 0 and never pivots
+        # there, so the first n entries are the unpadded solve's bytes; at
+        # h = -1 it pivots at the last lattice row for n = 4 and 400
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal(n)
+        beta = offdiagonal(n)
+        *lu, info = dgttrf(0.5 * h * beta, np.ones(n), -0.5 * h * beta)
+        assert info == 0
+        want, info = dgttrs(*lu, b.copy())
+        assert info == 0
+        got, info = dgttrs(*padded_lu(n, h), np.append(b, 0.0))
+        assert info == 0
+        assert got[:n].tobytes() == want.tobytes()
+        assert got[n] == 0.0 and not np.signbit(got[n])
+
+    def test_unpadded_factorization_rejects_two_modes(self):
+        # the reason for the pad; evolve --n-modes 2 is accepted
+        try:
+            dgttrf(np.ones(1), np.ones(2), np.ones(1))
+        except ValueError:
+            return
+        pytest.fail("scipy's dgttrf now accepts n = 2: evolve's identity pad can go")
 
 
 class TestC1Track:
