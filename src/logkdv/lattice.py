@@ -22,16 +22,18 @@ so a step is ``2 solve(a) - a``, with ``I - h/2 M`` factored once per call
 by LAPACK's ``dgttrf`` and each solve one in-place ``dgttrs``.  The
 factored matrix has one decoupled identity mode after the N lattice modes
 (zero couplings, diagonal 1), because scipy's ``dgttrf`` wrapper rejects
-N = 2.  The pad changes no bit of the first N entries: ``dgttrf``
+N = 2.  The pad changes no value of the first N entries: ``dgttrf``
 eliminates the last row with multiplier 0 and never pivots there, and the
 padded entry of every solution is 0.0, so every N takes the one path.
-RK4 writes its four stages into its buffers through slices cut once per
-call and performs the operations of the plain formulas in their order,
-so the buffers change no bit.  The step count, sampling and storage are
-the package's one step loop, ``errors._march``, which the half-line flow
-shares.  The trajectory's norms are the square roots of the sums of
-squares that loop already takes to check each state, so no second pass
-walks the kept states.
+The back substitution subtracts one product with that 0.0 from the last
+lattice entry, which can flip the sign of an entry that is zero and no
+other bit.  RK4 writes its four stages into its buffers through slices
+cut once per call and performs the operations of the plain formulas in
+their order, so the buffers change no bit.  The step count, sampling and
+storage are the package's one step loop, ``errors._march``, which the
+half-line flow shares.  The trajectory's norms are the square roots of
+the sums of squares that loop already takes to check each state, so no
+second pass walks the kept states.
 
 Truncation caveat: the lattice transports energy toward large n at speed
 ~ n^(3/2), so wave content launched from modes around n0 reaches *any*

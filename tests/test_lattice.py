@@ -1,5 +1,6 @@
 """Skew-symmetric lattice dynamics: conservation, reversibility, tracking."""
 
+import itertools
 import math
 
 import numpy as np
@@ -33,6 +34,14 @@ def padded_lu(n, h):
     lower = np.append(-0.5 * h * np.diag(m, -1), 0.0)
     upper = np.append(-0.5 * h * np.diag(m, 1), 0.0)
     *lu, info = dgttrf(lower, np.ones(n + 1), upper)
+    assert info == 0
+    return lu
+
+
+def unpadded_lu(n, h):
+    """LAPACK's LU of I - h/2 M at size n (n >= 3: scipy's wrapper rejects n = 2)."""
+    beta = offdiagonal(n)
+    *lu, info = dgttrf(0.5 * h * beta, np.ones(n), -0.5 * h * beta)
     assert info == 0
     return lu
 
@@ -232,15 +241,26 @@ class TestPaddedSolve:
         # h = -1 it pivots at the last lattice row for n = 4 and 400
         rng = np.random.default_rng(n)
         b = rng.standard_normal(n)
-        beta = offdiagonal(n)
-        *lu, info = dgttrf(0.5 * h * beta, np.ones(n), -0.5 * h * beta)
-        assert info == 0
-        want, info = dgttrs(*lu, b.copy())
+        want, info = dgttrs(*unpadded_lu(n, h), b.copy())
         assert info == 0
         got, info = dgttrs(*padded_lu(n, h), np.append(b, 0.0))
         assert info == 0
         assert got[:n].tobytes() == want.tobytes()
         assert got[n] == 0.0 and not np.signbit(got[n])
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_pad_flips_at_most_the_sign_of_a_zero(self, n):
+        # back substitution subtracts DU[n-1] * 0.0 from the last lattice
+        # entry; after a pivot DU[n-1] can be -0.0, so a zero entry's sign can
+        # flip (here for the right side -0.0, 0.0, -0.0, ...), but no other bit
+        lu, padded = unpadded_lu(n, 3.0), padded_lu(n, 3.0)
+        for b in itertools.product((0.0, -0.0, 1.0), repeat=n):
+            want, _ = dgttrs(*lu, np.array(b))
+            got, _ = dgttrs(*padded, np.append(b, 0.0))
+            assert np.array_equal(got[:n], want), b
+            differ = np.signbit(got[:n]) != np.signbit(want)
+            assert np.all(want[differ] == 0.0), b
+            assert got[n] == 0.0 and not np.signbit(got[n])
 
     def test_unpadded_factorization_rejects_two_modes(self):
         # the reason for the pad; evolve --n-modes 2 is accepted
