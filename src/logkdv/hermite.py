@@ -103,9 +103,17 @@ class RealGrid:
 
         The default extent satisfies exp(-x_max^2/4) < 1e-16 relative to
         order-one values, so Gaussian-weighted integrands are fully
-        contained.
+        contained.  The nodes are an exact mirror image: the nonnegative
+        half is ``np.linspace``'s, each negative node is the negation of
+        its partner and the middle node of an odd ``num`` is 0.0, so that
+        u_n(-x) = (-1)^n u_n(x) holds bit for bit between partners.
         """
-        return RealGrid(np.linspace(-x_max, x_max, num))
+        nodes = np.linspace(-x_max, x_max, num)
+        half = num // 2
+        nodes[:half] = -nodes[::-1][:half]
+        if num % 2:
+            nodes[half] = 0.0
+        return RealGrid(nodes)
 
     def integrate(self, values) -> float:
         return float(np.dot(self.weights, values))

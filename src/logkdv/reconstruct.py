@@ -4,7 +4,8 @@ Three synthesis maps, all linear:
 
 * :func:`synthesize` sums a coefficient vector against the basis rows;
 * :func:`eigenvector_assemble` builds the odd/even components of an
-  eigenprofile from a shooting solution;
+  eigenprofile from a shooting solution, running the basis recurrence
+  once per distinct |x| and mirroring each parity to the negative nodes;
 * :func:`convolution_synthesize` evaluates the Gaussian convolution
   representation ``u = a u_0 + b u_1 + int u_0(x - z) w(z) dz``.
 
@@ -86,6 +87,12 @@ def eigenvector_assemble(
     and ``c1 = sqrt(2) A_1 / z``: the lattice map of the Jacobi sequence
     f_n in the gauge a_n = (-1)^(n//2) f_n.  z = 0 is rejected: its only
     candidate profile is the zero solution (the null sequence has no even part).
+
+    The recurrence runs once per distinct |x|: u_n(-x) = (-1)^n u_n(x)
+    holds bit for bit, so each sum at a negative node is the negation of
+    its sum at |x|.  On a mirrored grid (``RealGrid.uniform``) that halves
+    the point-modes; on any grid the bytes are those of summing every
+    node's own rows.
     """
     if z == 0.0:
         raise ValueError("z = 0 corresponds to the zero profile and is excluded")
@@ -93,13 +100,19 @@ def eigenvector_assemble(
     gauge = (-1.0) ** (np.arange(1, 2 * m_max + 1) // 2)
     c = lattice_to_coefficients(gauge * shooting.full_sequence()[1:])  # c[n] multiplies u_n
 
-    y = np.zeros((2, grid.nodes.size))  # (y_even, y_odd)
-    for n, row in basis_rows(grid.nodes, 2 * m_max + 1):
-        y[n % 2] += c[n] * row
+    x = grid.nodes
+    half, inv = np.unique(np.abs(x), return_inverse=True)
+    acc = np.zeros((2, half.size))  # (y_even, y_odd) at |x|
+    for n, row in basis_rows(half, 2 * m_max + 1):
+        acc[n % 2] += c[n] * row
+    odd = acc[1][inv]
+    # 0.0 - s, not -s: a sum that starts from +0.0 is never -0.0, so a zero
+    # sum at a negative node (and at -0.0, which x < 0 leaves alone) is +0.0
+    y_odd = np.where(x < 0, 0.0 - odd, odd)
     c1 = float(np.sqrt(2.0) * shooting.A[1] / z)
     return EigenvectorProfiles(
-        y_odd=y[1],
-        y_even=y[0],
+        y_odd=y_odd,
+        y_even=acc[0][inv],
         c1=c1,
         tail_odd=_tail_estimate(c[3::2]),
         tail_even=_tail_estimate(c[2::2]),

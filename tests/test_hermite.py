@@ -226,6 +226,23 @@ class TestRealGrid:
         u0 = hermite_function(0, grid.nodes)
         assert grid.integrate(u0 * u0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        ("x_max", "num"),
+        [(16.0, 3201), (12.0, 2401), (1.0, 2), (3.3, 7), (5.0, 1000)]
+        # half-widths as the spectral benchmark draws them
+        + [(x, 2401) for x in np.random.default_rng(28).uniform(10.0, 14.0, 4)],
+    )
+    def test_uniform_is_an_exact_mirror(self, x_max, num):
+        nodes = RealGrid.uniform(x_max, num).nodes
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert nodes[0] == -x_max and nodes[-1] == x_max
+        if num % 2:
+            assert nodes[num // 2] == 0.0
+        # the positive half keeps linspace's bits; its middle node can be
+        # off zero by roundoff (-1.8e-15 at one of the half-widths above)
+        positive = slice((num + 1) // 2, None)
+        assert nodes[positive].tobytes() == np.linspace(-x_max, x_max, num)[positive].tobytes()
+
 
 def line_fit_input(name):
     """(x, y) of a line fit the package makes, on real data."""

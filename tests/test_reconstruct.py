@@ -77,6 +77,22 @@ class TestSynthesize:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def parity_loop(shooting, nodes):
+    """Reference: every node's own rows summed into two coefficient arrays."""
+    m_max = shooting.B.size - 1
+    m = np.arange(1, m_max + 1)
+    coeff_even = (-1.0) ** (m - 1) * shooting.A[1 : m_max + 1] / np.sqrt(2 * m - 1)
+    coeff_odd = (-1.0) ** m * shooting.B[1 : m_max + 1] / np.sqrt(2 * m)
+    y_odd = np.zeros_like(nodes)
+    y_even = np.zeros_like(nodes)
+    for n, row in basis_rows(nodes, 2 * m_max + 1):
+        if n >= 2 and n % 2 == 0:
+            y_even += coeff_even[n // 2 - 1] * row
+        elif n >= 3:
+            y_odd += coeff_odd[(n - 1) // 2 - 1] * row
+    return y_odd, y_even
+
+
 @pytest.fixture(scope="module")
 def profiles(z1, sym_grid):
     return eigenvector_assemble(z1, shoot(z1, 500), sym_grid)
@@ -88,9 +104,10 @@ class TestEigenvectorAssembly:
         assert profiles.c1 == pytest.approx(0.52274, abs=1e-4)
 
     def test_parity_exact_on_symmetric_grid(self, profiles):
+        # values, not bytes: the middle node's odd sum may be -0.0 on one side
         odd, even = profiles.y_odd, profiles.y_even
-        assert np.abs(odd + odd[::-1]).max() < 1e-12
-        assert np.abs(even - even[::-1]).max() < 1e-12
+        assert np.array_equal(odd, -odd[::-1])
+        assert np.array_equal(even, even[::-1])
 
     def test_zero_parameter_rejected(self, sym_grid):
         with pytest.raises(ValueError):
@@ -144,6 +161,24 @@ class TestEigenvectorAssembly:
         assert prof.y_even.tobytes() == y_even.tobytes()
         assert prof.tail_odd == _tail_estimate(coeff_odd)
         assert prof.tail_even == _tail_estimate(coeff_even)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            np.linspace(-3.0, 5.0, 801),
+            # -0.0 keeps the +0.0 of its own sums; at +-60 every row
+            # underflows, so the odd sums are +0.0 on both sides
+            np.array([-60.0, -2.0, -1.0, -0.0, 1.0, 2.5, 60.0]),
+        ],
+        ids=["offset", "signed-zero"],
+    )
+    @pytest.mark.parametrize("m_max", [10, 500])
+    def test_bit_identical_on_grids_not_mirrored(self, z1, nodes, m_max):
+        shooting = shoot(z1, m_max)
+        prof = eigenvector_assemble(z1, shooting, RealGrid(nodes))
+        y_odd, y_even = parity_loop(shooting, nodes)
+        assert prof.y_odd.tobytes() == y_odd.tobytes()
+        assert prof.y_even.tobytes() == y_even.tobytes()
 
     def test_profiles_decay_slower_than_gaussian(self, profiles, sym_grid):
         # the eigenprofiles decay algebraically while every basis term is
