@@ -230,7 +230,7 @@ class TestRealGrid:
         ("x_max", "num"),
         [(16.0, 3201), (12.0, 2401), (1.0, 2), (3.3, 7), (5.0, 1000)]
         # half-widths as the spectral benchmark draws them
-        + [(x, 2401) for x in np.random.default_rng(28).uniform(10.0, 14.0, 4)],
+        + [(x, 2401) for x in np.random.default_rng(5).uniform(10.0, 14.0, 4)],
     )
     def test_uniform_is_an_exact_mirror(self, x_max, num):
         nodes = RealGrid.uniform(x_max, num).nodes

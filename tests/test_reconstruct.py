@@ -104,7 +104,7 @@ class TestEigenvectorAssembly:
         assert profiles.c1 == pytest.approx(0.52274, abs=1e-4)
 
     def test_parity_exact_on_symmetric_grid(self, profiles):
-        # values, not bytes: the middle node's odd sum may be -0.0 on one side
+        # values, not bytes: where odd is +0.0, as at the middle node, -odd is -0.0
         odd, even = profiles.y_odd, profiles.y_even
         assert np.array_equal(odd, -odd[::-1])
         assert np.array_equal(even, even[::-1])
