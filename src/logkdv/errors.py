@@ -1,5 +1,7 @@
-"""Exception types and the fixed-step loop that both time evolutions share."""
+"""Exception types, and the fixed-step loop and implicit tridiagonal step that both
+time evolutions share."""
 
+import functools
 import math
 
 import numpy as np
@@ -61,3 +63,62 @@ def _march(step, y0, t0, T, dt, sample_every, probe):
             sums[row] = sq
             row += 1
     return times, kept, states, sums, probes
+
+
+def _tridiagonal_solver(lower, diag, upper):
+    """``solve(b, trans="N")`` for the tridiagonal matrix A with these bands.
+
+    A is factored once by LAPACK's ``dgttrf``, which overwrites the bands; a
+    zero pivot, so a singular A, raises NumericalError.  Each call is one
+    ``dgttrs``, which overwrites a contiguous float array ``b`` with
+    ``A^{-1} b`` (``trans="T"``: ``A^{-T} b``) and returns it with LAPACK's
+    info.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs  # once per factorization, not per solve
+
+    *lu, info = dgttrf(lower, diag, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    if info != 0:  # a zero pivot: the matrix is singular
+        raise NumericalError(f"tridiagonal factorization failed: dgttrf info={info}")
+    return functools.partial(dgttrs, *lu, overwrite_b=True)
+
+
+def _implicit_step(lower, diag, upper, y0, m, fold):
+    """The first state and the step ``_march`` takes for the implicit rule of A.
+
+    A = I - theta h G is the tridiagonal matrix with bands ``lower``, ``diag``
+    and ``upper`` (overwritten), factored once by :func:`_tridiagonal_solver`.
+    Backward Euler (theta = 1) takes ``y = A^{-1} y``.  The implicit midpoint
+    and Crank-Nicolson rules (theta = 1/2, ``fold``) need no product with G:
+
+        (I - h/2 G)^{-1} (I + h/2 G) = 2 (I - h/2 G)^{-1} - I,
+
+    so a step is ``2 solve(y) - y``.  Each step forms the right side b = 2 y,
+    or y without the fold, takes ``b[-1] -= m * b[-2]``, the caller's row
+    operation on A's last row, overwrites b with ``A^{-1} b`` by one
+    ``dgttrs`` and, with the fold, subtracts y.  Doubling is exact outside
+    the subnormal range, so there ``solve(2 y)`` is ``2 solve(y)`` to the
+    bit.
+
+    The states are the first ``y0.size`` entries of two buffers of A's size,
+    which alternate between steps, so a step allocates nothing; the entries
+    after them start at 0.0, and ``y0`` is copied into the first buffer.
+    """
+    solve = _tridiagonal_solver(lower, diag, upper)
+    pads = (np.zeros(diag.size), np.zeros(diag.size))
+    heads = tuple(pad[: y0.size] for pad in pads)
+    heads[0][:] = y0
+
+    def step(y, k):
+        # step k reads pads[(k - 1) % 2] and writes pads[k % 2]
+        old, x = pads[(k - 1) % 2], pads[k % 2]
+        if fold:
+            np.add(old, old, out=x)
+        else:
+            np.copyto(x, old)
+        x[-1] -= m * x[-2]
+        solve(x)
+        if fold:
+            np.subtract(x, old, out=x)
+        return heads[k % 2]
+
+    return heads[0], step

@@ -24,12 +24,12 @@ So H has three bands and one entry below them, at (J, J-2), from the
 one-sided stencil.  Every linear solve removes that entry first: row J
 minus ``m = M[J, J-2] / M[J-1, J-2]`` times row J-1 leaves the matrix M
 tridiagonal, and the same row operation on the right side is
-``b[J] -= m b[J-1]``.  LAPACK's ``dgttrf`` factors the result once and
-``dgttrs`` solves with it, so no solve loads ``scipy.sparse``;
-:func:`assemble_H` builds the CSR matrix from the same bands for callers
-that want it.  Crank-Nicolson needs no matrix-vector product either:
-``(I - dt/2 H)^{-1} (I + dt/2 H) = 2 (I - dt/2 H)^{-1} - I``, so a step
-is ``2 solve(w) - w``.
+``b[J] -= m b[J-1]``, which is all this module adds to the solves: the
+LU of the result (LAPACK's ``dgttrf`` once, ``dgttrs`` per solve) and the
+Crank-Nicolson fold ``2 solve(w) - w`` are the package's one implicit
+tridiagonal step, ``errors._implicit_step``, which the lattice flow
+shares.  No solve loads ``scipy.sparse``; :func:`assemble_H` builds the
+CSR matrix from the same bands for callers that want it.
 
 Constraint bookkeeping.  With ``phi(z) = exp(-z^2/8)`` the functional
 ``A = a + <phi, w>`` is an exact invariant of the coupled system when
@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericalError, _march
+from .errors import _implicit_step, _march, _tridiagonal_solver
 from .hermite import RealGrid
 
 if TYPE_CHECKING:  # scipy is imported by the functions that use it
@@ -158,23 +158,17 @@ def assemble_H(grid: HalfLineGrid) -> sp.csr_matrix:
     return sp.diags(_h_bands(grid), [-2, -1, 0, 1], format="csr")
 
 
-def _tridiagonal_lu(corner: float, lower, diag, upper):
-    """LAPACK's LU of the matrix with these three bands and ``corner`` at (n-1, n-3).
+def _eliminate_corner(corner: float, lower, diag, upper) -> float:
+    """Make the matrix with these bands and ``corner`` at (n-1, n-3) tridiagonal.
 
-    Subtracting ``m = corner / lower[-2]`` times row n-2 from row n-1 leaves
-    the matrix tridiagonal.  The band arrays are overwritten.  Returns
-    ``dgttrf``'s factors, in the order ``dgttrs`` takes them, and m: a
-    right side b is solved for as ``b[-1] -= m * b[-2]`` and then ``dgttrs``.
+    Subtracts ``m = corner / lower[-2]`` times row n-2 from row n-1, in the
+    band arrays, and returns m: a right side b takes the same row operation
+    as ``b[-1] -= m * b[-2]``.
     """
-    from scipy.linalg.lapack import dgttrf
-
     m = corner / lower[-2]
     lower[-1] -= m * diag[-2]
     diag[-1] -= m * upper[-1]
-    *lu, info = dgttrf(lower, diag, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-    if info != 0:  # a zero pivot: the matrix is singular
-        raise NumericalError(f"tridiagonal factorization failed: dgttrf info={info}")
-    return lu, m
+    return m
 
 
 def flux_boundary_value(h_matrix: sp.spmatrix, grid: HalfLineGrid, w) -> float:
@@ -212,46 +206,30 @@ def evolve_dissipative(
     part of the discrete operator is negative definite), so the discrete
     L2 norm is non-increasing step by step.  ``I - theta dt H`` (theta =
     1/2 or 1) is made tridiagonal by the row elimination of the module
-    docstring and factored once per call with ``dgttrf``; each step is
-    one ``dgttrs`` solve against the state with its last entry
-    eliminated.  Backward Euler takes the solution as the new state;
-    Crank-Nicolson takes ``2 x - w``, which is ``(I + dt/2 H) w`` solved
-    for without forming that product.  The step count
-    ``round(T / dt)``, sampling and storage are the package's one step
-    loop, ``errors._march``, which the lattice flow shares.
+    docstring and stepped by ``errors._implicit_step``, with the
+    Crank-Nicolson fold; each new state is pinned to 0.0 at z = -Z.  The
+    step count ``round(T / dt)``, sampling and storage are the package's
+    one step loop, ``errors._march``, which the lattice flow shares.
     """
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
     if method not in ("cn", "be"):
         raise ValueError(f"unknown method {method!r}")
-    from scipy.linalg.lapack import dgttrs
-
     grid = w0.grid
     lower2, lower, diag, upper = _h_bands(grid)
-    # theta rule: the factors of E (I - theta dt H), E the row elimination
+    # theta rule: E (I - theta dt H), E the row elimination
     theta_dt = (0.5 if method == "cn" else 1.0) * dt
-    lu, m = _tridiagonal_lu(
-        -theta_dt * lower2[-1], -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper)
-    J = grid.n_intervals
-    fold = method == "cn"
-    spare = np.empty(J + 1)
+    bands = -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper
+    m = _eliminate_corner(-theta_dt * lower2[-1], *bands)
+    w, solve_step = _implicit_step(*bands, w0.w, m, fold=method == "cn")
+    w[0] = 0.0
 
     def step(w, k):
-        # solve into the spare buffer; w, the state before, becomes the next spare
-        nonlocal spare
-        x, spare = spare, w
-        np.copyto(x, w)
-        x[J] -= m * x[J - 1]
-        x, _ = dgttrs(*lu, x, overwrite_b=True)
-        if fold:  # (I - dt/2 H)^{-1} (I + dt/2 H) w = 2 (I - dt/2 H)^{-1} w - w
-            np.multiply(x, 2.0, out=x)
-            np.subtract(x, w, out=x)
+        x = solve_step(w, k)
         # row 0 of the operator is the identity's, so the pin hides nothing
         x[0] = 0.0
         return x
 
-    w = w0.w.copy()
-    w[0] = 0.0
     times, kept, states, _, step_l2 = _march(step, w, w0.t, T, dt, sample_every, grid.norm)
     return HalfLineFlow(
         grid=grid, ts=times[kept], states=states, step_ts=times, step_l2=step_l2
@@ -281,11 +259,10 @@ def _psi(grid: HalfLineGrid, ell: np.ndarray) -> np.ndarray:
     tridiagonal, so psi = E^T T^{-T} ell[1:]: a transposed ``dgttrs`` solve,
     then E^T's one off-diagonal entry.
     """
-    from scipy.linalg.lapack import dgttrs
-
     lower2, lower, diag, upper = _h_bands(grid)
-    lu, m = _tridiagonal_lu(lower2[-1], lower[1:], diag[1:], upper[1:])
-    psi, _ = dgttrs(*lu, ell[1:], trans="T")
+    bands = lower[1:], diag[1:], upper[1:]
+    m = _eliminate_corner(lower2[-1], *bands)
+    psi, _ = _tridiagonal_solver(*bands)(ell[1:].copy(), trans="T")
     psi[-2] -= m * psi[-1]
     return psi
 

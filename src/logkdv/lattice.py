@@ -13,18 +13,18 @@ conserves the norm to solver roundoff at any step size.  An explicit
 RK4 path is kept for cross-checks; its step size is capped at
 ``0.5 N**-1.5`` because the off-diagonal growth makes the truncated
 generator stiff.  Both steppers build their work buffers once per
-:func:`evolve` call and allocate nothing per step.  The midpoint rule
-forms no product with M:
-
-    (I - h/2 M)^{-1} (I + h/2 M) = 2 (I - h/2 M)^{-1} - I,
-
-so a step is ``2 solve(a) - a``, with ``I - h/2 M`` factored once per call
-by LAPACK's ``dgttrf`` and each solve one in-place ``dgttrs``.  The
-factored matrix has one decoupled identity mode after the N lattice modes
-(zero couplings, diagonal 1), because scipy's ``dgttrf`` wrapper rejects
-N = 2.  The pad changes no value of the first N entries: ``dgttrf``
-eliminates the last row with multiplier 0 and never pivots there, and the
-padded entry of every solution is 0.0, so every N takes the one path.
+:func:`evolve` call and allocate nothing per step.  The midpoint step is
+the package's one implicit tridiagonal step, ``errors._implicit_step``,
+which the half-line flow shares: ``I - h/2 M`` factored once per call
+and a step ``2 solve(a) - a``, with no product with M.  What this module
+builds is the pad.  The factored matrix has one decoupled identity mode
+after the N lattice modes (zero couplings, diagonal 1), because scipy's
+``dgttrf`` wrapper rejects N = 2.  The pad changes no value of the first
+N entries: ``dgttrf`` eliminates the last row with multiplier 0 and never
+pivots there, and the padded entry of every solution is 0.0, so every N
+takes the one path.  The pad's row has no entry off the bands, so the
+step's row multiplier is the constant 0.0 (as ``corner / lower[-2]`` it
+would be 0/0 once ``h/2 beta`` underflows, as at dt = 5e-324).
 The back substitution subtracts one product with that 0.0 from the last
 lattice entry, which can flip the sign of an entry that is zero and no
 other bit.  RK4 writes its four stages into its buffers through slices
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, _march
+from .errors import _implicit_step, _march
 from .hermite import MAX_INDEX, RealGrid, basis_rows, offdiag_weight, projection_sequence
 
 
@@ -152,13 +152,9 @@ def evolve(
     values before and after each step, so it is the discrete integral
     of the stepped flow, not a separate quadrature.
 
-    The midpoint rule factors ``I - h/2 M``, padded with one decoupled
-    identity mode, once per call with ``dgttrf``.  Each step solves
-    against ``2 a`` in place with ``dgttrs`` and subtracts ``a``, which is
-    ``(I + h/2 M) a`` solved for without forming ``M a``.  Two padded
-    buffers alternate between steps; the pad's entry stays 0.0 and the
-    states are the first N entries of each, so every N, 2 included, takes
-    this one path.
+    The midpoint rule is ``errors._implicit_step`` on ``I - h/2 M``,
+    padded with one decoupled identity mode (see the module docstring), so
+    every N, 2 included, takes this one path.
 
     Parameters
     ----------
@@ -182,30 +178,10 @@ def evolve(
     h = math.copysign(dt, T)
     beta = offdiagonal(n_modes)
     if method == "midpoint":
-        from scipy.linalg.lapack import dgttrf, dgttrs  # once per call, not per step
-
-        # sub-, main and super-diagonal of (I - h/2 M), with one decoupled
-        # identity mode appended, factored once
-        lower = np.append(0.5 * h * beta, 0.0)
-        upper = np.append(-0.5 * h * beta, 0.0)
-        *lu, info = dgttrf(lower, np.ones(n_modes + 1), upper,
-                           overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-        if info != 0:  # a zero pivot: the matrix is singular
-            raise NumericalError(f"midpoint factorization failed: dgttrf info={info}")
-        # two padded states alternate: step k reads pads[(k - 1) % 2] and
-        # writes pads[k % 2]; _march sees the first N entries of each
-        pads = (np.zeros(n_modes + 1), np.zeros(n_modes + 1))
-        heads = tuple(pad[:n_modes] for pad in pads)
-        y = heads[0]
-        y[:] = a0.a
-
-        def step(a, k):
-            old, x = pads[(k - 1) % 2], pads[k % 2]
-            # (I - h/2 M)^{-1} (I + h/2 M) a = 2 (I - h/2 M)^{-1} a - a
-            np.add(old, old, out=x)
-            dgttrs(*lu, x, overwrite_b=True)
-            np.subtract(x, old, out=x)
-            return heads[k % 2]
+        # I - h/2 M with one decoupled identity mode appended (zero couplings,
+        # diagonal 1); _march sees the first N entries of each state
+        y, step = _implicit_step(np.append(0.5 * h * beta, 0.0), np.ones(n_modes + 1),
+                                 np.append(-0.5 * h * beta, 0.0), a0.a, 0.0, fold=True)
     else:
         # work buffers, once per call: each step writes its state into ``y``,
         # a copy of a0.a, and its intermediates into the others, so a step

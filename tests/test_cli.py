@@ -540,6 +540,14 @@ class TestConfigHandling:
         assert err.startswith("error:") and "n_modes" in err and "9999" in err
         assert not list(tmp_path.iterdir())
 
+    def test_step_whose_couplings_underflow_runs(self, tmp_path):
+        # at dt = 5e-324, h/2 times each coupling underflows to 0.0, so the
+        # midpoint matrix is the identity and the one step keeps the state
+        args = ["evolve", "--dt", 5e-324, "--T", 5e-324, "--n-modes", 5]
+        assert run([*args, "--outdir", tmp_path]) == 0
+        summary = json.loads((tmp_path / "evolve_summary.json").read_text())
+        assert summary["scalars"]["max_norm_drift"] == 0.0
+
     def test_random_preset_takes_every_n_modes_in_range(self, tmp_path):
         # only the gaussian bump has a quadrature to bound
         args = ["evolve", "--preset", "random", "--n-modes", 100_000, "--T", 0]

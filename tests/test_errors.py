@@ -1,9 +1,10 @@
-"""The shared step loop ``errors._march``: its check for non-finite states and its sums."""
+"""The shared step loop ``errors._march``: its check for non-finite states and its sums;
+the shared implicit step's check for a singular matrix."""
 
 import numpy as np
 import pytest
 
-from logkdv.errors import NumericalError, _march
+from logkdv.errors import NumericalError, _implicit_step, _march, _tridiagonal_solver
 
 
 def constant_steps(bad_step=None, bad_value=None, scale=1.0):
@@ -62,3 +63,18 @@ def test_sums_are_those_of_the_kept_rows(sample_every):
     )
     assert kept[-1] == 11 and kept.size == states.shape[0] == sums.size
     assert_sums_of_rows(sums, states)
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [_tridiagonal_solver, lambda *bands: _implicit_step(*bands, np.ones(3), 0.0, True)],
+    ids=["solver", "implicit_step"],
+)
+@pytest.mark.parametrize(
+    "diag", [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]], ids=["one-zero", "all-zero"]
+)
+def test_zero_pivot_raises(factor, diag):
+    # both flows factor through here; with no couplings, a zero on the
+    # diagonal is a zero pivot
+    with pytest.raises(NumericalError, match="factorization failed: dgttrf info="):
+        factor(np.zeros(2), np.array(diag), np.zeros(2))

@@ -322,14 +322,16 @@ class TestEvolution:
     @pytest.mark.parametrize("sample_every", [1, 7])
     def test_bit_identical_to_reference_loop(self, method, sample_every):
         # the horizon is not a multiple of sample_every * dt, so the last
-        # step is kept off the sampling grid
+        # step is kept off the sampling grid; the second bump is subnormal at
+        # 6 tail nodes, where doubling before the solve, as evolve_dissipative
+        # does, and after it, as the reference does, could round apart
         g = HalfLineGrid(20.0, 0.05)
-        w0 = initial_gaussian_bump(g)
-        flow = evolve_dissipative(w0, 0.1234, 1e-3, method=method, sample_every=sample_every)
-        ref = reference_dissipate(w0, 0.1234, 1e-3, method, sample_every)
-        for got, want in zip((flow.ts, flow.states, flow.step_ts, flow.step_l2), ref):
-            assert np.array_equal(got, want)
-            assert got.tobytes() == want.tobytes()  # the signs of zeros too
+        for w0 in (initial_gaussian_bump(g), initial_gaussian_bump(g, center=-1.0, width=0.5)):
+            flow = evolve_dissipative(w0, 0.1234, 1e-3, method=method, sample_every=sample_every)
+            ref = reference_dissipate(w0, 0.1234, 1e-3, method, sample_every)
+            for got, want in zip((flow.ts, flow.states, flow.step_ts, flow.step_l2), ref):
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()  # the signs of zeros too
 
     @pytest.mark.parametrize("method", ["cn", "be"])
     def test_agrees_with_splu_loop(self, grid, method):
