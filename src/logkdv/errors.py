@@ -83,21 +83,22 @@ def _tridiagonal_solver(lower, diag, upper):
 
 
 def _implicit_step(lower, diag, upper, y0, m, fold):
-    """The first state and the step ``_march`` takes for the implicit rule of A.
+    """The first state y and the step that ``_march`` takes, for a theta rule.
 
-    A = I - theta h G is the tridiagonal matrix with bands ``lower``, ``diag``
-    and ``upper`` (overwritten), factored once by :func:`_tridiagonal_solver`.
-    Backward Euler (theta = 1) takes ``y = A^{-1} y``.  The implicit midpoint
-    and Crank-Nicolson rules (theta = 1/2, ``fold``) need no product with G:
+    A is ``I - theta h G``, made tridiagonal by the caller with one row
+    operation: row n-1 minus m times row n-2 (m = 0.0 for none).  Its bands
+    ``lower``, ``diag`` and ``upper`` are overwritten and factored once by
+    :func:`_tridiagonal_solver`.  Backward Euler (theta = 1) takes
+    ``y = A^{-1} y``.  The implicit midpoint and Crank-Nicolson rules
+    (theta = 1/2, ``fold``) need no product with G:
 
         (I - h/2 G)^{-1} (I + h/2 G) = 2 (I - h/2 G)^{-1} - I,
 
     so a step is ``2 solve(y) - y``.  Each step forms the right side b = 2 y,
-    or y without the fold, takes ``b[-1] -= m * b[-2]``, the caller's row
-    operation on A's last row, overwrites b with ``A^{-1} b`` by one
-    ``dgttrs`` and, with the fold, subtracts y.  Doubling is exact outside
-    the subnormal range, so there ``solve(2 y)`` is ``2 solve(y)`` to the
-    bit.
+    or y without the fold, takes the row operation as ``b[-1] -= m * b[-2]``,
+    overwrites b with ``A^{-1} b`` by one ``dgttrs`` and, with the fold,
+    subtracts y.  Doubling is exact outside the subnormal range, so there
+    ``solve(2 y)`` is ``2 solve(y)`` to the bit.
 
     The states are the first ``y0.size`` entries of two buffers of A's size,
     which alternate between steps, so a step allocates nothing; the entries
