@@ -103,6 +103,17 @@ def _implicit_step(lower, diag, upper, y0, m, fold):
     The states are the first ``y0.size`` entries of two buffers of A's size,
     which alternate between steps, so a step allocates nothing; the entries
     after them start at 0.0, and ``y0`` is copied into the first buffer.
+
+    A node whose row and column of A are the identity's (zero couplings,
+    diagonal 1) is a decoupled identity mode.  ``dgttrf`` eliminates through
+    it with multiplier 0 and never pivots there, and an entry of +0.0 there
+    stays +0.0 at every step, with or without the fold.  It changes no other
+    value: the one product with its zero coupling that a substitution
+    subtracts from the neighbouring entry can flip the sign of a zero there
+    and no other bit.  Both flows have one.  The lattice appends a pad after
+    its N modes, because scipy's ``dgttrf`` wrapper rejects N = 2, so every
+    N takes this one path; the half-line's Dirichlet node 0, at z = -Z, has
+    an empty row and column of H.
     """
     solve = _tridiagonal_solver(lower, diag, upper)
     pads = (np.zeros(diag.size), np.zeros(diag.size))

@@ -18,7 +18,8 @@ Discretization (uniform grid z_j = -Z + j h, j = 0..J, z_J = 0):
   half-node products);
 * last node: diffusion coefficient is zero; one-sided second-order
   stencils for the advection and flux terms;
-* j = 0: Dirichlet (row kept zero, value pinned to 0 by the stepper).
+* j = 0: Dirichlet (row and column 0 of H empty, so node 0 is a
+  decoupled mode that every step leaves at 0.0).
 
 So H has three bands and one entry below them, at (J, J-2), from the
 one-sided stencil.  Every linear solve removes that entry first: row J
@@ -121,7 +122,7 @@ def gaussian_weight(grid: HalfLineGrid) -> np.ndarray:
 
 
 def _h_bands(grid: HalfLineGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The bands of H at offsets -2, -1, 0 and 1 (row 0 empty: Dirichlet).
+    """The bands of H at offsets -2, -1, 0 and 1 (row and column 0 empty: Dirichlet).
 
     The band at offset -2 holds one nonzero entry, at (J, J-2), from the
     one-sided stencil at z = 0.
@@ -140,6 +141,7 @@ def _h_bands(grid: HalfLineGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     diag = np.zeros(J + 1)
     upper = np.zeros(J)
     lower[: J - 1] = -zi / h**2 + 3.0 / (2.0 * h) + -qlo / (2.0 * h)
+    lower[0] = 0.0  # Dirichlet: column 0 empty too, so node 0 is decoupled
     diag[1:J] = 2.0 * zi / h**2 + (qhi - qlo) / (2.0 * h)
     upper[1:] = -zi / h**2 + -3.0 / (2.0 * h) + qhi / (2.0 * h)
     # z_J = 0: no diffusion term; one-sided second-order backward stencils
@@ -152,7 +154,7 @@ def _h_bands(grid: HalfLineGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def assemble_H(grid: HalfLineGrid) -> sp.csr_matrix:
-    """Sparse discretization of H on the grid (row 0 empty: Dirichlet)."""
+    """Sparse discretization of H on the grid (row and column 0 empty: Dirichlet)."""
     import scipy.sparse as sp
 
     return sp.diags(_h_bands(grid), [-2, -1, 0, 1], format="csr")
@@ -207,7 +209,9 @@ def evolve_dissipative(
     L2 norm is non-increasing step by step.  ``I - theta dt H`` (theta =
     1/2 or 1) is made tridiagonal by the row elimination of the module
     docstring and stepped by ``errors._implicit_step``, with the
-    Crank-Nicolson fold; each new state is pinned to 0.0 at z = -Z.  The
+    Crank-Nicolson fold.  The state starts at 0.0 at z = -Z, whatever w0
+    holds there, and node 0 is a decoupled mode of that matrix, so every
+    step keeps it at 0.0 (see there).  The
     step count ``round(T / dt)``, sampling and storage are the package's
     one step loop, ``errors._march``, which the lattice flow shares.
     """
@@ -221,15 +225,8 @@ def evolve_dissipative(
     theta_dt = (0.5 if method == "cn" else 1.0) * dt
     bands = -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper
     m = _eliminate_corner(-theta_dt * lower2[-1], *bands)
-    w, solve_step = _implicit_step(*bands, w0.w, m, fold=method == "cn")
+    w, step = _implicit_step(*bands, w0.w, m, fold=method == "cn")
     w[0] = 0.0
-
-    def step(w, k):
-        x = solve_step(w, k)
-        # row 0 of the operator is the identity's, so the pin hides nothing
-        x[0] = 0.0
-        return x
-
     times, kept, states, _, step_l2 = _march(step, w, w0.t, T, dt, sample_every, grid.norm)
     return HalfLineFlow(
         grid=grid, ts=times[kept], states=states, step_ts=times, step_l2=step_l2
@@ -276,8 +273,8 @@ def modulation_integrate(
     telescoped identity ``a(t) = a0 + <phi, w(0)> - <phi, w(t)>``, which
     is the exact discrete time integral of ``2 beta`` under either
     stepper and keeps ``A = a + <phi, w>`` constant to roundoff.  b
-    telescopes the same way: with node 0 pinned, either stepper's
-    quadrature of w over a step is ``H^{-1}`` of the step's increment, so
+    telescopes the same way: either stepper's quadrature of w over a
+    step is ``H^{-1}`` of the step's increment, so
     with ``psi = H^{-T} (weights * phi)`` (node 0 removed)
     ``b(t) = b0 + (A (t - t0) + <psi, w(t0)> - <psi, w(t)>) / 2`` is the
     stepper's own quadrature of a/2 over every step (the trapezoid under

@@ -17,17 +17,11 @@ generator stiff.  Both steppers build their work buffers once per
 the package's one implicit tridiagonal step, ``errors._implicit_step``,
 which the half-line flow shares: ``I - h/2 M`` factored once per call
 and a step ``2 solve(a) - a``, with no product with M.  What this module
-builds is the pad.  The factored matrix has one decoupled identity mode
-after the N lattice modes (zero couplings, diagonal 1), because scipy's
-``dgttrf`` wrapper rejects N = 2.  The pad changes no value of the first
-N entries: ``dgttrf`` eliminates the last row with multiplier 0 and never
-pivots there, and the padded entry of every solution is 0.0, so every N
-takes the one path.  The pad's row has no entry off the bands, so the
-step's row multiplier is the constant 0.0 (as ``corner / lower[-2]`` it
-would be 0/0 once ``h/2 beta`` underflows, as at dt = 5e-324).
-The back substitution subtracts one product with that 0.0 from the last
-lattice entry, which can flip the sign of an entry that is zero and no
-other bit.  RK4 writes its four stages into its buffers through slices
+builds is the pad, one decoupled identity mode after the N lattice modes
+(see there), so that N = 2 takes the one path too.  The pad's row has no
+entry off the bands, so the step's row multiplier is the constant 0.0
+(as ``corner / lower[-2]`` it would be 0/0 once ``h/2 beta`` underflows,
+as at dt = 5e-324).  RK4 writes its four stages into its buffers through slices
 cut once per call and performs the operations of the plain formulas in
 their order, so the buffers change no bit.  The step count, sampling and
 storage are the package's one step loop, ``errors._march``, which the

@@ -8,10 +8,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from logkdv.errors import _implicit_step
 from logkdv.halfline import (
     HalfLineFlow,
     HalfLineGrid,
     HalfLineState,
+    _eliminate_corner,
     _h_bands,
     _psi,
     assemble_H,
@@ -256,6 +258,24 @@ class TestOperator:
 
 
 class TestEvolution:
+    @pytest.mark.parametrize("method", ["cn", "be"])
+    @pytest.mark.parametrize("extent, spacing, dt", [(40.0, 0.02, 1e-3), (40.0, 0.02, 1e-2), (16.0, 1.0, 0.5)])
+    def test_dirichlet_node_stays_positive_zero_unpinned(self, extent, spacing, dt, method):
+        # H's row and column 0 are empty, so node 0 is a decoupled identity
+        # mode of I - theta dt H: the shared step, with nothing written to
+        # node 0 between steps, leaves it at +0.0
+        grid = HalfLineGrid(extent, spacing)
+        H = assemble_H(grid).toarray()
+        assert not H[0].any() and not H[:, 0].any()
+        lower2, lower, diag, upper = _h_bands(grid)
+        theta_dt = (0.5 if method == "cn" else 1.0) * dt
+        bands = -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper
+        m = _eliminate_corner(-theta_dt * lower2[-1], *bands)
+        w, step = _implicit_step(*bands, initial_gaussian_bump(grid).w, m, fold=method == "cn")
+        for k in range(1, 3001):
+            w = step(w, k)
+            assert w[0] == 0.0 and not np.signbit(w[0]), k
+
     def test_zero_data_stays_zero(self, grid):
         w0 = HalfLineState(np.zeros(grid.n_intervals + 1), 0.0, grid)
         flow = evolve_dissipative(w0, T=0.1, dt=1e-2)
