@@ -211,9 +211,9 @@ def evolve_dissipative(
     docstring and stepped by ``errors._implicit_step``, with the
     Crank-Nicolson fold.  The state starts at 0.0 at z = -Z, whatever w0
     holds there, and node 0 is a decoupled mode of that matrix, so every
-    step keeps it at 0.0 (see there).  The
-    step count ``round(T / dt)``, sampling and storage are the package's
-    one step loop, ``errors._march``, which the lattice flow shares.
+    step keeps it at 0.0 (see there).  The step count ``round(T / dt)``,
+    sampling and storage are the package's one step loop,
+    ``errors._march``, which the lattice flow shares.
     """
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
@@ -274,8 +274,8 @@ def modulation_integrate(
     is the exact discrete time integral of ``2 beta`` under either
     stepper and keeps ``A = a + <phi, w>`` constant to roundoff.  b
     telescopes the same way: either stepper's quadrature of w over a
-    step is ``H^{-1}`` of the step's increment, so
-    with ``psi = H^{-T} (weights * phi)`` (node 0 removed)
+    step is ``H^{-1}`` of the step's increment, so with
+    ``psi = H^{-T} (weights * phi)`` (node 0 removed)
     ``b(t) = b0 + (A (t - t0) + <psi, w(t0)> - <psi, w(t)>) / 2`` is the
     stepper's own quadrature of a/2 over every step (the trapezoid under
     Crank-Nicolson, the right endpoint under backward Euler), whatever

@@ -18,16 +18,17 @@ the package's one implicit tridiagonal step, ``errors._implicit_step``,
 which the half-line flow shares: ``I - h/2 M`` factored once per call
 and a step ``2 solve(a) - a``, with no product with M.  What this module
 builds is the pad, one decoupled identity mode after the N lattice modes
-(see there), so that N = 2 takes the one path too.  The pad's row has no
-entry off the bands, so the step's row multiplier is the constant 0.0
-(as ``corner / lower[-2]`` it would be 0/0 once ``h/2 beta`` underflows,
-as at dt = 5e-324).  RK4 writes its four stages into its buffers through slices
-cut once per call and performs the operations of the plain formulas in
-their order, so the buffers change no bit.  The step count, sampling and
-storage are the package's one step loop, ``errors._march``, which the
-half-line flow shares.  The trajectory's norms are the square roots of
-the sums of squares that loop already takes to check each state, so no
-second pass walks the kept states.
+(see ``_implicit_step``), so that N = 2 takes the one path too.  The
+pad's row has no entry off the bands, so the step's row multiplier is
+the constant 0.0 (as ``corner / lower[-2]`` it would be 0/0 once
+``h/2 beta`` underflows, as at dt = 5e-324).  RK4 writes its four stages
+into its buffers through slices cut once per call and performs the
+operations of the plain formulas in their order, so the buffers change
+no bit.  The step count, sampling and storage are the package's one
+step loop, ``errors._march``, which the half-line flow shares.  The
+trajectory's norms are the square roots of the sums of squares that loop
+already takes to check each state, so no second pass walks the kept
+states.
 
 Truncation caveat: the lattice transports energy toward large n at speed
 ~ n^(3/2), so wave content launched from modes around n0 reaches *any*
