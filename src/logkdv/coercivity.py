@@ -226,23 +226,28 @@ def coercivity_constant(n_max: int, tail_corrected: bool = True) -> float:
 def coercivity_constant_dense(n_max: int) -> float:
     """Reference value by explicit projection and a dense eigensolve.
 
-    Builds an orthonormal basis of the null space of the constraint
-    functional on modes 1..n_max, projects the two diagonal forms onto
-    it, and returns the smallest generalized eigenvalue.  O(n_max^3);
-    used to cross-check the secular route.
+    With ``y_n = sqrt(n + 1) c_n`` on modes 1..n_max (mode 0 is already
+    eliminated) the compatible norm is ``|y|^2``, the energy form is
+    ``y^T D y`` with ``D = diag((n - 1)/(n + 1))`` and the constraint is
+    ``h . y = 0`` with ``h_n = f_n / sqrt(n + 1)``.  The Householder reflector
+    ``P = I - 2 u u^T`` that maps h onto the first axis has its other columns
+    as an orthonormal basis of h's complement, so the smallest eigenvalue of
+    ``P D P`` without its first row and column is returned.  O(n_max^3), on
+    numpy's LAPACK; used to cross-check the secular route, with which it
+    shares only ``f``.
     """
     if n_max < 10:
         raise ValueError("n_max must be at least 10 to support the constraints")
-    import scipy.linalg
-
-    f = projection_sequence(n_max)
-    g = f[1:]  # constraint on modes 1..n_max (mode 0 already eliminated)
     ns = np.arange(1, n_max + 1, dtype=float)
-    basis = scipy.linalg.null_space(g[None, :])
-    a_red = (basis.T * (ns - 1.0)) @ basis
-    b_red = (basis.T * (ns + 1.0)) @ basis
-    vals = scipy.linalg.eigh(a_red, b_red, eigvals_only=True, subset_by_index=[0, 0])
-    return float(vals[0])
+    h = projection_sequence(n_max)[1:] / np.sqrt(ns + 1.0)
+    d = (ns - 1.0) / (ns + 1.0)
+    u = h.copy()
+    u[0] += np.linalg.norm(h)  # h_1 = f_1 / sqrt(2) > 0, so nothing cancels
+    u /= np.linalg.norm(u)
+    du = d * u
+    a = 2.0 * (du - np.dot(u, du) * u)
+    pdp = np.diag(d) - np.outer(u, a) - np.outer(a, u)  # P D P, a rank-2 change of D
+    return float(np.linalg.eigvalsh(pdp[1:, 1:])[0])
 
 
 def random_constrained_coefficients(

@@ -1,8 +1,12 @@
-"""Exception types, and the fixed-step loop and implicit tridiagonal step that both
-time evolutions share."""
+"""Exception types, the fixed-step loop and implicit tridiagonal step that both
+time evolutions share, and the package's one path to LAPACK."""
 
 import functools
 import math
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -65,21 +69,49 @@ def _march(step, y0, t0, T, dt, sample_every, probe):
     return times, kept, states, sums, probes
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension module, ``scipy.linalg._flapack``.
+
+    The f2py extension is loaded from its file in scipy's ``linalg`` folder and
+    registered in ``sys.modules`` under that name, so neither ``scipy``'s nor
+    ``scipy.linalg``'s ``__init__`` runs.  A later ``import scipy.linalg`` finds
+    it there: ``scipy.linalg.lapack``'s ``dgttrf`` is this module's.  If scipy
+    loaded it first, that module is returned.  ``_flapack`` is a private name of
+    scipy's, run so far at scipy 1.17.1 and checked in CI at the declared floor,
+    1.10.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy = find_spec("scipy")  # the package's folder, found without importing it
+        spec = scipy and FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "linalg"),
+            (ExtensionFileLoader, EXTENSION_SUFFIXES),
+        ).find_spec(name)
+        if not spec:
+            raise ImportError(f"scipy's LAPACK extension {name} was not found")
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
 def _tridiagonal_solver(lower, diag, upper):
     """``solve(b, trans="N")`` for the tridiagonal matrix A with these bands.
 
-    A is factored once by LAPACK's ``dgttrf``, which overwrites the bands; a
-    zero pivot, so a singular A, raises NumericalError.  Each call is one
-    ``dgttrs``, which overwrites a contiguous float array ``b`` with
-    ``A^{-1} b`` (``trans="T"``: ``A^{-T} b``) and returns it with LAPACK's
-    info.
+    A is factored once by LAPACK's ``dgttrf`` (from :func:`_lapack`), which
+    overwrites the bands; a zero pivot, so a singular A, raises NumericalError.
+    Each call is one ``dgttrs``, which overwrites a contiguous float array ``b``
+    with ``A^{-1} b`` (``trans="T"``: ``A^{-T} b``) and returns it with
+    LAPACK's info.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs  # once per factorization, not per solve
-
-    *lu, info = dgttrf(lower, diag, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    lapack = _lapack()
+    *lu, info = lapack.dgttrf(
+        lower, diag, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True
+    )
     if info != 0:  # a zero pivot: the matrix is singular
         raise NumericalError(f"tridiagonal factorization failed: dgttrf info={info}")
-    return functools.partial(dgttrs, *lu, overwrite_b=True)
+    return functools.partial(lapack.dgttrs, *lu, overwrite_b=True)
 
 
 def _implicit_step(lower, diag, upper, y0, m, fold):

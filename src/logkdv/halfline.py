@@ -29,8 +29,10 @@ tridiagonal, and the same row operation on the right side is
 LU of the result (LAPACK's ``dgttrf`` once, ``dgttrs`` per solve) and the
 Crank-Nicolson fold ``2 solve(w) - w`` are the package's one implicit
 tridiagonal step, ``errors._implicit_step``, which the lattice flow
-shares.  No solve loads ``scipy.sparse``; :func:`assemble_H` builds the
-CSR matrix from the same bands for callers that want it.
+shares.  No solve imports ``scipy.sparse`` or ``scipy.linalg``: the two
+routines come from scipy's LAPACK extension module alone, which
+``errors._lapack`` loads from its file.  :func:`assemble_H` builds the CSR
+matrix from the same bands for callers that want it.
 
 Constraint bookkeeping.  With ``phi(z) = exp(-z^2/8)`` the functional
 ``A = a + <phi, w>`` is an exact invariant of the coupled system when

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _lapack
 from .hermite import (
     fit_loglog_slope,
     hurwitz_zeta,
@@ -380,11 +380,24 @@ def truncated_matrix_eigenvalues(n_max: int, z_max: float = 20.0) -> np.ndarray:
     The bisection tolerance is the smallest normal double, so each eigenvalue
     is bisected to its own relative accuracy instead of an absolute one set by
     the matrix norm, which grows like ``n_max**(3/2)``.
-    """
-    from scipy.linalg import eigh_tridiagonal
 
+    One call of LAPACK's ``dstebz`` over the range (1e-9, z_max], the call that
+    ``scipy.linalg.eigh_tridiagonal`` makes for these arguments, so the values
+    have its bits.  ``n_max = 1`` returns none, as scipy does (the 1x1 matrix is
+    0).  ``n_max < 1``, or a ``z_max`` that is NaN or at most 1e-9, raises
+    ValueError before any LAPACK call.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if not z_max > 1e-9:
+        raise ValueError("z_max must be above 1e-9")
+    if n_max == 1:
+        return np.array([])
     off = offdiag_weight(np.arange(1, n_max, dtype=float))
-    return eigh_tridiagonal(
-        np.zeros(n_max), off, eigvals_only=True, select="v", select_range=(1e-9, z_max),
-        tol=np.finfo(float).tiny,
+    # range 1: by value; il = iu = 1 are unused, as scipy passes them; "E": ascending
+    m, w, _, _, info = _lapack().dstebz(
+        np.zeros(n_max), off, 1, 1e-9, z_max, 1, 1, np.finfo(float).tiny, "E"
     )
+    if info != 0:
+        raise NumericalError(f"eigenvalue bisection failed: dstebz info={info}")
+    return w[:m]

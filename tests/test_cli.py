@@ -67,9 +67,10 @@ NUMERIC_KEYS = [
 
 
 # A small run of each subcommand, and whether it loads scipy: only evolve
-# and dissipate (LAPACK's dgttrf and dgttrs, both) do, and neither loads
-# scipy.sparse. The other runs use the package's ports of Cephes' zeta
-# and of brentq.
+# and dissipate do, and of scipy they load LAPACK's extension module
+# scipy.linalg._flapack alone (for dgttrf and dgttrs), not the scipy or
+# scipy.linalg packages. The other runs use the package's ports of Cephes'
+# zeta and of brentq.
 SMALL_RUNS = {
     "spectrum": (["--z-max", 4.0, "--n-max", 200], False),
     "projections": (["--n-max", 2000], False),
@@ -653,8 +654,13 @@ class TestModuleEntryPoints:
 
     @pytest.mark.parametrize("run_id", [r for r, (_, scipy) in SMALL_RUNS.items() if scipy])
     def test_first_scipy_import_runs_under_the_errstate(self, run_id, small_run):
-        # a float warning raised while scipy imports would exit 2 in the child
+        # a float warning raised while LAPACK's extension loads would exit 2 in the child
         assert fresh_scipy_modules(small_run, run_id)
+
+    @pytest.mark.parametrize("run_id", [r for r, (_, scipy) in SMALL_RUNS.items() if scipy])
+    def test_run_loads_the_lapack_extension_alone(self, run_id, small_run):
+        # loaded from its file: neither scipy's nor scipy.linalg's __init__ runs
+        assert fresh_scipy_modules(small_run, run_id) == ["scipy.linalg._flapack"]
 
     @pytest.mark.parametrize("run_id", [r for r, (_, scipy) in SMALL_RUNS.items() if not scipy])
     def test_run_loads_no_scipy(self, run_id, small_run):

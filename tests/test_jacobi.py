@@ -428,6 +428,37 @@ class TestSpectrum:
         assert ev[0] < z1 < ev[1] < z2 < ev[2]
 
 
+class TestTruncatedMatrixEigenvalues:
+    @pytest.mark.parametrize(
+        "n_max, z_max",
+        [(2, 20.0), (3, 20.0), (400, 20.0), (401, 20.0), (800, 10.0), (1601, 12.0), (50, math.inf)],
+    )
+    def test_same_bits_as_scipy(self, n_max, z_max):
+        from scipy.linalg import eigh_tridiagonal
+
+        off = jacobi.offdiag_weight(np.arange(1, n_max, dtype=float))
+        expected = eigh_tridiagonal(
+            np.zeros(n_max), off, eigvals_only=True, select="v", select_range=(1e-9, z_max),
+            tol=np.finfo(float).tiny,
+        )
+        ev = truncated_matrix_eigenvalues(n_max, z_max)
+        assert ev.dtype == expected.dtype and ev.tobytes() == expected.tobytes()
+
+    def test_one_mode_has_no_positive_eigenvalue(self):
+        # the 1x1 section is the matrix 0
+        ev = truncated_matrix_eigenvalues(1)
+        assert ev.dtype == float and ev.size == 0
+
+    @pytest.mark.parametrize(
+        "n_max, z_max", [(0, 20.0), (-3, 20.0), (5, 1e-9), (5, 0.0), (5, -1.0), (5, math.nan)]
+    )
+    def test_bad_arguments_raise_before_lapack(self, n_max, z_max, capfd):
+        with pytest.raises(ValueError):
+            truncated_matrix_eigenvalues(n_max, z_max)
+        # dstebz would report a bad argument on stderr, from its Fortran
+        assert capfd.readouterr().err == ""
+
+
 class TestDecayExponent:
     def test_pure_power_law(self):
         m = np.arange(1, 5001, dtype=float)
