@@ -662,6 +662,46 @@ class TestModuleEntryPoints:
         # loaded from its file: neither scipy's nor scipy.linalg's __init__ runs
         assert fresh_scipy_modules(small_run, run_id) == ["scipy.linalg._flapack"]
 
+    @pytest.mark.parametrize(
+        "call, loaded",
+        [
+            ("from logkdv.errors import _lapack; _lapack()", ["scipy.linalg._flapack"]),
+            ("from logkdv.jacobi import truncated_matrix_eigenvalues as f; f(401)",
+             ["scipy.linalg._flapack"]),
+            ("from logkdv.coercivity import coercivity_constant_dense as f; f(50)", []),
+        ],
+        ids=["lapack", "truncated_matrix_eigenvalues", "coercivity_constant_dense"],
+    )
+    def test_library_call_loads_the_lapack_extension_at_most(self, call, loaded):
+        proc = run_python(["-c", f"""{call}
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))"""])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == loaded
+
+    def test_scipy_imported_after_lapack_has_its_routines(self):
+        # a scipy that renames or moves _flapack fails here
+        proc = run_python(["-c", """
+import sys
+from logkdv.errors import _lapack
+lapack = _lapack()
+import scipy.linalg.lapack
+assert sys.modules["scipy.linalg._flapack"] is lapack
+for name in ("dgttrf", "dgttrs", "dstebz"):
+    assert getattr(scipy.linalg.lapack, name) is getattr(lapack, name), name
+"""])
+        assert proc.returncode == 0, proc.stderr
+
+    def test_lapack_after_scipy_returns_its_module(self):
+        proc = run_python(["-c", """
+import sys
+import scipy.linalg
+from logkdv.errors import _lapack
+assert _lapack() is sys.modules["scipy.linalg._flapack"]
+assert _lapack().dgttrf is scipy.linalg.lapack.dgttrf
+"""])
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("run_id", [r for r, (_, scipy) in SMALL_RUNS.items() if not scipy])
     def test_run_loads_no_scipy(self, run_id, small_run):
         # zeta and the root finder are ports with scipy's bits

@@ -1,16 +1,9 @@
 """The shared step loop ``errors._march``: its check for non-finite states and its sums;
-the shared implicit step's check for a singular matrix; the loader of LAPACK's extension."""
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+the shared implicit step's check for a singular matrix."""
 
 import numpy as np
 import pytest
 
-from logkdv import errors
 from logkdv.errors import NumericalError, _implicit_step, _march, _tridiagonal_solver
 
 
@@ -85,56 +78,3 @@ def test_zero_pivot_raises(factor, diag):
     # diagonal is a zero pivot
     with pytest.raises(NumericalError, match="factorization failed: dgttrf info="):
         factor(np.zeros(2), np.array(diag), np.zeros(2))
-
-
-def run_fresh(code):
-    """Run ``code`` in a fresh interpreter with this checkout's package on the path."""
-    env = dict(os.environ)
-    src = str(Path(errors.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-@pytest.mark.parametrize(
-    "call, loaded",
-    [
-        ("from logkdv.errors import _lapack; _lapack()", ["scipy.linalg._flapack"]),
-        ("from logkdv.jacobi import truncated_matrix_eigenvalues as f; f(401)",
-         ["scipy.linalg._flapack"]),
-        ("from logkdv.coercivity import coercivity_constant_dense as f; f(50)", []),
-    ],
-    ids=["loader", "truncated_matrix_eigenvalues", "coercivity_constant_dense"],
-)
-def test_library_call_loads_no_scipy_package(call, loaded):
-    # at most LAPACK's extension module, loaded from its file
-    out = run_fresh(f"""{call}
-import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))""")
-    assert json.loads(out) == loaded
-
-
-def test_scipy_imported_after_the_loader_has_its_routines():
-    # a scipy that renames or moves _flapack fails here
-    run_fresh("""
-import sys
-from logkdv.errors import _lapack
-lapack = _lapack()
-import scipy.linalg.lapack
-assert sys.modules["scipy.linalg._flapack"] is lapack
-for name in ("dgttrf", "dgttrs", "dstebz"):
-    assert getattr(scipy.linalg.lapack, name) is getattr(lapack, name), name
-""")
-
-
-def test_loader_after_scipy_returns_its_module():
-    run_fresh("""
-import sys
-import scipy.linalg
-from logkdv.errors import _lapack
-assert _lapack() is sys.modules["scipy.linalg._flapack"]
-assert _lapack().dgttrf is scipy.linalg.lapack.dgttrf
-""")
