@@ -10,6 +10,14 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
+# The most steps one run of ``_march`` takes: 10^8 steps hold 1.6 GB of times
+# and probes before any state, and the defaults ask for at most 10^7.
+_MAX_STEPS = 10**8
+
+# The least natural log of an entry of a symmetrizing scale D, whose largest
+# entry is 1: below it, D b and b / D would lose bits to underflow.
+_LOG_SCALE_FLOOR = -300.0
+
 
 class NumericalError(RuntimeError):
     """A computation failed to converge or produced an unusable result.
@@ -28,6 +36,9 @@ def _march(step, y0, t0, T, dt, sample_every, probe):
     kept states as rows, each kept row's sum of squares ``np.vdot(y, y)``
     and ``probe(y)`` at every step.
 
+    More than ``_MAX_STEPS`` steps raise ValueError before anything is
+    allocated.
+
     Each state is checked through its sum of squares: a finite one means
     every entry is finite, and only when it is not does the entry-wise scan
     run, so finite entries whose squares overflow still pass.  The steps
@@ -44,6 +55,10 @@ def _march(step, y0, t0, T, dt, sample_every, probe):
     if not math.isfinite(abs(T) / dt):
         raise ValueError("T / dt must be finite")
     n_steps = int(round(abs(T) / dt))
+    if n_steps > _MAX_STEPS:
+        raise ValueError(
+            f"T={T!r} and dt={dt!r} ask for {n_steps} steps, above the cap of {_MAX_STEPS}"
+        )
     if n_steps == 0 and T != 0:
         raise ValueError("T / dt rounds to zero steps")
     times = t0 + np.arange(n_steps + 1) * math.copysign(dt, T)
@@ -96,16 +111,75 @@ def _lapack():
     return sys.modules[name]
 
 
+def _symmetrizer(lower, upper):
+    """A positive scale D and bands e with ``D A D^{-1}`` symmetric, or None.
+
+    For a tridiagonal A with these off-diagonal bands, ``D A D^{-1}`` has the
+    same diagonal and the couplings ``r[i] lower[i]`` below and
+    ``upper[i] / r[i]`` above, with ``r[i] = d[i+1] / d[i]``.  Both are
+    ``e[i] = sign(lower[i]) sqrt(lower[i] upper[i])`` when
+    ``r[i] = sqrt(upper[i] / lower[i])`` (1 where both couplings are zero),
+    which needs every pair of couplings to be both zero or of one sign.  D is
+    the running product of r, normalised to a largest entry of 1, and e is
+    ``r lower``.  None when a pair has opposite signs or one zero, or when an
+    entry of D would fall below ``exp(_LOG_SCALE_FLOOR)``; that is checked
+    on the sums of the logs, so the product neither overflows nor underflows.
+    """
+    if not np.array_equal(np.sign(lower), np.sign(upper)):
+        return None
+    coupled = lower != 0.0
+    logs = np.zeros((2, lower.size))  # log |upper| and log |lower|, 0.0 where both are 0.0
+    np.log(np.abs([upper, lower]), out=logs, where=coupled)
+    log_scale = np.concatenate(([0.0], np.cumsum(0.5 * (logs[0] - logs[1]))))
+    if not log_scale.min() - log_scale.max() >= _LOG_SCALE_FLOOR:
+        return None
+    ratio = np.sqrt(np.divide(upper, lower, out=np.ones(lower.size), where=coupled))
+    scale = np.cumprod(np.concatenate(([1.0], ratio)))
+    scale /= scale.max()
+    return scale, ratio * lower
+
+
+def _symmetrized_solve(dpttrs, d, e, scale, b, trans="N"):
+    """``A^{-1} b`` (``trans="T"``: ``A^{-T} b``) for ``A = D^{-1} S D``, S's
+    factors d, e from ``dpttrf`` and D = ``scale``: b times D, one ``dpttrs``
+    with S, then divided by D.  ``A^T = D S D^{-1}`` swaps the two."""
+    into, out = (np.multiply, np.divide) if trans == "N" else (np.divide, np.multiply)
+    into(b, scale, out=b)
+    x, info = dpttrs(d, e, b, overwrite_b=True)
+    out(x, scale, out=x)
+    return x, info
+
+
 def _tridiagonal_solver(lower, diag, upper):
     """``solve(b, trans="N")`` for the tridiagonal matrix A with these bands.
 
-    A is factored once by LAPACK's ``dgttrf`` (from :func:`_lapack`), which
-    overwrites the bands; a zero pivot, so a singular A, raises NumericalError.
-    Each call is one ``dgttrs``, which overwrites a contiguous float array ``b``
-    with ``A^{-1} b`` (``trans="T"``: ``A^{-T} b``) and returns it with
-    LAPACK's info.
+    Each call overwrites a contiguous float array ``b`` with ``A^{-1} b``
+    (``trans="T"``: ``A^{-T} b``) and returns it with LAPACK's info.  The
+    routines come from :func:`_lapack`, by one of two paths that the bands
+    choose:
+
+    * A diagonal similarity makes A symmetric positive definite
+      (:func:`_symmetrizer`, then ``dpttrf`` returns info 0): each call is
+      one ``dpttrs`` between two scalings by D, see
+      :func:`_symmetrized_solve`.  The half-line's ``I - theta dt H`` takes
+      this path: its couplings have positive products while
+      ``|z| < 8 / h`` or so, and D is about ``|z| exp(-z^2/16)``.
+    * Otherwise A is factored by ``dgttrf``, which overwrites the bands;
+      a zero pivot, so a singular A, raises NumericalError.  Each call is
+      one ``dgttrs``.  The lattice's skew couplings have negative products,
+      and H itself is negative definite, so those take this path.
+
+    An identity row and column (zero couplings, diagonal 1) keep ``e = 0``
+    and a D entry equal to the one before it on the first path, and a zero
+    multiplier on the second; each leaves an entry of +0.0 there at +0.0.
     """
     lapack = _lapack()
+    symmetrized = _symmetrizer(lower, upper)
+    if symmetrized is not None:
+        scale, e = symmetrized
+        d, e, info = lapack.dpttrf(diag, e, overwrite_e=True)
+        if info == 0:
+            return functools.partial(_symmetrized_solve, lapack.dpttrs, d, e, scale)
     *lu, info = lapack.dgttrf(
         lower, diag, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True
     )
@@ -119,8 +193,10 @@ def _implicit_step(lower, diag, upper, y0, m, fold):
 
     A is ``I - theta h G``, made tridiagonal by the caller with one row
     operation: row n-1 minus m times row n-2 (m = 0.0 for none).  Its bands
-    ``lower``, ``diag`` and ``upper`` are overwritten and factored once by
-    :func:`_tridiagonal_solver`.  Backward Euler (theta = 1) takes
+    ``lower``, ``diag`` and ``upper`` are factored once by
+    :func:`_tridiagonal_solver`, which may overwrite them, symmetrized
+    (``dpttrf``) or by LU (``dgttrf``) as the bands allow; the step is the
+    same on either.  Backward Euler (theta = 1) takes
     ``y = A^{-1} y``.  The implicit midpoint and Crank-Nicolson rules
     (theta = 1/2, ``fold``) need no product with G:
 
@@ -128,7 +204,7 @@ def _implicit_step(lower, diag, upper, y0, m, fold):
 
     so a step is ``2 solve(y) - y``.  Each step forms the right side b = 2 y,
     or y without the fold, takes the row operation as ``b[-1] -= m * b[-2]``,
-    overwrites b with ``A^{-1} b`` by one ``dgttrs`` and, with the fold,
+    overwrites b with ``A^{-1} b`` by one solve and, with the fold,
     subtracts y.  Doubling is exact outside the subnormal range, so there
     ``solve(2 y)`` is ``2 solve(y)`` to the bit.
 
@@ -138,8 +214,9 @@ def _implicit_step(lower, diag, upper, y0, m, fold):
 
     A node whose row and column of A are the identity's (zero couplings,
     diagonal 1) is a decoupled identity mode.  ``dgttrf`` eliminates through
-    it with multiplier 0 and never pivots there, and an entry of +0.0 there
-    stays +0.0 at every step, with or without the fold.  It changes no other
+    it with multiplier 0 and never pivots there; ``dpttrf`` keeps its zero
+    coupling, ``e = 0``, and D only scales it.  An entry of +0.0 there stays
+    +0.0 at every step, with or without the fold.  It changes no other
     value: the one product with its zero coupling that a substitution
     subtracts from the neighbouring entry can flip the sign of a zero there
     and no other bit.  Both flows have one.  The lattice appends a pad after

@@ -68,7 +68,8 @@ NUMERIC_KEYS = [
 
 # A small run of each subcommand, and whether it loads scipy: only evolve
 # and dissipate do, and of scipy they load LAPACK's extension module
-# scipy.linalg._flapack alone (for dgttrf and dgttrs), not the scipy or
+# scipy.linalg._flapack alone (for dgttrf and dgttrs, and dissipate's
+# dpttrf and dpttrs), not the scipy or
 # scipy.linalg packages. The other runs use the package's ports of Cephes'
 # zeta and of brentq.
 SMALL_RUNS = {
@@ -687,7 +688,7 @@ from logkdv.errors import _lapack
 lapack = _lapack()
 import scipy.linalg.lapack
 assert sys.modules["scipy.linalg._flapack"] is lapack
-for name in ("dgttrf", "dgttrs", "dstebz"):
+for name in ("dgttrf", "dgttrs", "dstebz", "dpttrf", "dpttrs"):
     assert getattr(scipy.linalg.lapack, name) is getattr(lapack, name), name
 """])
         assert proc.returncode == 0, proc.stderr
@@ -726,6 +727,17 @@ assert _lapack().dgttrf is scipy.linalg.lapack.dgttrf
         proc = run_python(["-c", RSS_AFTER_LARGE_RUN, tmp_path])
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout.split()[-1]) < 15.0
+
+    @pytest.mark.parametrize("name", ["evolve", "dissipate"])
+    def test_step_count_beyond_the_cap_exits_1_before_allocating(self, name, tmp_path):
+        # 10^13 steps: the times alone would ask for 72.8 TiB, so the run is
+        # rejected before any array of steps, with no cap on the child's memory
+        proc = run_module("logkdv", [name, "--T", 1e4, "--dt", 1e-9, "--outdir", tmp_path])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: T=10000.0 and dt=1e-09 ask for 10000000000000 steps")
+        assert "\n" not in proc.stderr.strip()
+        assert proc.stdout == ""
+        assert not list(tmp_path.iterdir())
 
     def test_grid_beyond_memory_exits_1_with_one_line(self, tmp_path):
         # 10^15 nodes ask for 7.11 PiB; the child's address space is capped so

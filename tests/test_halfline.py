@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from logkdv.errors import _implicit_step
 from logkdv.halfline import (
@@ -43,13 +43,59 @@ def dense_lu(matrix):
     return lu
 
 
+def symmetrized(matrix):
+    """``dpttrf``'s factors of ``D M D^{-1}`` for a tridiagonal M, and D.
+
+    ``d[i+1] / d[i] = sqrt(M[i, i+1] / M[i+1, i])``, or 1 where both are 0.0,
+    normalised to a largest entry of 1; the couplings of ``D M D^{-1}`` are
+    that ratio times those of M below the diagonal.
+    """
+    lower, upper = np.diagonal(matrix, -1), np.diagonal(matrix, 1)
+    ratio = np.sqrt([u / l if l else 1.0 for l, u in zip(lower, upper)])
+    scale = np.cumprod([1.0, *ratio])
+    scale /= scale.max()
+    d, e, info = dpttrf(np.diagonal(matrix).copy(), ratio * lower)
+    assert info == 0
+    return d, e, scale
+
+
 def reference_dissipate(w0, T, dt, method, sample_every):
     """Step-by-step loop with list appends, pinning after the check.
 
-    The dense ``I - theta dt H`` with its last row eliminated, factored once
-    by ``dgttrf``; each step one ``dgttrs`` solve x, taken as the new state
-    (backward Euler) or as ``2 x - w`` (Crank-Nicolson).
+    The dense ``I - theta dt H`` with its last row eliminated, symmetrized by
+    its diagonal scale D and factored once by ``dpttrf``; each step one
+    ``dpttrs`` solve x of the right side times D, divided by D, taken as the
+    new state (backward Euler) or as ``2 x - w`` (Crank-Nicolson).
     """
+    grid = w0.grid
+    theta = 0.5 if method == "cn" else 1.0
+    L, m = eliminated(np.eye(grid.n_intervals + 1) - theta * dt * assemble_H(grid).toarray())
+    d, e, scale = symmetrized(L)
+    n_steps = int(round(T / dt))
+    w = w0.w.copy()
+    w[0] = 0.0
+    ts, states, step_ts, step_l2 = [w0.t], [w.copy()], [w0.t], [grid.norm(w)]
+    for k in range(n_steps):
+        b = w.copy()
+        b[-1] -= m * b[-2]
+        x, info = dpttrs(d, e, b * scale)
+        assert info == 0
+        x = x / scale
+        w = 2.0 * x - w if method == "cn" else x
+        assert np.all(np.isfinite(w))
+        w[0] = 0.0
+        t_now = w0.t + (k + 1) * dt
+        step_ts.append(t_now)
+        step_l2.append(grid.norm(w))
+        if (k + 1) % sample_every == 0 or k == n_steps - 1:
+            ts.append(t_now)
+            states.append(w.copy())
+    return np.array(ts), np.array(states), np.array(step_ts), np.array(step_l2)
+
+
+def lu_dissipate(w0, T, dt, method, sample_every):
+    """The same loop on ``dgttrf``'s LU of the eliminated ``I - theta dt H``,
+    one ``dgttrs`` solve per step, with no scaling."""
     grid = w0.grid
     theta = 0.5 if method == "cn" else 1.0
     L, m = eliminated(np.eye(grid.n_intervals + 1) - theta * dt * assemble_H(grid).toarray())
@@ -354,9 +400,32 @@ class TestEvolution:
                 assert got.tobytes() == want.tobytes()  # the signs of zeros too
 
     @pytest.mark.parametrize("method", ["cn", "be"])
+    @pytest.mark.parametrize("extent, spacing", [(16.0, 1.0), (72.0, 0.05)])
+    def test_lu_fallback_grids_bit_identical_to_lu_loop(self, extent, spacing, method):
+        # couplings of opposite signs where |z| > 8/h, or a symmetrizing scale
+        # below exp(-300) past |z| ~ 70: the step keeps dgttrs's LU, every bit
+        w0 = initial_gaussian_bump(HalfLineGrid(extent, spacing))
+        flow = evolve_dissipative(w0, 0.1234, 1e-3, method=method, sample_every=7)
+        ref = lu_dissipate(w0, 0.1234, 1e-3, method, 7)
+        for got, want in zip((flow.ts, flow.states, flow.step_ts, flow.step_l2), ref):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method", ["cn", "be"])
+    def test_agrees_with_lu_loop(self, grid, method):
+        # 5000 steps of the symmetrized solve against dgttrs's LU of the
+        # unscaled matrix, on which the flow stepped before
+        w0 = initial_gaussian_bump(grid)
+        flow = evolve_dissipative(w0, 5.0, 1e-3, method=method, sample_every=500)
+        ts, states, step_ts, step_l2 = lu_dissipate(w0, 5.0, 1e-3, method, 500)
+        assert np.array_equal(flow.ts, ts) and np.array_equal(flow.step_ts, step_ts)
+        scale = np.abs(states).max(axis=1)
+        assert np.all(np.abs(flow.states - states).max(axis=1) <= 1e-12 * scale)
+        assert np.all(np.abs(flow.step_l2 - step_l2) <= 1e-12 * step_l2)
+
+    @pytest.mark.parametrize("method", ["cn", "be"])
     def test_agrees_with_splu_loop(self, grid, method):
-        # 5000 steps on the tridiagonal LU, with Crank-Nicolson's right side
-        # folded into the solve, against splu and a sparse product
+        # 5000 steps on the symmetrized tridiagonal solve, with Crank-Nicolson's
+        # right side folded into it, against splu and a sparse product
         w0 = initial_gaussian_bump(grid)
         flow = evolve_dissipative(w0, 5.0, 1e-3, method=method, sample_every=500)
         ts, states, step_ts, step_l2 = splu_dissipate(w0, 5.0, 1e-3, method, 500)
