@@ -30,22 +30,24 @@ factorization of the result and the Crank-Nicolson fold
 ``2 solve(w) - w`` are the package's one implicit tridiagonal step,
 ``errors._implicit_step``, which the lattice flow shares.
 
-The factorization is symmetric.  H is symmetric in L^2 with the weight
-z^2 exp(-z^2/8) (its Sturm-Liouville form), and so, nearly, is the
-discrete one: while |z| < 8/h or so, every pair of couplings of the
-eliminated ``I - theta dt H`` has a positive product, and the diagonal
-similarity D (I - theta dt H) D^{-1}, with D about |z| exp(-z^2/16),
-is symmetric positive definite.  ``errors._tridiagonal_solver`` finds
-that from the bands and factors it once with LAPACK's ``dpttrf``; a
-solve is ``dpttrs`` between a product and a quotient by D, about 20 us
-at the default 2001 nodes against about 35 us for ``dgttrs``.  The
-decoupled node 0 keeps a zero coupling there, ``e[0] = 0``, so it stays
-+0.0.  Grids past the sign change (Z above about 8/h) or with D below
-exp(-300) (Z above about 70) take the LU path, ``dgttrf`` once and
-``dgttrs`` per solve, to the bit as before.  No solve imports
-``scipy.sparse`` or ``scipy.linalg``: the routines come from scipy's
-LAPACK extension module alone, which ``errors._lapack`` loads from its
-file.  :func:`assemble_H` builds the CSR matrix from the same bands for
+Where it can, the factorization is symmetric.  H is symmetric in L^2
+with the weight z^2 exp(-z^2/8) (its Sturm-Liouville form), and so,
+nearly, is the discrete one: while |z| < 8/h or so, every pair of
+couplings of the eliminated ``I - theta dt H`` has a positive product,
+and the diagonal similarity D (I - theta dt H) D^{-1}, with D about
+|z| exp(-z^2/16), is symmetric positive definite.
+``errors._tridiagonal_solver`` finds that from the bands and factors it
+once with LAPACK's ``dpttrf``; a solve is ``dpttrs`` between a product
+and a quotient by D.  Unlike ``dgttrs``'s back-substitution,
+``dpttrs``'s substitutions keep their divisions off the chain of
+dependent operations, which makes the step faster.  The decoupled node
+0 keeps a zero coupling, ``e[0] = 0``, so it stays +0.0.  Grids past
+the sign change (Z above about 8/h) or with D below exp(-300) (Z above
+about 70) take the LU path, ``dgttrf`` once and ``dgttrs`` per solve,
+with the bits it always had.  No solve imports ``scipy.sparse`` or
+``scipy.linalg``: the routines come from scipy's LAPACK extension
+module alone, which ``errors._lapack`` loads from its file.
+:func:`assemble_H` builds the CSR matrix from the same bands for
 callers that want it.
 
 Constraint bookkeeping.  With ``phi(z) = exp(-z^2/8)`` the functional
@@ -252,9 +254,9 @@ def evolve_dissipative(
         np.multiply(y, y, out=squares)
         return np.dot(grid.weights, squares)
 
-    times, kept, states, _, step_l2 = _march(step, w, w0.t, T, dt, sample_every, squared_norm)
+    times, kept, states, _, squared_l2 = _march(step, w, w0.t, T, dt, sample_every, squared_norm)
     return HalfLineFlow(
-        grid=grid, ts=times[kept], states=states, step_ts=times, step_l2=np.sqrt(step_l2)
+        grid=grid, ts=times[kept], states=states, step_ts=times, step_l2=np.sqrt(squared_l2)
     )
 
 

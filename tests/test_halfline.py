@@ -43,8 +43,9 @@ def dense_lu(matrix):
     return lu
 
 
-def symmetrized(matrix):
-    """``dpttrf``'s factors of ``D M D^{-1}`` for a tridiagonal M, and D.
+def symmetrized_solver(matrix):
+    """The solve of a tridiagonal M by ``dpttrf``'s factors of ``D M D^{-1}``:
+    the right side times D, one ``dpttrs``, divided by D.
 
     ``d[i+1] / d[i] = sqrt(M[i, i+1] / M[i+1, i])``, or 1 where both are 0.0,
     normalised to a largest entry of 1; the couplings of ``D M D^{-1}`` are
@@ -56,21 +57,39 @@ def symmetrized(matrix):
     scale /= scale.max()
     d, e, info = dpttrf(np.diagonal(matrix).copy(), ratio * lower)
     assert info == 0
-    return d, e, scale
+
+    def solve(b):
+        x, info = dpttrs(d, e, b * scale)
+        assert info == 0
+        return x / scale
+
+    return solve
 
 
-def reference_dissipate(w0, T, dt, method, sample_every):
+def lu_solver(matrix):
+    """The solve of a tridiagonal M by one ``dgttrs`` on ``dgttrf``'s LU."""
+    lu = dense_lu(matrix)
+
+    def solve(b):
+        x, info = dgttrs(*lu, b)
+        assert info == 0
+        return x
+
+    return solve
+
+
+def dissipate_loop(w0, T, dt, method, sample_every, solver):
     """Step-by-step loop with list appends, pinning after the check.
 
-    The dense ``I - theta dt H`` with its last row eliminated, symmetrized by
-    its diagonal scale D and factored once by ``dpttrf``; each step one
-    ``dpttrs`` solve x of the right side times D, divided by D, taken as the
-    new state (backward Euler) or as ``2 x - w`` (Crank-Nicolson).
+    The dense ``I - theta dt H`` with its last row eliminated goes to
+    ``solver`` once; each step one solve x of the eliminated right side,
+    taken as the new state (backward Euler) or as ``2 x - w``
+    (Crank-Nicolson).
     """
     grid = w0.grid
     theta = 0.5 if method == "cn" else 1.0
     L, m = eliminated(np.eye(grid.n_intervals + 1) - theta * dt * assemble_H(grid).toarray())
-    d, e, scale = symmetrized(L)
+    solve = solver(L)
     n_steps = int(round(T / dt))
     w = w0.w.copy()
     w[0] = 0.0
@@ -78,9 +97,7 @@ def reference_dissipate(w0, T, dt, method, sample_every):
     for k in range(n_steps):
         b = w.copy()
         b[-1] -= m * b[-2]
-        x, info = dpttrs(d, e, b * scale)
-        assert info == 0
-        x = x / scale
+        x = solve(b)
         w = 2.0 * x - w if method == "cn" else x
         assert np.all(np.isfinite(w))
         w[0] = 0.0
@@ -91,34 +108,18 @@ def reference_dissipate(w0, T, dt, method, sample_every):
             ts.append(t_now)
             states.append(w.copy())
     return np.array(ts), np.array(states), np.array(step_ts), np.array(step_l2)
+
+
+def reference_dissipate(w0, T, dt, method, sample_every):
+    """The loop on the symmetrized ``dpttrs`` solve, as ``evolve_dissipative``
+    steps at grids whose couplings allow it."""
+    return dissipate_loop(w0, T, dt, method, sample_every, symmetrized_solver)
 
 
 def lu_dissipate(w0, T, dt, method, sample_every):
-    """The same loop on ``dgttrf``'s LU of the eliminated ``I - theta dt H``,
-    one ``dgttrs`` solve per step, with no scaling."""
-    grid = w0.grid
-    theta = 0.5 if method == "cn" else 1.0
-    L, m = eliminated(np.eye(grid.n_intervals + 1) - theta * dt * assemble_H(grid).toarray())
-    lu = dense_lu(L)
-    n_steps = int(round(T / dt))
-    w = w0.w.copy()
-    w[0] = 0.0
-    ts, states, step_ts, step_l2 = [w0.t], [w.copy()], [w0.t], [grid.norm(w)]
-    for k in range(n_steps):
-        b = w.copy()
-        b[-1] -= m * b[-2]
-        x, info = dgttrs(*lu, b)
-        assert info == 0
-        w = 2.0 * x - w if method == "cn" else x
-        assert np.all(np.isfinite(w))
-        w[0] = 0.0
-        t_now = w0.t + (k + 1) * dt
-        step_ts.append(t_now)
-        step_l2.append(grid.norm(w))
-        if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            ts.append(t_now)
-            states.append(w.copy())
-    return np.array(ts), np.array(states), np.array(step_ts), np.array(step_l2)
+    """The loop on ``dgttrs``, with no scaling, as the flow stepped before it
+    was symmetrized and still steps where it cannot be."""
+    return dissipate_loop(w0, T, dt, method, sample_every, lu_solver)
 
 
 def splu_dissipate(w0, T, dt, method, sample_every):
