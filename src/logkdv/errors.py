@@ -14,6 +14,10 @@ import numpy as np
 # and probes before any state, and the defaults ask for at most 10^7.
 _MAX_STEPS = 10**8
 
+# The most floats one run of ``_march`` stores, its kept rows and its two
+# per-step arrays (times and probes): 2^28 floats are 2 GiB.
+_MAX_FLOATS = 2**28
+
 # The least natural log of an entry of a symmetrizing scale D, whose largest
 # entry is 1: below it, D b and b / D would lose bits to underflow.
 _LOG_SCALE_FLOOR = -300.0
@@ -28,25 +32,34 @@ class NumericalError(RuntimeError):
     """
 
 
-def _march(step, y0, t0, T, dt, sample_every, probe):
+def _sum_of_squares(y):
+    return np.vdot(y, y)
+
+
+def _march(step, y0, t0, T, dt, sample_every, probe, total=_sum_of_squares):
     """Take ``round(|T| / dt)`` steps ``y = step(y, k)``, k = 1, 2, ..., from y0 at t0.
 
     Returns the times ``t0 + k copysign(dt, T)`` of every step k = 0..n, the
     indices kept (step 0, every ``sample_every``-th step and the last), the
-    kept states as rows, each kept row's sum of squares ``np.vdot(y, y)``
-    and ``probe(y)`` at every step.
+    kept states as rows, each kept row's ``total(y)`` and ``probe(y)`` at
+    every step.
 
-    More than ``_MAX_STEPS`` steps raise ValueError before anything is
-    allocated.
+    More than ``_MAX_STEPS`` steps, or more than ``_MAX_FLOATS`` floats in
+    the kept rows and the two per-step arrays (times and probes), raise
+    ValueError before anything is allocated.
 
-    Each state is checked through its sum of squares: a finite one means
-    every entry is finite, and only when it is not does the entry-wise scan
-    run, so finite entries whose squares overflow still pass.  The steps
-    rejected are exactly those with a NaN or infinite entry.  ``np.vdot``
-    takes the sum because, unlike ``np.dot``, it does not report an overflow
-    to numpy's error state, which a caller may have set to raise.  The sums
+    Each state is checked through ``total``, a sum of squares with positive
+    weights (by default :func:`_sum_of_squares`): a finite one means every
+    entry is finite, and only when it is not does the entry-wise scan run,
+    so finite entries whose squares overflow still pass.  The steps rejected
+    are exactly those with a NaN or infinite entry.  ``np.vdot`` takes the
+    sum because, unlike ``np.dot``, it does not report an overflow to
+    numpy's error state, which a caller may have set to raise.  The totals
     of the kept rows are returned rather than taken again: the lattice's
-    norms are their square roots (``inf`` where the squares overflow).
+    norms are their square roots (``inf`` where the squares overflow).  A
+    probe that is ``total`` itself, as the half-line's squared norm is, is
+    not taken again either: a step takes that one reduction, and the
+    probes are its values.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -61,27 +74,41 @@ def _march(step, y0, t0, T, dt, sample_every, probe):
         )
     if n_steps == 0 and T != 0:
         raise ValueError("T / dt rounds to zero steps")
+    n_kept = n_steps // sample_every + 1 + (n_steps % sample_every != 0)
+    n_floats = n_kept * np.size(y0) + 2 * (n_steps + 1)
+    if n_floats > _MAX_FLOATS:
+        raise ValueError(
+            f"T={T!r}, dt={dt!r} and sample_every={sample_every} keep {n_kept} states of"
+            f" {np.size(y0)} values and {n_steps + 1} times and probes: {n_floats} floats,"
+            f" above the cap of {_MAX_FLOATS}"
+        )
     times = t0 + np.arange(n_steps + 1) * math.copysign(dt, T)
     times[0] = t0
     kept = np.union1d(np.arange(0, n_steps + 1, sample_every), n_steps)
     states = np.empty((kept.size, np.size(y0)))
     sums = np.empty(kept.size)
     probes = np.empty(n_steps + 1)
+    probed = probe is total  # then the probes are the totals
     states[0] = y = y0
-    sums[0] = np.vdot(states[0], states[0])
-    probes[0] = probe(y)
+    sums[0] = s = total(y)
+    probes[0] = s if probed else probe(y)
     row = 1
     for k in range(1, n_steps + 1):
         y = step(y, k)
-        sq = np.vdot(y, y)
-        if not math.isfinite(sq) and not np.all(np.isfinite(y)):
-            raise NumericalError(f"non-finite state after step {k} (t={times[k]:.6g})")
-        probes[k] = probe(y)
+        s = total(y)
+        if not math.isfinite(s) and not np.all(np.isfinite(y)):
+            raise _non_finite(k, times[k])
+        probes[k] = s if probed else probe(y)
         if kept[row] == k:
             states[row] = y
-            sums[row] = sq
+            sums[row] = s
             row += 1
     return times, kept, states, sums, probes
+
+
+def _non_finite(k, t):
+    """The error for a state with a NaN or infinite entry after step k, at time t."""
+    return NumericalError(f"non-finite state after step {k} (t={t:.6g})")
 
 
 @functools.cache
@@ -150,24 +177,24 @@ def _symmetrized_solve(dpttrs, d, e, scale, b, trans="N"):
     return x, info
 
 
-def _tridiagonal_solver(lower, diag, upper):
-    """``solve(b, trans="N")`` for the tridiagonal matrix A with these bands.
+def _factor(lower, diag, upper):
+    """LAPACK's factors of the tridiagonal matrix A with these bands.
 
-    Each call overwrites a contiguous float array ``b`` with ``A^{-1} b``
-    (``trans="T"``: ``A^{-T} b``) and returns it with LAPACK's info.  The
-    routines come from :func:`_lapack`, by one of two paths that the bands
-    choose:
+    Returns ``(routine, factors, scale)``: ``routine(*factors, b)`` solves
+    with them.  The routines come from :func:`_lapack`, by one of two paths
+    that the bands choose:
 
-    * A diagonal similarity makes A symmetric positive definite
-      (:func:`_symmetrizer`, then ``dpttrf`` returns info 0): each call is
-      one ``dpttrs`` between two scalings by D, see
-      :func:`_symmetrized_solve`.  The half-line's ``I - theta dt H`` takes
-      this path: its couplings have positive products while
-      ``|z| < 8 / h`` or so, and D is about ``|z| exp(-z^2/16)``.
+    * A diagonal similarity S = D A D^{-1} is symmetric positive definite
+      (:func:`_symmetrizer`, then ``dpttrf`` returns info 0): ``dpttrs``
+      with S's factors, and D = ``scale``.  The half-line's
+      ``I - theta dt H`` takes this path: its couplings have positive
+      products while ``|z| < 8 / h`` or so, and D is about
+      ``|z| exp(-z^2/16)``.
     * Otherwise A is factored by ``dgttrf``, which overwrites the bands;
-      a zero pivot, so a singular A, raises NumericalError.  Each call is
-      one ``dgttrs``.  The lattice's skew couplings have negative products,
-      and H itself is negative definite, so those take this path.
+      a zero pivot, so a singular A, raises NumericalError.  ``dgttrs``
+      with A's LU, and no scale (None).  The lattice's skew couplings have
+      negative products, and H itself is negative definite, so those take
+      this path.
 
     An identity row and column (zero couplings, diagonal 1) keep ``e = 0``
     and a D entry equal to the one before it on the first path, and a zero
@@ -179,55 +206,81 @@ def _tridiagonal_solver(lower, diag, upper):
         scale, e = symmetrized
         d, e, info = lapack.dpttrf(diag, e, overwrite_e=True)
         if info == 0:
-            return functools.partial(_symmetrized_solve, lapack.dpttrs, d, e, scale)
+            return lapack.dpttrs, (d, e), scale
     *lu, info = lapack.dgttrf(
         lower, diag, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True
     )
     if info != 0:  # a zero pivot: the matrix is singular
         raise NumericalError(f"tridiagonal factorization failed: dgttrf info={info}")
-    return functools.partial(lapack.dgttrs, *lu, overwrite_b=True)
+    return lapack.dgttrs, tuple(lu), None
 
 
-def _implicit_step(lower, diag, upper, y0, m, fold):
-    """The first state y and the step that ``_march`` takes, for a theta rule.
+def _tridiagonal_solver(lower, diag, upper):
+    """``solve(b, trans="N")`` for the tridiagonal matrix A with these bands.
+
+    Each call overwrites a contiguous float array ``b`` with ``A^{-1} b``
+    (``trans="T"``: ``A^{-T} b``) and returns it with LAPACK's info.  A is
+    factored once by :func:`_factor`: a call is one ``dpttrs`` between two
+    scalings by D (:func:`_symmetrized_solve`) on its symmetrized path and
+    one ``dgttrs`` on its LU path.
+    """
+    routine, factors, scale = _factor(lower, diag, upper)
+    if scale is None:
+        return functools.partial(routine, *factors, overwrite_b=True)
+    return functools.partial(_symmetrized_solve, routine, *factors, scale)
+
+
+def _implicit_step(lower, diag, upper, w0, m, fold):
+    """The first state y, the step that ``_march`` takes and the scale D, for a theta rule.
 
     A is ``I - theta h G``, made tridiagonal by the caller with one row
     operation: row n-1 minus m times row n-2 (m = 0.0 for none).  Its bands
-    ``lower``, ``diag`` and ``upper`` are factored once by
-    :func:`_tridiagonal_solver`, which may overwrite them, symmetrized
-    (``dpttrf``) or by LU (``dgttrf``) as the bands allow; the step is the
-    same on either.  Backward Euler (theta = 1) takes
-    ``y = A^{-1} y``.  The implicit midpoint and Crank-Nicolson rules
-    (theta = 1/2, ``fold``) need no product with G:
+    ``lower``, ``diag`` and ``upper`` are factored once by :func:`_factor`,
+    which may overwrite them.  The states are marched in y = D w, the
+    coordinates of the factorization: with the symmetrized S = D A D^{-1},
+    ``D A^{-1} D^{-1} = S^{-1}``, so a step solves with S alone, one bare
+    ``dpttrs``, and the row operation on y is ``y[-1] -= m' y[-2]`` with
+    ``m' = m D[-1] / D[-2]``, formed once.  On the LU path D is 1, and y
+    is w to the bit.  The caller gets w back as ``y / D``, and the first
+    state from w itself.  The returned D has ``w0.size`` entries.
+
+    Backward Euler (theta = 1) takes ``y = S^{-1} y``.  The implicit
+    midpoint and Crank-Nicolson rules (theta = 1/2, ``fold``) need no
+    product with G:
 
         (I - h/2 G)^{-1} (I + h/2 G) = 2 (I - h/2 G)^{-1} - I,
 
     so a step is ``2 solve(y) - y``.  Each step forms the right side b = 2 y,
-    or y without the fold, takes the row operation as ``b[-1] -= m * b[-2]``,
-    overwrites b with ``A^{-1} b`` by one solve and, with the fold,
-    subtracts y.  Doubling is exact outside the subnormal range, so there
-    ``solve(2 y)`` is ``2 solve(y)`` to the bit.
+    or y without the fold, takes the row operation as ``b[-1] -= m' * b[-2]``,
+    overwrites b with its solve and, with the fold, subtracts y.  Doubling
+    is exact outside the subnormal range, so there ``solve(2 y)`` is
+    ``2 solve(y)`` to the bit.
 
-    The states are the first ``y0.size`` entries of two buffers of A's size,
+    The states are the first ``w0.size`` entries of two buffers of A's size,
     which alternate between steps, so a step allocates nothing; the entries
-    after them start at 0.0, and ``y0`` is copied into the first buffer.
+    after them start at 0.0, and ``D w0`` is written into the first buffer.
 
     A node whose row and column of A are the identity's (zero couplings,
     diagonal 1) is a decoupled identity mode.  ``dgttrf`` eliminates through
     it with multiplier 0 and never pivots there; ``dpttrf`` keeps its zero
-    coupling, ``e = 0``, and D only scales it.  An entry of +0.0 there stays
-    +0.0 at every step, with or without the fold.  It changes no other
-    value: the one product with its zero coupling that a substitution
-    subtracts from the neighbouring entry can flip the sign of a zero there
-    and no other bit.  Both flows have one.  The lattice appends a pad after
-    its N modes, because scipy's ``dgttrf`` wrapper rejects N = 2, so every
-    N takes this one path; the half-line's Dirichlet node 0, at z = -Z, has
-    an empty row and column of H.
+    coupling, ``e = 0``.  An entry of +0.0 there stays +0.0 at every step,
+    with or without the fold.  It changes no other value: the one product
+    with its zero coupling that a substitution subtracts from the
+    neighbouring entry can flip the sign of a zero there and no other bit.
+    Both flows have one.  The lattice appends a pad after its N modes,
+    because scipy's ``dgttrf`` wrapper rejects N = 2, so every N takes this
+    one path; the half-line's Dirichlet node 0, at z = -Z, has an empty row
+    and column of H.
     """
-    solve = _tridiagonal_solver(lower, diag, upper)
+    routine, factors, scale = _factor(lower, diag, upper)
+    if scale is None:
+        scale = np.ones(diag.size)
+    solve = functools.partial(routine, *factors, overwrite_b=True)
+    m = m * scale[-1] / scale[-2]
     pads = (np.zeros(diag.size), np.zeros(diag.size))
-    heads = tuple(pad[: y0.size] for pad in pads)
-    heads[0][:] = y0
+    heads = tuple(pad[: w0.size] for pad in pads)
+    scale = scale[: w0.size]
+    np.multiply(w0, scale, out=heads[0])
 
     def step(y, k):
         # step k reads pads[(k - 1) % 2] and writes pads[k % 2]
@@ -242,4 +295,21 @@ def _implicit_step(lower, diag, upper, y0, m, fold):
             np.subtract(x, old, out=x)
         return heads[k % 2]
 
-    return heads[0], step
+    return heads[0], step, scale
+
+
+def _unscale(rows, scale, kept, times):
+    """Overwrite the kept rows y of a march with ``w = y / D``.
+
+    A row that overflows there raises NumericalError naming its step, as
+    ``_march`` names a step that is not finite.  A finite ``np.vdot`` of
+    all the rows passes them at once; only when it is not are they
+    scanned entry by entry.
+    """
+    with np.errstate(over="ignore"):  # an overflow is reported below, by its step
+        np.divide(rows, scale, out=rows)
+    if not math.isfinite(np.vdot(rows, rows)):
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            k = kept[bad.argmax()]
+            raise _non_finite(k, times[k])

@@ -34,19 +34,24 @@ Where it can, the factorization is symmetric.  H is symmetric in L^2
 with the weight z^2 exp(-z^2/8) (its Sturm-Liouville form), and so,
 nearly, is the discrete one: while |z| < 8/h or so, every pair of
 couplings of the eliminated ``I - theta dt H`` has a positive product,
-and the diagonal similarity D (I - theta dt H) D^{-1}, with D about
+and the diagonal similarity S = D (I - theta dt H) D^{-1}, with D about
 |z| exp(-z^2/16), is symmetric positive definite.
-``errors._tridiagonal_solver`` finds that from the bands and factors it
-once with LAPACK's ``dpttrf``; a solve is ``dpttrs`` between a product
-and a quotient by D.  Unlike ``dgttrs``'s back-substitution,
-``dpttrs``'s substitutions keep their divisions off the chain of
-dependent operations, which makes the step faster.  The decoupled node
-0 keeps a zero coupling, ``e[0] = 0``, so it stays +0.0.  Grids past
-the sign change (Z above about 8/h) or with D below exp(-300) (Z above
-about 70) take the LU path, ``dgttrf`` once and ``dgttrs`` per solve,
-with the bits it always had.  No solve imports ``scipy.sparse`` or
-``scipy.linalg``: the routines come from scipy's LAPACK extension
-module alone, which ``errors._lapack`` loads from its file.
+``errors._factor`` finds that from the bands and factors S once with
+LAPACK's ``dpttrf``, and the flow marches in y = D w, the coordinates
+of S: a step is one bare ``dpttrs``, with the row operation scaled to
+``y[J] -= m D[J] / D[J-1] y[J-1]``, and w = y / D is formed only for
+the kept states.  The squared norm of every step is summed over y with
+the weights h / D^2, finite since D is at least exp(-300), and is also
+the check that each step is finite.  Unlike ``dgttrs``'s
+back-substitution, ``dpttrs``'s substitutions keep their divisions off
+the chain of dependent operations, which makes the step faster.  The
+decoupled node 0 keeps a zero coupling, ``e[0] = 0``, so it stays +0.0.
+Grids past the sign change (Z above about 8/h) or with D below
+exp(-300) (Z above about 70) take the LU path, ``dgttrf`` once and
+``dgttrs`` per solve, where D is 1, with the bits they always had.  No
+solve imports ``scipy.sparse`` or ``scipy.linalg``: the routines come
+from scipy's LAPACK extension module alone, which ``errors._lapack``
+loads from its file.
 :func:`assemble_H` builds the CSR matrix from the same bands for
 callers that want it.
 
@@ -73,7 +78,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import _implicit_step, _march, _tridiagonal_solver
+from .errors import _implicit_step, _march, _tridiagonal_solver, _unscale
 from .hermite import RealGrid
 
 if TYPE_CHECKING:  # scipy is imported by the functions that use it
@@ -227,14 +232,16 @@ def evolve_dissipative(
     L2 norm is non-increasing step by step.  ``I - theta dt H`` (theta =
     1/2 or 1) is made tridiagonal by the row elimination of the module
     docstring and stepped by ``errors._implicit_step``, with the
-    Crank-Nicolson fold, on the symmetrized factorization of the module
-    docstring where it applies.  The state starts at 0.0 at z = -Z, whatever w0
-    holds there, and node 0 is a decoupled mode of that matrix, so every
-    step keeps it at 0.0 (see there).  The step count ``round(T / dt)``,
-    sampling and storage are the package's one step loop,
-    ``errors._march``, which the lattice flow shares.  Its probe is the
-    squared norm, summed into one reused buffer, and ``step_l2`` its
-    square root: ``grid.norm`` of every step, to the bit.
+    Crank-Nicolson fold, in the symmetrized coordinates y = D w of the
+    module docstring where they apply (D = 1 elsewhere).  The state
+    starts at 0.0 at z = -Z, whatever w0 holds there, and node 0 is a
+    decoupled mode of that matrix, so every step keeps it at +0.0 (see
+    there).  The step count ``round(T / dt)``, sampling and storage are
+    the package's one step loop, ``errors._march``, which the lattice
+    flow shares.  The first state is w0 to the bit, node 0 aside; the
+    others are y / D.  ``step_l2`` is the square root of each step's sum
+    of squares of y with weights ``grid.weights / D^2``, which agrees
+    with ``grid.norm`` of w to roundoff (1e-14 relative), not to the bit.
     """
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
@@ -246,15 +253,23 @@ def evolve_dissipative(
     theta_dt = (0.5 if method == "cn" else 1.0) * dt
     bands = -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper
     m = _eliminate_corner(-theta_dt * lower2[-1], *bands)
-    w, step = _implicit_step(*bands, w0.w, m, fold=method == "cn")
+    w = w0.w.copy()
     w[0] = 0.0
+    y, step, scale = _implicit_step(*bands, w, m, fold=method == "cn")
+    # the squared norm of w = y / D is a sum of squares of y with weights
+    # h / D^2, at most h exp(600), summed into one reused buffer
+    weights = grid.weights / (scale * scale)
     squares = np.empty(w.size)
 
-    def squared_norm(y):  # grid.norm(y) squared, to the bit, into one reused buffer
+    def squared_norm(y):
         np.multiply(y, y, out=squares)
-        return np.dot(grid.weights, squares)
+        return np.dot(weights, squares)
 
-    times, kept, states, _, squared_l2 = _march(step, w, w0.t, T, dt, sample_every, squared_norm)
+    times, kept, states, _, squared_l2 = _march(
+        step, y, w0.t, T, dt, sample_every, squared_norm, squared_norm
+    )
+    _unscale(states, scale, kept, times)
+    states[0] = w  # not (w D) / D, which can miss it by an ulp
     return HalfLineFlow(
         grid=grid, ts=times[kept], states=states, step_ts=times, step_l2=np.sqrt(squared_l2)
     )

@@ -174,9 +174,10 @@ def evolve(
     beta = offdiagonal(n_modes)
     if method == "midpoint":
         # I - h/2 M with one decoupled identity mode appended (zero couplings,
-        # diagonal 1); _march sees the first N entries of each state
-        y, step = _implicit_step(np.append(0.5 * h * beta, 0.0), np.ones(n_modes + 1),
-                                 np.append(-0.5 * h * beta, 0.0), a0.a, 0.0, fold=True)
+        # diagonal 1); _march sees the first N entries of each state.  The skew
+        # couplings take the LU path, so D is 1 and the state marched is a itself
+        y, step, _ = _implicit_step(np.append(0.5 * h * beta, 0.0), np.ones(n_modes + 1),
+                                    np.append(-0.5 * h * beta, 0.0), a0.a, 0.0, fold=True)
     else:
         # work buffers, once per call: each step writes its state into ``y``,
         # a copy of a0.a, and its intermediates into the others, so a step

@@ -739,6 +739,22 @@ assert _lapack().dgttrf is scipy.linalg.lapack.dgttrf
         assert proc.stdout == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name, values, floats", [("evolve", 400, 4_200_000_402),
+                                                      ("dissipate", 2001, 20_210_002_003)])
+    def test_stored_states_beyond_the_cap_exit_1_before_allocating(self, name, values, floats,
+                                                                   tmp_path):
+        # 10^8 steps, under the step cap, keep 10^7 + 1 states at the default
+        # --sample-every 10: 31.3 GiB and 151 GiB, rejected before any array of
+        # steps, with no cap on the child's memory
+        proc = run_module("logkdv", [name, "--T", 1e4, "--dt", 1e-4, "--outdir", tmp_path])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: T=10000.0, dt=0.0001 and sample_every=10 keep 10000001 states of {values}"
+            f" values and 100000001 times and probes: {floats} floats, above the cap of 268435456\n"
+        )
+        assert proc.stdout == ""
+        assert not list(tmp_path.iterdir())
+
     def test_grid_beyond_memory_exits_1_with_one_line(self, tmp_path):
         # 10^15 nodes ask for 7.11 PiB; the child's address space is capped so
         # that the allocation fails at once on any host

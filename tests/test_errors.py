@@ -1,6 +1,6 @@
-"""The shared step loop ``errors._march``: its check for non-finite states, its cap on
-the step count and its sums; the shared implicit step's choice of factorization and
-its check for a singular matrix."""
+"""The shared step loop ``errors._march``: its check for non-finite states, its caps on
+the step count and the floats stored, and its sums; the shared implicit step's choice
+of factorization, the coordinates it marches in, and its check for a singular matrix."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from logkdv.errors import (
     _march,
     _symmetrized_solve,
     _tridiagonal_solver,
+    _unscale,
 )
 from logkdv.halfline import HalfLineGrid, _eliminate_corner, _h_bands
 from logkdv.lattice import offdiagonal
@@ -69,6 +70,56 @@ def test_step_count_at_the_cap_runs(monkeypatch):
     assert times.size == 11
     with pytest.raises(ValueError, match="ask for 11 steps, above the cap of 10"):
         _march(constant_steps(), np.ones(4), 0.0, 1.1, 0.1, 1, lambda y: y[0])
+
+
+@pytest.mark.parametrize(
+    "T, dt, sample_every, size, floats",
+    [(1e4, 1e-4, 10, 2001, 20_210_002_003), (1.0, 1e-8, 1, 4, 600_000_006)],
+)
+def test_stored_floats_above_the_cap_raise_before_any_array(monkeypatch, T, dt, sample_every,
+                                                            size, floats):
+    # the kept rows plus the times and probes of every step exceed 2^28
+    # floats; nothing is allocated, not even the times
+    def fail(*args, **kwargs):
+        raise AssertionError("no array of steps may be built")
+
+    def step(y, k):
+        raise AssertionError("no step may run")
+
+    monkeypatch.setattr(np, "arange", fail)
+    message = (rf"sample_every={sample_every} keep .* states of {size} values .*: {floats} floats,"
+               rf" above the cap of {2**28}$")
+    with pytest.raises(ValueError, match=message):
+        _march(step, np.ones(size), 0.0, T, dt, sample_every, lambda y: y[0])
+
+
+def test_stored_floats_at_the_cap_run(monkeypatch):
+    # 4 kept rows of 4 values (steps 0, 3, 6 and the last, 7) and 8 times and probes
+    monkeypatch.setattr(errors, "_MAX_FLOATS", 32)
+    times, kept, states, *_ = _march(
+        constant_steps(), np.ones(4), 0.0, 0.7, 0.1, 3, lambda y: y[0]
+    )
+    assert kept.tolist() == [0, 3, 6, 7] and states.size + 2 * times.size == 32
+    with pytest.raises(ValueError, match="4 states of 4 values and 9 times and probes: 34 floats"):
+        _march(constant_steps(), np.ones(4), 0.0, 0.8, 0.1, 3, lambda y: y[0])
+
+
+def test_a_probe_that_is_the_total_is_taken_once_per_step():
+    # the half-line's squared norm is both: its values are the probes and the
+    # kept rows' totals, and a step that is not finite is named through it
+    calls = []
+
+    def weighted(y):
+        calls.append(1)
+        return np.dot([1.0, 2.0, 3.0, 4.0], y * y)
+
+    times, kept, states, sums, probes = _march(
+        constant_steps(), np.ones(4), 0.0, 1.0, 0.1, 3, weighted, weighted
+    )
+    assert len(calls) == 11
+    assert np.all(probes == 10.0) and probes.size == 11 and np.all(sums == 10.0)
+    with pytest.raises(NumericalError, match=r"after step 4 \(t="):
+        _march(constant_steps(4, np.nan), np.ones(4), 0.0, 1.0, 0.1, 3, weighted, weighted)
 
 
 def assert_sums_of_rows(sums, states):
@@ -203,3 +254,42 @@ def test_singular_symmetrizable_matrix_raises():
     # singular, so dpttrf stops and dgttrf meets a zero pivot
     with pytest.raises(NumericalError, match="factorization failed: dgttrf info="):
         _tridiagonal_solver(np.ones(2), np.array([1.0, 2.0, 1.0]), np.ones(2))
+
+
+def test_default_halfline_bands_march_in_y():
+    # the symmetrized factorization's D comes with the step: the first state is
+    # D w0, to the bit, and D spans about 40 decades at Z = 40
+    lower2, lower, diag, upper = _h_bands(HalfLineGrid(40.0, 0.02))
+    theta_dt = 0.5e-3
+    bands = -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper
+    m = _eliminate_corner(-theta_dt * lower2[-1], *bands)
+    w0 = np.random.default_rng(3).standard_normal(diag.size)
+    y, step, scale = _implicit_step(*bands, w0, m, True)
+    assert scale.max() == 1.0 and scale.min() < 1e-40
+    assert y.tobytes() == (w0 * scale).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bands",
+    [lattice_bands(400), halfline_bands(16.0, 1.0), halfline_bands(72.0, 0.05)],
+    ids=["lattice", "coarse-halfline", "halfline-past-the-scale-floor"],
+)
+def test_lu_bands_march_in_w(bands):
+    # no D on the LU path: the scale is 1 and the first state is w0's bits
+    w0 = np.random.default_rng(4).standard_normal(bands[1].size - 1)
+    y, step, scale = _implicit_step(*bands, w0, 0.0, True)
+    assert np.all(scale == 1.0) and scale.size == w0.size
+    assert y.tobytes() == w0.tobytes()
+
+
+def test_unscale_divides_and_names_the_step_of_a_row_that_overflows():
+    kept, times = np.array([0, 4, 8]), np.linspace(0.0, 0.8, 9)
+    scale = np.array([1e-100, 1.0])
+    rows = np.array([[1e-100, 2.0], [1e200, 3.0], [1e220, 4.0]])
+    with np.errstate(over="raise"):  # the overflow is reported as a NumericalError
+        with pytest.raises(NumericalError, match=r"non-finite state after step 8 \(t=0\.8\)"):
+            _unscale(rows, scale, kept, times)
+    # quotients whose squares overflow pass
+    rows = np.array([[1e-100, 2.0], [1e100, 3.0]])
+    _unscale(rows, scale, kept[:2], times)
+    assert rows.tolist() == [[1.0, 2.0], [1e200, 3.0]]

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
-from logkdv.errors import _implicit_step
+from logkdv.errors import NumericalError, _implicit_step
 from logkdv.halfline import (
     HalfLineFlow,
     HalfLineGrid,
@@ -43,13 +43,12 @@ def dense_lu(matrix):
     return lu
 
 
-def symmetrized_solver(matrix):
-    """The solve of a tridiagonal M by ``dpttrf``'s factors of ``D M D^{-1}``:
-    the right side times D, one ``dpttrs``, divided by D.
+def symmetrized_factors(matrix):
+    """D and ``dpttrf``'s factors d, e of ``S = D M D^{-1}``, for a tridiagonal M.
 
     ``d[i+1] / d[i] = sqrt(M[i, i+1] / M[i+1, i])``, or 1 where both are 0.0,
-    normalised to a largest entry of 1; the couplings of ``D M D^{-1}`` are
-    that ratio times those of M below the diagonal.
+    normalised to a largest entry of 1; the couplings of S are that ratio
+    times those of M below the diagonal.
     """
     lower, upper = np.diagonal(matrix, -1), np.diagonal(matrix, 1)
     ratio = np.sqrt([u / l if l else 1.0 for l, u in zip(lower, upper)])
@@ -57,6 +56,13 @@ def symmetrized_solver(matrix):
     scale /= scale.max()
     d, e, info = dpttrf(np.diagonal(matrix).copy(), ratio * lower)
     assert info == 0
+    return scale, d, e
+
+
+def symmetrized_solver(matrix):
+    """The solve of a tridiagonal M by ``dpttrf``'s factors of ``D M D^{-1}``:
+    the right side times D, one ``dpttrs``, divided by D."""
+    scale, d, e = symmetrized_factors(matrix)
 
     def solve(b):
         x, info = dpttrs(d, e, b * scale)
@@ -111,8 +117,45 @@ def dissipate_loop(w0, T, dt, method, sample_every, solver):
 
 
 def reference_dissipate(w0, T, dt, method, sample_every):
-    """The loop on the symmetrized ``dpttrs`` solve, as ``evolve_dissipative``
-    steps at grids whose couplings allow it."""
+    """The plain loop in y = D w, as ``evolve_dissipative`` steps at grids
+    whose couplings allow it.
+
+    Each step one ``dpttrs`` with the factors of ``S = D L D^{-1}``, L the
+    eliminated ``I - theta dt H``, on the right side 2 y (Crank-Nicolson,
+    then minus y) or y (backward Euler) with the row operation scaled to
+    ``m D[-1] / D[-2]``.  The norm is the sum of squares of y with weights
+    ``grid.weights / D^2``; a kept state is ``y / D``, but the first is w.
+    """
+    grid = w0.grid
+    theta = 0.5 if method == "cn" else 1.0
+    L, m = eliminated(np.eye(grid.n_intervals + 1) - theta * dt * assemble_H(grid).toarray())
+    scale, d, e = symmetrized_factors(L)
+    m = m * scale[-1] / scale[-2]
+    weights = grid.weights / scale**2
+    n_steps = int(round(T / dt))
+    w = w0.w.copy()
+    w[0] = 0.0
+    y = w * scale
+    ts, states, step_ts, step_l2 = [w0.t], [w], [w0.t], [np.sqrt(np.dot(weights, y * y))]
+    for k in range(n_steps):
+        b = 2.0 * y if method == "cn" else y.copy()
+        b[-1] -= m * b[-2]
+        x, info = dpttrs(d, e, b)
+        assert info == 0
+        y = x - y if method == "cn" else x
+        assert np.all(np.isfinite(y))
+        t_now = w0.t + (k + 1) * dt
+        step_ts.append(t_now)
+        step_l2.append(np.sqrt(np.dot(weights, y * y)))
+        if (k + 1) % sample_every == 0 or k == n_steps - 1:
+            ts.append(t_now)
+            states.append(y / scale)
+    return np.array(ts), np.array(states), np.array(step_ts), np.array(step_l2)
+
+
+def symmetrized_dissipate(w0, T, dt, method, sample_every):
+    """The loop on the symmetrized ``dpttrs`` solve between a product and a
+    quotient by D, in w, as the flow stepped before it marched in y."""
     return dissipate_loop(w0, T, dt, method, sample_every, symmetrized_solver)
 
 
@@ -318,7 +361,7 @@ class TestEvolution:
         theta_dt = (0.5 if method == "cn" else 1.0) * dt
         bands = -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper
         m = _eliminate_corner(-theta_dt * lower2[-1], *bands)
-        w, step = _implicit_step(*bands, initial_gaussian_bump(grid).w, m, fold=method == "cn")
+        w, step, _ = _implicit_step(*bands, initial_gaussian_bump(grid).w, m, fold=method == "cn")
         for k in range(1, 3001):
             w = step(w, k)
             assert w[0] == 0.0 and not np.signbit(w[0]), k
@@ -390,8 +433,7 @@ class TestEvolution:
     def test_bit_identical_to_reference_loop(self, method, sample_every):
         # the horizon is not a multiple of sample_every * dt, so the last
         # step is kept off the sampling grid; the second bump is subnormal at
-        # 6 tail nodes, where doubling before the solve, as evolve_dissipative
-        # does, and after it, as the reference does, could round apart
+        # 6 tail nodes, where y = D w is subnormal or zero too
         g = HalfLineGrid(20.0, 0.05)
         for w0 in (initial_gaussian_bump(g), initial_gaussian_bump(g, center=-1.0, width=0.5)):
             flow = evolve_dissipative(w0, 0.1234, 1e-3, method=method, sample_every=sample_every)
@@ -424,6 +466,18 @@ class TestEvolution:
         assert np.all(np.abs(flow.step_l2 - step_l2) <= 1e-12 * step_l2)
 
     @pytest.mark.parametrize("method", ["cn", "be"])
+    def test_agrees_with_symmetrized_loop(self, grid, method):
+        # 5000 steps marched in y = D w against the symmetrized solve between a
+        # product and a quotient by D, in w, on which the flow stepped before
+        w0 = initial_gaussian_bump(grid)
+        flow = evolve_dissipative(w0, 5.0, 1e-3, method=method, sample_every=500)
+        ts, states, step_ts, step_l2 = symmetrized_dissipate(w0, 5.0, 1e-3, method, 500)
+        assert np.array_equal(flow.ts, ts) and np.array_equal(flow.step_ts, step_ts)
+        scale = np.abs(states).max(axis=1)
+        assert np.all(np.abs(flow.states - states).max(axis=1) <= 1e-12 * scale)
+        assert np.all(np.abs(flow.step_l2 - step_l2) <= 1e-12 * step_l2)
+
+    @pytest.mark.parametrize("method", ["cn", "be"])
     def test_agrees_with_splu_loop(self, grid, method):
         # 5000 steps on the symmetrized tridiagonal solve, with Crank-Nicolson's
         # right side folded into it, against splu and a sparse product
@@ -434,6 +488,55 @@ class TestEvolution:
         scale = np.abs(states).max(axis=1)
         assert np.all(np.abs(flow.states - states).max(axis=1) <= 1e-12 * scale)
         assert np.all(np.abs(flow.step_l2 - step_l2) <= 1e-12 * step_l2)
+
+    @pytest.mark.parametrize(
+        "method, dts, order", [("cn", (4e-3, 2e-3), 2), ("be", (2e-3, 1e-3), 1)]
+    )
+    def test_error_falls_as_the_order_of_the_rule(self, method, dts, order):
+        # final states at T = 0.5 against Crank-Nicolson at dt = 1.25e-4; at
+        # dt = 8e-3 Crank-Nicolson is outside its asymptotic range (ratio 346)
+        g = HalfLineGrid(20.0, 0.05)
+        w0 = initial_gaussian_bump(g)
+        reference = evolve_dissipative(w0, 0.5, 1.25e-4, sample_every=10**6).states[-1]
+        errors = [
+            g.norm(evolve_dissipative(w0, 0.5, dt, method=method, sample_every=10**6).states[-1]
+                   - reference)
+            for dt in dts
+        ]
+        assert errors[0] / errors[1] == pytest.approx(2.0**order, abs=0.05)
+
+    @pytest.mark.parametrize("method", ["cn", "be"])
+    def test_first_state_is_w0_and_node_0_stays_positive_zero(self, method):
+        # node 0 of w0 is replaced by +0.0 and every other entry kept, to the
+        # bit, though the flow marches in y = D w; e[0] = 0 keeps node 0 there
+        g = HalfLineGrid(20.0, 0.05)
+        w = initial_gaussian_bump(g, center=-1.0, width=0.5).w.copy()
+        w[0] = 0.75
+        flow = evolve_dissipative(HalfLineState(w, 0.0, g), 0.3, 1e-3, method=method)
+        w[0] = 0.0
+        assert flow.states[0].tobytes() == w.tobytes()
+        assert np.all(flow.states[:, 0] == 0.0) and not np.signbit(flow.states[:, 0]).any()
+
+    @pytest.mark.parametrize("method", ["cn", "be"])
+    @pytest.mark.parametrize("extent, spacing", [(40.0, 0.02), (16.0, 1.0), (72.0, 0.05)])
+    def test_step_norms_are_the_norms_of_the_kept_states(self, extent, spacing, method):
+        # the squared norm is summed over y = D w with weights h / D^2, so it
+        # agrees with grid.norm of w = y / D to roundoff, not to the bit
+        g = HalfLineGrid(extent, spacing)
+        w0 = initial_gaussian_bump(g)
+        flow = evolve_dissipative(w0, 0.5, 1e-3, method=method, sample_every=7)
+        kept = np.searchsorted(flow.step_ts, flow.ts)
+        norms = np.array([g.norm(w) for w in flow.states])
+        assert np.all(np.abs(flow.step_l2[kept] - norms) <= 1e-14 * norms)
+
+    def test_non_finite_step_raises_with_its_step(self, grid):
+        # entries near the largest float: the first Crank-Nicolson step, which
+        # doubles y = D w before its solve, overflows
+        w0 = initial_gaussian_bump(grid)
+        big = HalfLineState(w0.w * np.finfo(float).max, 0.0, grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"non-finite state after step 1 \(t=0\.001\)"):
+                evolve_dissipative(big, 1.0, 1e-3, sample_every=100)
 
     def test_bad_arguments(self, grid):
         w0 = initial_gaussian_bump(grid)
