@@ -88,17 +88,17 @@ def _march(step, y0, t0, T, dt, sample_every, probe, total=_sum_of_squares):
     states = np.empty((kept.size, np.size(y0)))
     sums = np.empty(kept.size)
     probes = np.empty(n_steps + 1)
-    probed = probe is total  # then the probes are the totals
+    probe_is_total = probe is total  # then the probes are the totals
     states[0] = y = y0
     sums[0] = s = total(y)
-    probes[0] = s if probed else probe(y)
+    probes[0] = s if probe_is_total else probe(y)
     row = 1
     for k in range(1, n_steps + 1):
         y = step(y, k)
         s = total(y)
         if not math.isfinite(s) and not np.all(np.isfinite(y)):
             raise _non_finite(k, times[k])
-        probes[k] = s if probed else probe(y)
+        probes[k] = s if probe_is_total else probe(y)
         if kept[row] == k:
             states[row] = y
             sums[row] = s

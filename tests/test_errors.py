@@ -276,7 +276,7 @@ def test_default_halfline_bands_march_in_y():
 )
 def test_lu_bands_march_in_w(bands):
     # no D on the LU path: the scale is 1 and the first state is w0's bits
-    w0 = np.random.default_rng(4).standard_normal(bands[1].size - 1)
+    w0 = np.random.default_rng(4).standard_normal(bands[1].size)
     y, step, scale = _implicit_step(*bands, w0, 0.0, True)
     assert np.all(scale == 1.0) and scale.size == w0.size
     assert y.tobytes() == w0.tobytes()
