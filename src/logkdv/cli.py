@@ -6,7 +6,7 @@ and computes; only then does ``main`` write the CSV traces and a JSON
 summary into the output directory (``--outdir`` flag, else the
 ``LOGKDV_OUTDIR`` environment variable, else the working directory).
 The files appear all together or not at all, so a failed run leaves
-none behind.  Identical config and seed produce byte-identical files.
+none behind, nor any output directory it created.  Identical config and seed produce byte-identical files.
 
 Exit codes: 0 success, 1 invalid configuration or not enough memory,
 2 numerical failure, including a float overflow, a division by zero or
@@ -435,7 +435,20 @@ def main(argv=None) -> int:
         _release_freed_memory()  # once the run's arrays are freed
 
 
+def _make_outdir(outdir: Path, created: list) -> None:
+    """Create ``outdir`` and its missing parents, appending each one made to ``created``."""
+    for path in (*reversed(outdir.parents), outdir):
+        try:
+            path.mkdir()
+        except OSError:
+            if not path.is_dir():
+                raise
+        else:
+            created.append(path)
+
+
 def _main(argv) -> int:
+    created = []  # the output directories this run made, outermost first
     try:
         args = _build_parser().parse_args(argv)
         name = args.subcommand
@@ -443,7 +456,7 @@ def _main(argv) -> int:
         config = _resolve_config(name, args.config, flag_values)
         outdir = Path(args.outdir or os.environ.get("LOGKDV_OUTDIR") or ".")
         try:
-            outdir.mkdir(parents=True, exist_ok=True)
+            _make_outdir(outdir, created)
         except OSError as exc:
             raise ValueError(f"cannot create output directory: {exc}") from None
         # numpy's overflow, zero division and invalid values raise, as Python's floats do
@@ -454,16 +467,19 @@ def _main(argv) -> int:
         except OSError as exc:
             raise ValueError(f"cannot write output: {exc}") from None
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message, code = str(exc), 1
     except MemoryError as exc:
-        print(f"error: not enough memory: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"not enough memory: {exc}", 1
     except (NumericalError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(summary)
-    return 0
+        message, code = str(exc), 2
+    else:
+        print(summary)
+        return 0
+    for path in reversed(created):  # a failed run leaves no directory it made
+        with contextlib.suppress(OSError):
+            path.rmdir()
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

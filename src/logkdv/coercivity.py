@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import _MAX_FLOATS, NumericalError
 from .hermite import hurwitz_zeta, power_tail_fit, projection_sequence
 
 
@@ -256,8 +256,16 @@ def random_constrained_coefficients(
     """Random coefficient vectors satisfying both constraints, shape (size, n_max+1).
 
     Gaussian draws with mode 0 zeroed and the projection-sequence
-    direction removed from modes 1..n_max.
+    direction removed from modes 1..n_max.  More than
+    ``errors._MAX_FLOATS`` coefficients in all raise ValueError before
+    anything is drawn.
     """
+    n_floats = size * (n_max + 1)
+    if n_floats > _MAX_FLOATS:
+        raise ValueError(
+            f"{size} samples of n_max + 1 = {n_max + 1} coefficients are {n_floats} floats,"
+            f" above the cap of {_MAX_FLOATS}"
+        )
     f = projection_sequence(n_max)
     c = rng.standard_normal((size, n_max + 1))
     c[:, 0] = 0.0

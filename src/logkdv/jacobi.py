@@ -34,12 +34,13 @@ truncations.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, _lapack
+from .errors import _MAX_FLOATS, NumericalError, _lapack
 from .hermite import (
     fit_loglog_slope,
     hurwitz_zeta,
@@ -307,12 +308,26 @@ def find_eigenvalues(
     ``W_inf`` from the first ``n_max // 2`` shooting products.  The zeta
     tail drops terms of order ``m**(-7/2)``, so the roots' error falls like
     ``n_max**(-5/2)``, whatever ``tol`` is; higher roots need a larger ``n_max``.
+
+    A scan of more than ``errors._MAX_FLOATS`` shooting products, its
+    points times ``n_max // 2``, raises ValueError before anything is
+    allocated.
     """
     if not (0.0 < z_min < z_max):
         raise ValueError("need 0 < z_min < z_max")
     if scan_step <= 0 or tol <= 0:
         raise ValueError("scan_step and tol must be positive")
-    zs = np.arange(z_min, z_max + 0.5 * scan_step, scan_step)
+    stop = z_max + 0.5 * scan_step
+    points = (stop - z_min) / scan_step
+    points = math.ceil(points) if math.isfinite(points) else math.inf  # np.arange's count
+    n_floats = points * (n_max // 2)
+    if n_floats > _MAX_FLOATS:
+        raise ValueError(
+            f"scan_step={scan_step!r} on ({z_min!r}, {z_max!r}] and n_max={n_max} take"
+            f" {points} scan points of {n_max // 2} shooting products: {n_floats} floats,"
+            f" above the cap of {_MAX_FLOATS}"
+        )
+    zs = np.arange(z_min, stop, scan_step)
     ws = _w_inf_scan(zs, n_max)
 
     left = np.flatnonzero((ws[:-1] == 0.0) | (ws[:-1] * ws[1:] < 0.0))

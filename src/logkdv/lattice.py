@@ -16,7 +16,14 @@ generator stiff.  Both steppers build their work buffers once per
 :func:`evolve` call and allocate nothing per step.  The midpoint step is
 the package's one implicit tridiagonal step, ``errors._implicit_step``,
 which the half-line flow shares: ``I - h/2 M`` factored once per call
-and a step ``2 solve(a) - a``, with no product with M.  What this module
+and a step ``2 solve(a) - a``, with no product with M.  M is skew, so
+``A = I - h/2 M`` has ``A^T = J A J`` with J = diag((-1)^k), the real
+shadow of ``D M D^{-1}`` being -i times half the Jacobi finite section,
+D = diag(i^k).  When ``dgttrf``
+exchanges no rows (at dt = 1e-3 up to N = 9999, and at N = 400 up to
+dt = 0.13), its LU is ``L D_u J L^T J``, and a solve is one ``dpttrs``
+with ``(J D_u, L)`` and a flip of signs by J (``errors._factor``'s sign
+path).  Otherwise ``dgttrs`` solves with the LU.  What this module
 builds is the pad, one decoupled identity mode after the N lattice modes
 (see ``_implicit_step``), so that N = 2 takes the one path too.  The
 pad's row has no entry off the bands, so the step's row multiplier is
@@ -175,7 +182,8 @@ def evolve(
     if method == "midpoint":
         # I - h/2 M with one decoupled identity mode appended (zero couplings,
         # diagonal 1); _march sees the first N entries of each state.  The skew
-        # couplings take the LU path, so D is 1 and the state marched is a itself
+        # couplings take the sign path (or the LU path if dgttrf exchanges rows),
+        # so D is 1 and the state marched is a itself
         y, step, _ = _implicit_step(np.append(0.5 * h * beta, 0.0), np.ones(n_modes + 1),
                                     np.append(-0.5 * h * beta, 0.0), a0.a, 0.0, fold=True)
     else:

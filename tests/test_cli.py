@@ -68,8 +68,8 @@ NUMERIC_KEYS = [
 
 # A small run of each subcommand, and whether it loads scipy: only evolve
 # and dissipate do, and of scipy they load LAPACK's extension module
-# scipy.linalg._flapack alone (for dgttrf and dgttrs, and dissipate's
-# dpttrf and dpttrs), not the scipy or
+# scipy.linalg._flapack alone (for dgttrf and dgttrs, evolve's and
+# dissipate's dpttrs and dissipate's dpttrf), not the scipy or
 # scipy.linalg packages. The other runs use the package's ports of Cephes'
 # zeta and of brentq.
 SMALL_RUNS = {
@@ -623,6 +623,35 @@ class TestConfigHandling:
         assert run(["projections", "--outdir", tmp_path]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("code", [1, 2])
+    def test_failed_run_removes_the_directories_it_created(self, code, tmp_path, monkeypatch,
+                                                           capsys):
+        # a fresh nested --outdir a/b: both directories go with the failed run
+        # (exit 1 at the float cap, exit 2 from the runner); a directory that
+        # was already there stays, and so do the files in it
+        def boom(config):
+            raise NumericalError("synthetic failure")
+
+        monkeypatch.setitem(cli._RUNNERS, "projections", boom)
+        args = (["dissipate", "--T", 1e4, "--dt", 1e-4] if code == 1 else ["projections"])
+        monkeypatch.chdir(tmp_path)
+        assert run([*args, "--outdir", Path("a", "b")]) == code
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.iterdir())
+        (tmp_path / "a").mkdir()
+        assert run([*args, "--outdir", tmp_path / "a" / "b" / "c"]) == code
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+        assert not list((tmp_path / "a").iterdir())
+        (tmp_path / "a" / "keep").write_text("")
+        assert run([*args, "--outdir", tmp_path / "a"]) == code
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["keep"]
+
+    def test_outdir_below_a_file_exits_1_and_removes_nothing(self, tmp_path, capsys):
+        (tmp_path / "a").write_text("")
+        assert run(["projections", "--outdir", tmp_path / "a" / "b"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot create output directory:")
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+
 
 # Resident MB a ``projections --n-max 1000000`` run leaves behind in a
 # process that loaded scipy.optimize, the largest scipy import, and ran
@@ -752,6 +781,25 @@ assert _lapack().dgttrf is scipy.linalg.lapack.dgttrf
             f"error: T=10000.0, dt=0.0001 and sample_every=10 keep 10000001 states of {values}"
             f" values and 100000001 times and probes: {floats} floats, above the cap of 268435456\n"
         )
+        assert proc.stdout == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["spectrum", "--scan-step", 1e-9],
+          "scan_step=1e-09 on (0.05, 20.0] and n_max=1000 take 19950000001 scan points of 500"
+          " shooting products: 9975000000500 floats"),
+         (["coercivity", "--n-max", 1_000_000, "--n-samples", 1_000_000],
+          "1000000 samples of n_max + 1 = 1000001 coefficients are 1000001000000 floats")],
+        ids=["spectrum", "coercivity"],
+    )
+    def test_arrays_beyond_the_cap_exit_1_before_allocating(self, args, message, tmp_path):
+        # the scan's z alone would ask for 149 GiB, the samples for 7.28 TiB;
+        # both are rejected before anything is allocated, with no cap on the
+        # child's memory
+        proc = run_module("logkdv", [*args, "--outdir", tmp_path])
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}, above the cap of 268435456\n"
         assert proc.stdout == ""
         assert not list(tmp_path.iterdir())
 

@@ -285,3 +285,19 @@ class TestConstrainedSamples:
             e = energy_form(c)
             assert 4.0 * c[1] ** 2 <= C0_LIMIT * e * (1 + 1e-12)
             assert abs(2.0 * c[1]) <= math.sqrt(C0_LIMIT * e) * (1 + 1e-12)
+
+    def test_samples_above_the_float_cap_raise_before_any_draw(self):
+        # 10^6 samples of 10^6 + 1 coefficients would ask for 7.28 TiB
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError("nothing may be drawn")
+
+        with pytest.raises(ValueError, match=(r"^1000000 samples of n_max \+ 1 = 1000001 coefficients"
+                                              rf" are 1000001000000 floats, above the cap of {2**28}$")):
+            random_constrained_coefficients(10**6, NoDraws(), 10**6)
+
+    def test_samples_at_the_float_cap_are_drawn(self, monkeypatch):
+        monkeypatch.setattr(coerc, "_MAX_FLOATS", 33)
+        assert random_constrained_coefficients(10, np.random.default_rng(0), 3).shape == (3, 11)
+        with pytest.raises(ValueError, match="4 samples of n_max \\+ 1 = 11 coefficients are 44"):
+            random_constrained_coefficients(10, np.random.default_rng(0), 4)

@@ -11,6 +11,7 @@ from logkdv.errors import (
     _implicit_step,
     _lapack,
     _march,
+    _signed_solve,
     _symmetrized_solve,
     _tridiagonal_solver,
     _unscale,
@@ -186,12 +187,40 @@ def test_default_halfline_bands_take_the_symmetrized_path():
 
 @pytest.mark.parametrize(
     "bands",
-    [lattice_bands(400), lattice_bands(2), halfline_bands(16.0, 1.0), halfline_bands(72.0, 0.05)],
-    ids=["lattice", "lattice-two-modes", "coarse-halfline", "halfline-past-the-scale-floor"],
+    [lattice_bands(400), lattice_bands(2), lattice_bands(400, h=0.1)],
+    ids=["lattice", "lattice-two-modes", "lattice-dt-0.1"],
+)
+def test_skew_lattice_bands_take_the_sign_path(bands):
+    # lower == -upper and dgttrf exchanges no rows: one dpttrs on (J D_u, l)
+    # and a flip by J = diag((-1)^k), which agree with dgttrs and a dense solve
+    lapack = _lapack()
+    *lu, info = lapack.dgttrf(*(band.copy() for band in bands))
+    assert info == 0 and np.array_equal(lu[-1], np.arange(1, bands[1].size + 1))
+    solve = _tridiagonal_solver(*(band.copy() for band in bands))
+    assert solve.func is _signed_solve
+    assert solve.args[0] is lapack.dpttrs
+    signs = solve.args[-1]
+    assert signs.tolist() == [(-1.0) ** k for k in range(bands[1].size)]
+    matrix = dense(*bands)
+    b = np.random.default_rng(0).standard_normal(bands[1].size)
+    for trans, oracle in (("N", matrix), ("T", matrix.T)):
+        want = np.linalg.solve(oracle, b)
+        via_lu, _ = lapack.dgttrs(*lu, b.copy(), trans=trans)
+        got, info = solve(b.copy(), trans=trans)
+        assert info == 0
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(got - via_lu).max() <= 1e-14 * np.abs(via_lu).max()
+
+
+@pytest.mark.parametrize(
+    "bands",
+    [lattice_bands(10, h=1.0), halfline_bands(16.0, 1.0), halfline_bands(72.0, 0.05)],
+    ids=["lattice-exchanging-rows", "coarse-halfline", "halfline-past-the-scale-floor"],
 )
 def test_other_bands_keep_the_lu_path_to_the_bit(bands):
-    # the skew lattice's couplings have products below zero, as the half-line's
-    # do where |z| > 8/h; at Z = 72 the scale would fall below exp(-300)
+    # the half-line's couplings have products below zero where |z| > 8/h; at
+    # Z = 72 the scale would fall below exp(-300); at dt = 1.0 dgttrf exchanges
+    # 4 rows of the 10-mode lattice, so its LU has no sign similarity to use
     lapack = _lapack()
     *lu, info = lapack.dgttrf(*(band.copy() for band in bands))
     assert info == 0
@@ -275,7 +304,7 @@ def test_default_halfline_bands_march_in_y():
     ids=["lattice", "coarse-halfline", "halfline-past-the-scale-floor"],
 )
 def test_lu_bands_march_in_w(bands):
-    # no D on the LU path: the scale is 1 and the first state is w0's bits
+    # no D on the sign or LU path: the scale is 1 and the first state is w0's bits
     w0 = np.random.default_rng(4).standard_normal(bands[1].size)
     y, step, scale = _implicit_step(*bands, w0, 0.0, True)
     assert np.all(scale == 1.0) and scale.size == w0.size

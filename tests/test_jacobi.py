@@ -427,6 +427,28 @@ class TestSpectrum:
         z1, z2 = spectrum.eigenvalues
         assert ev[0] < z1 < ev[1] < z2 < ev[2]
 
+    @pytest.mark.parametrize("scan_step, points", [(1e-9, 19_950_000_001), (5e-324, math.inf)])
+    def test_scan_above_the_float_cap_raises_before_any_array(self, scan_step, points,
+                                                              monkeypatch):
+        # 2.0e10 scan points of 500 shooting products; the scan's z alone
+        # would ask for 149 GiB, and none of it is allocated
+        def fail(*args, **kwargs):
+            raise AssertionError("no scan may be built")
+
+        monkeypatch.setattr(np, "arange", fail)
+        message = (rf"take {points} scan points of 500 shooting products: {points * 500} floats,"
+                   rf" above the cap of {2**28}$")
+        with pytest.raises(ValueError, match=message):
+            find_eigenvalues(scan_step=scan_step)
+
+    def test_scan_at_the_float_cap_runs(self, monkeypatch):
+        # five scan points, 0.5 to 1.5, of 20 shooting products each
+        monkeypatch.setattr(jacobi, "_MAX_FLOATS", 100)
+        result = find_eigenvalues(z_min=0.5, z_max=1.5, scan_step=0.25, n_max=40)
+        assert result.scan_z.size == 5
+        with pytest.raises(ValueError, match="take 5 scan points of 21 shooting products: 105"):
+            find_eigenvalues(z_min=0.5, z_max=1.5, scan_step=0.25, n_max=42)
+
 
 class TestTruncatedMatrixEigenvalues:
     @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
 
 from logkdv.coercivity import energy_form
 from logkdv.jacobi import truncated_matrix_eigenvalues
@@ -65,14 +65,17 @@ def stepped(a, T, dt, sample_every, step):
 
 
 def reference_evolve(a, T, dt, sample_every, method):
-    """evolve's flow step by step: ``2 x - a`` on the padded LU, or ``skew_rhs`` per RK4 stage."""
+    """evolve's flow step by step: ``J x - a`` with x from ``dpttrs`` on the padded LU's
+    ``(J D_u, l)``, J = diag((-1)^k), or ``skew_rhs`` per RK4 stage."""
     if method == "midpoint":
-        lu = padded_lu(a.size, dt if T >= 0 else -dt)
+        dl, d, _, _, ipiv = padded_lu(a.size, dt if T >= 0 else -dt)
+        assert np.array_equal(ipiv, np.arange(1, a.size + 2))  # no row exchanged
+        signs = (-1.0) ** np.arange(a.size + 1)
 
         def step(a, h):
-            x, info = dgttrs(*lu, np.append(2.0 * a, 0.0))
+            x, info = dpttrs(signs * d, dl, np.append(2.0 * a, 0.0))
             assert info == 0
-            return x[:-1] - a
+            return (signs * x)[:-1] - a
     else:
         def step(a, h):
             k1 = skew_rhs(a)
