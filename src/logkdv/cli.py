@@ -6,7 +6,8 @@ and computes; only then does ``main`` write the CSV traces and a JSON
 summary into the output directory (``--outdir`` flag, else the
 ``LOGKDV_OUTDIR`` environment variable, else the working directory).
 The files appear all together or not at all, so a failed run leaves
-none behind, nor any output directory it created.  Identical config and seed produce byte-identical files.
+none behind, nor any output directory it created.  Identical config and
+seed produce byte-identical files.
 
 Exit codes: 0 success, 1 invalid configuration or not enough memory,
 2 numerical failure, including a float overflow, a division by zero or
