@@ -41,6 +41,10 @@ import numpy as np
 from .errors import _MAX_FLOATS, NumericalError
 from .hermite import hurwitz_zeta, power_tail_fit, projection_sequence
 
+# The most floats of one block of the projection that
+# ``random_constrained_coefficients`` subtracts: 2^16 floats are 512 KiB.
+_BLOCK_FLOATS = 2**16
+
 
 def energy_form(c) -> float:
     """Value of the energy form ``sum (n - 1) c_n^2``."""
@@ -258,7 +262,11 @@ def random_constrained_coefficients(
     Gaussian draws with mode 0 zeroed and the projection-sequence
     direction removed from modes 1..n_max.  More than
     ``errors._MAX_FLOATS`` coefficients in all raise ValueError before
-    anything is drawn.
+    anything is drawn.  The projection ``outer(c g, g / g.g)`` is
+    subtracted in blocks of rows of at most ``_BLOCK_FLOATS`` floats (one
+    row at least), so no second array of the samples' size is built; each
+    entry is the same product and difference as with the whole outer
+    product, to the bit.
     """
     n_floats = size * (n_max + 1)
     if n_floats > _MAX_FLOATS:
@@ -271,5 +279,8 @@ def random_constrained_coefficients(
     c[:, 0] = 0.0
     g = f.copy()
     g[0] = 0.0
-    c -= np.outer(c @ g, g / np.dot(g, g))
+    cg, u = c @ g, g / np.dot(g, g)
+    rows = max(1, _BLOCK_FLOATS // u.size)
+    for start in range(0, size, rows):
+        c[start : start + rows] -= np.outer(cg[start : start + rows], u)
     return c

@@ -166,62 +166,52 @@ def _symmetrizer(lower, upper):
     return scale, ratio * lower
 
 
-def _symmetrized_solve(dpttrs, d, e, scale, b, trans="N"):
-    """``A^{-1} b`` (``trans="T"``: ``A^{-T} b``) for ``A = D^{-1} S D``, S's
-    factors d, e from ``dpttrf`` and D = ``scale``: b times D, one ``dpttrs``
-    with S, then divided by D.  ``A^T = D S D^{-1}`` swaps the two."""
-    into, out = (np.multiply, np.divide) if trans == "N" else (np.divide, np.multiply)
-    into(b, scale, out=b)
+def _signed_solve(dpttrs, d, e, signs, b):
+    """``A^{-1} b`` for ``A = L D_u J L^T J``, with ``J D_u`` = d and L's
+    multipliers e from ``dgttrf`` and J = ``signs``: one ``dpttrs`` with them,
+    then b times J."""
     x, info = dpttrs(d, e, b, overwrite_b=True)
-    out(x, scale, out=x)
-    return x, info
-
-
-def _signed_solve(dpttrs, d, e, signs, b, trans="N"):
-    """``A^{-1} b`` (``trans="T"``: ``A^{-T} b``) for ``A = L D_u J L^T J``, with
-    ``J D_u`` = d and L's multipliers e from ``dgttrf`` and J = ``signs``: one
-    ``dpttrs`` with them, then b times J.  ``A^{-T} = J A^{-1} J`` flips b
-    before the solve instead."""
-    if trans != "N":
-        np.multiply(b, signs, out=b)
-    x, info = dpttrs(d, e, b, overwrite_b=True)
-    if trans == "N":
-        np.multiply(x, signs, out=x)
+    np.multiply(x, signs, out=x)
     return x, info
 
 
 def _factor(lower, diag, upper):
-    """LAPACK's factors of the tridiagonal matrix A with these bands.
+    """``(solve, D)`` for the tridiagonal matrix A with these bands.
 
-    Returns ``(routine, factors, scale, signs)``: ``routine(*factors, b)``
-    solves with them.  The routines come from :func:`_lapack`, by one of
-    three paths that the bands choose:
+    ``solve(b)`` overwrites a contiguous float array b with ``S^{-1} b``,
+    where S = D A D^{-1}, and returns it with LAPACK's info; D = ``scale``,
+    an array of A's size, is all ones except on the first path below.  So
+    ``A^{-1} b = solve(D b) / D`` on every path, and a caller that keeps its
+    states in y = D w (as :func:`_implicit_step` does) solves with S alone.
+    The routines come from :func:`_lapack`, by one of three paths that the
+    bands choose; this function is the one place that picks a path.
 
     * A diagonal similarity S = D A D^{-1} is symmetric positive definite
-      (:func:`_symmetrizer`, then ``dpttrf`` returns info 0): ``dpttrs``
-      with S's factors, D = ``scale`` and no signs (None).  The
-      half-line's ``I - theta dt H`` takes this path: its couplings have
-      positive products while ``|z| < 8 / h`` or so, and D is about
-      ``|z| exp(-z^2/16)``.
+      (:func:`_symmetrizer`, then ``dpttrf`` returns info 0): ``solve`` is
+      ``dpttrs`` with S's factors.  The half-line's ``I - theta dt H``
+      takes this path: its couplings have positive products while
+      ``|z| < 8 / h`` or so, and D is about ``|z| exp(-z^2/16)``.
     * Otherwise A is factored by ``dgttrf``, which overwrites the bands;
       a zero pivot, so a singular A, raises NumericalError.  If the
       couplings are exact negatives, ``lower == -upper``, and ``dgttrf``
       exchanged no rows, then ``A^T = J A J`` with J = diag((-1)^k), and
       the LU is ``A = L U`` with ``U = D_u J L^T J``: U's superdiagonal is
       ``upper = -lower = -D_u l``.  So ``A^{-1} = J L^{-T} (J D_u)^{-1}
-      L^{-1}``: ``dpttrs`` with ``(J D_u, l)``, no scale and J =
-      ``signs``, by which the solution is multiplied
-      (:func:`_signed_solve`).  The lattice's ``I - h/2 M``, with M skew,
-      takes this path at the step sizes it is run at (no row is exchanged
-      at N = 400 up to dt = 0.13, or at dt = 1e-3 up to N = 9999); at
-      dt = 1.0 ``dgttrf`` exchanges N - 6 rows from N = 7 on.
-    * Else ``dgttrs`` with A's LU, no scale and no signs.  H itself is
-      negative definite, and the half-line's couplings have products
-      below zero where ``|z| > 8 / h``, so those take this path.
+      L^{-1}``: ``solve`` is one ``dpttrs`` with ``(J D_u, l)`` and then
+      the flip ``b *= J`` (:func:`_signed_solve`).  The lattice's
+      ``I - h/2 M``, with M skew, takes this path at the step sizes it is
+      run at (no row is exchanged at N = 400 up to dt = 0.13, or at
+      dt = 1e-3 up to N = 9999); at dt = 1.0 ``dgttrf`` exchanges N - 6
+      rows from N = 7 on.
+    * Else ``solve`` is ``dgttrs`` with A's LU.  H itself is negative
+      definite, and the half-line's couplings have products below zero
+      where ``|z| > 8 / h``, so those take this path.
 
     An identity row and column (zero couplings, diagonal 1) keep ``e = 0``
     and a D entry equal to the one before it on the first path, and a zero
-    multiplier on the others; each leaves an entry of +0.0 there at +0.0.
+    multiplier on the others; each leaves an entry of +0.0 there at +0.0
+    (on the sign path ``dpttrs`` divides it by ``J D_u = +-1``, and the
+    flip by J restores +0.0).
     """
     lapack = _lapack()
     symmetrized = _symmetrizer(lower, upper)
@@ -229,7 +219,7 @@ def _factor(lower, diag, upper):
         scale, e = symmetrized
         d, e, info = lapack.dpttrf(diag, e, overwrite_e=True)
         if info == 0:
-            return lapack.dpttrs, (d, e), scale, None
+            return functools.partial(lapack.dpttrs, d, e, overwrite_b=True), scale
     skew = np.array_equal(lower, -upper)
     *lu, info = lapack.dgttrf(
         lower, diag, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True
@@ -237,28 +227,11 @@ def _factor(lower, diag, upper):
     if info != 0:  # a zero pivot: the matrix is singular
         raise NumericalError(f"tridiagonal factorization failed: dgttrf info={info}")
     dl, d, _, _, pivots = lu
+    ones = np.ones(d.size)
     if skew and np.array_equal(pivots, np.arange(1, d.size + 1)):  # no row exchanged
         signs = np.where(np.arange(d.size) % 2, -1.0, 1.0)
-        return lapack.dpttrs, (signs * d, dl), None, signs
-    return lapack.dgttrs, tuple(lu), None, None
-
-
-def _tridiagonal_solver(lower, diag, upper):
-    """``solve(b, trans="N")`` for the tridiagonal matrix A with these bands.
-
-    Each call overwrites a contiguous float array ``b`` with ``A^{-1} b``
-    (``trans="T"``: ``A^{-T} b``) and returns it with LAPACK's info.  A is
-    factored once by :func:`_factor`: a call is one ``dpttrs`` between two
-    scalings by D (:func:`_symmetrized_solve`) on its symmetrized path, one
-    ``dpttrs`` and one sign flip by J (:func:`_signed_solve`) on its sign
-    path, and one ``dgttrs`` on its LU path.
-    """
-    routine, factors, scale, signs = _factor(lower, diag, upper)
-    if scale is not None:
-        return functools.partial(_symmetrized_solve, routine, *factors, scale)
-    if signs is not None:
-        return functools.partial(_signed_solve, routine, *factors, signs)
-    return functools.partial(routine, *factors, overwrite_b=True)
+        return functools.partial(_signed_solve, lapack.dpttrs, signs * d, dl, signs), ones
+    return functools.partial(lapack.dgttrs, *lu, overwrite_b=True), ones
 
 
 def _implicit_step(lower, diag, upper, w0, m, fold):
@@ -267,15 +240,14 @@ def _implicit_step(lower, diag, upper, w0, m, fold):
     A is ``I - theta h G``, made tridiagonal by the caller with one row
     operation: row n-1 minus m times row n-2 (m = 0.0 for none).  Its bands
     ``lower``, ``diag`` and ``upper`` are factored once by :func:`_factor`,
-    which may overwrite them.  The states are marched in y = D w, the
-    coordinates of the factorization: with the symmetrized S = D A D^{-1},
-    ``D A^{-1} D^{-1} = S^{-1}``, so a step solves with S alone, one bare
-    ``dpttrs``, and the row operation on y is ``y[-1] -= m' y[-2]`` with
-    ``m' = m D[-1] / D[-2]``, formed once.  On the sign and LU paths D is
-    1, and y is w to the bit.  The caller gets w back as ``y / D``, and the
-    first state from w itself.  The returned D has ``w0.size`` entries.
-    On the sign path the solve is one bare ``dpttrs`` followed by the flip
-    ``b *= J`` (``A^{-1} = J L^{-T} (J D_u)^{-1} L^{-1}``, see :func:`_factor`).
+    which may overwrite them and returns ``(solve, D)``: ``solve`` applies
+    S^{-1}, S = D A D^{-1}, whichever path the bands took.  The states are
+    marched in y = D w, the coordinates of that factorization:
+    ``D A^{-1} D^{-1} = S^{-1}``, so a step is one ``solve``, and the row
+    operation on y is ``y[-1] -= m' y[-2]`` with ``m' = m D[-1] / D[-2]``,
+    formed once.  Where D is 1, y is w to the bit.  The caller gets w back
+    as ``y / D``, and the first state from w itself.  The returned D has
+    ``w0.size`` entries.
 
     Backward Euler (theta = 1) takes ``y = S^{-1} y``.  The implicit
     midpoint and Crank-Nicolson rules (theta = 1/2, ``fold``) need no
@@ -285,32 +257,26 @@ def _implicit_step(lower, diag, upper, w0, m, fold):
 
     so a step is ``2 solve(y) - y``.  Each step forms the right side b = 2 y,
     or y without the fold, takes the row operation as ``b[-1] -= m' * b[-2]``,
-    overwrites b with its solve, flips its signs by J on the sign path and,
-    with the fold, subtracts y.  Doubling is exact outside the subnormal
-    range, so there ``solve(2 y)`` is ``2 solve(y)`` to the bit.
+    overwrites b with its solve and, with the fold, subtracts y.  Doubling
+    is exact outside the subnormal range, so there ``solve(2 y)`` is
+    ``2 solve(y)`` to the bit.
 
     The states are the first ``w0.size`` entries of two buffers of A's size,
     which alternate between steps, so a step allocates nothing; the entries
     after them start at 0.0, and ``D w0`` is written into the first buffer.
 
     A node whose row and column of A are the identity's (zero couplings,
-    diagonal 1) is a decoupled identity mode.  ``dgttrf`` eliminates through
-    it with multiplier 0 and never pivots there; ``dpttrf`` keeps its zero
-    coupling, ``e = 0``.  An entry of +0.0 there stays +0.0 at every step,
-    with or without the fold (on the sign path ``dpttrs`` divides it by
-    ``J D_u = +-1`` there, and the flip by J restores +0.0).  It changes
-    no other value: the one product with its zero coupling that a
-    substitution subtracts from the neighbouring entry can flip the sign
-    of a zero there and no other bit.
+    diagonal 1) is a decoupled identity mode, which every path of
+    :func:`_factor` keeps: an entry of +0.0 there stays +0.0 at every step,
+    with or without the fold.  It changes no other value: the one product
+    with its zero coupling that a substitution subtracts from the
+    neighbouring entry can flip the sign of a zero there and no other bit.
     Both flows have one.  The lattice appends a pad after its N modes,
     because scipy's ``dgttrf`` wrapper rejects N = 2, so every N takes this
     one path; the half-line's Dirichlet node 0, at z = -Z, has an empty row
     and column of H.
     """
-    routine, factors, scale, signs = _factor(lower, diag, upper)
-    if scale is None:
-        scale = np.ones(diag.size)
-    solve = functools.partial(routine, *factors, overwrite_b=True)
+    solve, scale = _factor(lower, diag, upper)
     m = m * scale[-1] / scale[-2]
     pads = (np.zeros(diag.size), np.zeros(diag.size))
     heads = tuple(pad[: w0.size] for pad in pads)
@@ -326,8 +292,6 @@ def _implicit_step(lower, diag, upper, w0, m, fold):
             np.copyto(x, old)
         x[-1] -= m * x[-2]
         solve(x)
-        if signs is not None:
-            np.multiply(x, signs, out=x)
         if fold:
             np.subtract(x, old, out=x)
         return heads[k % 2]

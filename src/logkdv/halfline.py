@@ -36,16 +36,16 @@ nearly, is the discrete one: while |z| < 8/h or so, every pair of
 couplings of the eliminated ``I - theta dt H`` has a positive product,
 and the diagonal similarity S = D (I - theta dt H) D^{-1}, with D about
 |z| exp(-z^2/16), is symmetric positive definite.
-``errors._factor`` finds that from the bands and factors S once with
-LAPACK's ``dpttrf``, and the flow marches in y = D w, the coordinates
+``errors._factor``, whose docstring describes its three paths and the
+``(solve, D)`` it returns, finds that from the bands and factors S once
+with LAPACK's ``dpttrf``, and the flow marches in y = D w, the coordinates
 of S: a step is one bare ``dpttrs``, with the row operation scaled to
 ``y[J] -= m D[J] / D[J-1] y[J-1]``, and w = y / D is formed only for
 the kept states.  The squared norm of every step is summed over y with
 the weights h / D^2, finite since D is at least exp(-300), and is also
 the check that each step is finite.  Unlike ``dgttrs``'s
 back-substitution, ``dpttrs``'s substitutions keep their divisions off
-the chain of dependent operations, which makes the step faster.  The
-decoupled node 0 keeps a zero coupling, ``e[0] = 0``, so it stays +0.0.
+the chain of dependent operations, which makes the step faster.
 Grids past the sign change (Z above about 8/h) or with D below
 exp(-300) (Z above about 70) take the LU path, ``dgttrf`` once and
 ``dgttrs`` per solve, where D is 1, with the bits they always had.  No
@@ -78,7 +78,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import _implicit_step, _march, _tridiagonal_solver, _unscale
+from .errors import _factor, _implicit_step, _march, _unscale
 from .hermite import RealGrid
 
 if TYPE_CHECKING:  # scipy is imported by the functions that use it
@@ -295,14 +295,18 @@ def _psi(grid: HalfLineGrid, ell: np.ndarray) -> np.ndarray:
     """``psi = H[1:, 1:]^{-T} ell[1:]``, the weight that telescopes b.
 
     With E the row elimination of the module docstring, E H[1:, 1:] = T is
-    tridiagonal, so psi = E^T T^{-T} ell[1:]: a transposed ``dgttrs`` solve
-    (T is negative definite, so the solver takes its LU path), then E^T's
-    one off-diagonal entry.
+    tridiagonal, so psi = E^T T^{-T} ell[1:].  T^T, the bands of T swapped,
+    is factored by ``errors._factor``, whose ``(solve, D)`` gives
+    ``T^{-T} ell[1:] = solve(D ell[1:]) / D`` on any path (T is negative
+    definite, so it takes the LU path, where D is 1); then E^T's one
+    off-diagonal entry.
     """
     lower2, lower, diag, upper = _h_bands(grid)
     bands = lower[1:], diag[1:], upper[1:]
     m = _eliminate_corner(lower2[-1], *bands)
-    psi, _ = _tridiagonal_solver(*bands)(ell[1:].copy(), trans="T")
+    solve, scale = _factor(*reversed(bands))
+    psi, _ = solve(ell[1:] * scale)
+    psi /= scale
     psi[-2] -= m * psi[-1]
     return psi
 

@@ -19,19 +19,17 @@ which the half-line flow shares: ``I - h/2 M`` factored once per call
 and a step ``2 solve(a) - a``, with no product with M.  M is skew, so
 ``A = I - h/2 M`` has ``A^T = J A J`` with J = diag((-1)^k), the real
 shadow of ``D M D^{-1}`` being -i times half the Jacobi finite section,
-D = diag(i^k).  When ``dgttrf``
-exchanges no rows (at dt = 1e-3 up to N = 9999, and at N = 400 up to
-dt = 0.13), its LU is ``L D_u J L^T J``, and a solve is one ``dpttrs``
-with ``(J D_u, L)`` and a flip of signs by J (``errors._factor``'s sign
-path).  Otherwise ``dgttrs`` solves with the LU.  What this module
-builds is the pad, one decoupled identity mode after the N lattice modes
-(see ``_implicit_step``), so that N = 2 takes the one path too.  The
-pad's row has no entry off the bands, so the step's row multiplier is
-the constant 0.0 (as ``corner / lower[-2]`` it would be 0/0 once
-``h/2 beta`` underflows, as at dt = 5e-324).  RK4 writes its four stages
-into its buffers through slices cut once per call and performs the
-operations of the plain formulas in their order, so the buffers change
-no bit.  The step count, sampling and storage are the package's one
+D = diag(i^k); ``errors._factor`` describes the sign path that uses it
+and the LU path that the lattice takes when ``dgttrf`` exchanges rows.
+On both, the scale of the factorization is 1 and the state marched is a
+itself.  What this module builds is the pad, one decoupled identity mode
+after the N lattice modes (see ``_implicit_step``), so that N = 2 takes
+the one path too.  The pad's row has no entry off the bands, so the
+step's row multiplier is the constant 0.0 (as ``corner / lower[-2]`` it
+would be 0/0 once ``h/2 beta`` underflows, as at dt = 5e-324).  RK4
+writes its four stages into its buffers through slices cut once per
+call and performs the operations of the plain formulas in their order,
+so the buffers change no bit.  The step count, sampling and storage are the package's one
 step loop, ``errors._march``, which the half-line flow shares.  The
 trajectory's norms are the square roots of the sums of squares that loop
 already takes to check each state, so no second pass walks the kept
@@ -181,9 +179,7 @@ def evolve(
     beta = offdiagonal(n_modes)
     if method == "midpoint":
         # I - h/2 M with one decoupled identity mode appended (zero couplings,
-        # diagonal 1); _march sees the first N entries of each state.  The skew
-        # couplings take the sign path (or the LU path if dgttrf exchanges rows),
-        # so D is 1 and the state marched is a itself
+        # diagonal 1); _march sees the first N entries of each state, a itself
         y, step, _ = _implicit_step(np.append(0.5 * h * beta, 0.0), np.ones(n_modes + 1),
                                     np.append(-0.5 * h * beta, 0.0), a0.a, 0.0, fold=True)
     else:

@@ -2,7 +2,11 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +305,38 @@ class TestConstrainedSamples:
         assert random_constrained_coefficients(10, np.random.default_rng(0), 3).shape == (3, 11)
         with pytest.raises(ValueError, match="4 samples of n_max \\+ 1 = 11 coefficients are 44"):
             random_constrained_coefficients(10, np.random.default_rng(0), 4)
+
+    @pytest.mark.parametrize("block_floats", [coerc._BLOCK_FLOATS, 100, 1])
+    def test_blocked_projection_keeps_the_bits_of_the_outer_product(self, monkeypatch,
+                                                                   block_floats):
+        # one block, blocks of 3 rows with a last one of 2, and one row per block
+        monkeypatch.setattr(coerc, "_BLOCK_FLOATS", block_floats)
+        got = random_constrained_coefficients(30, np.random.default_rng(3), 50)
+        c = np.random.default_rng(3).standard_normal((50, 31))
+        c[:, 0] = 0.0
+        g = projection_sequence(30).copy()
+        g[0] = 0.0
+        c -= np.outer(c @ g, g / np.dot(g, g))
+        assert got.tobytes() == c.tobytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
+    def test_peak_memory_is_about_the_samples_alone(self):
+        # the whole outer product was a second array of the samples' size: the
+        # peak grew by 2.0 times the samples, and at the 2^28-float cap by 4 GiB
+        code = """
+import resource
+import numpy as np
+from logkdv.coercivity import random_constrained_coefficients
+
+random_constrained_coefficients(400, np.random.default_rng(0), 10)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+c = random_constrained_coefficients(400, np.random.default_rng(0), 20_000)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / c.nbytes)
+"""
+        env = dict(os.environ)
+        src = str(Path(coerc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 1.3

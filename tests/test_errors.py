@@ -1,6 +1,7 @@
 """The shared step loop ``errors._march``: its check for non-finite states, its caps on
-the step count and the floats stored, and its sums; the shared implicit step's choice
-of factorization, the coordinates it marches in, and its check for a singular matrix."""
+the step count and the floats stored, and its sums; the one factorization ``_factor``,
+its choice of path, its ``(solve, D)`` and its check for a singular matrix; the
+coordinates the shared implicit step marches in."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ import pytest
 from logkdv import errors
 from logkdv.errors import (
     NumericalError,
+    _factor,
     _implicit_step,
     _lapack,
     _march,
     _signed_solve,
-    _symmetrized_solve,
-    _tridiagonal_solver,
     _unscale,
 )
 from logkdv.halfline import HalfLineGrid, _eliminate_corner, _h_bands
@@ -148,7 +148,7 @@ def test_sums_are_those_of_the_kept_rows(sample_every):
 
 @pytest.mark.parametrize(
     "factor",
-    [_tridiagonal_solver, lambda *bands: _implicit_step(*bands, np.ones(3), 0.0, True)],
+    [_factor, lambda *bands: _implicit_step(*bands, np.ones(3), 0.0, True)],
     ids=["solver", "implicit_step"],
 )
 @pytest.mark.parametrize(
@@ -179,10 +179,32 @@ def dense(lower, diag, upper):
     return np.diag(lower, -1) + np.diag(diag) + np.diag(upper, 1)
 
 
+def factored(bands):
+    """``_factor``'s ``(solve, D)`` for copies of the bands, which it may overwrite."""
+    return _factor(*(band.copy() for band in bands))
+
+
+def solve_through(solve, scale, b):
+    """``A^{-1} b = solve(D b) / D``; the solve overwrites the array it is given."""
+    x = b * scale
+    got, info = solve(x)
+    assert info == 0 and got is x
+    return got / scale
+
+
+def assert_matches_dense_solve(bands, solve, scale, seed):
+    b = np.random.default_rng(seed).standard_normal(bands[1].size)
+    want = np.linalg.solve(dense(*bands), b)
+    got = solve_through(solve, scale, b)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_default_halfline_bands_take_the_symmetrized_path():
-    solve = _tridiagonal_solver(*halfline_bands(40.0, 0.02))
-    assert solve.func is _symmetrized_solve
-    assert solve.args[0] is _lapack().dpttrs
+    bands = halfline_bands(40.0, 0.02)
+    solve, scale = factored(bands)
+    assert solve.func is _lapack().dpttrs
+    assert not np.all(scale == 1.0)
+    assert_matches_dense_solve(bands, solve, scale, 5)
 
 
 @pytest.mark.parametrize(
@@ -196,20 +218,16 @@ def test_skew_lattice_bands_take_the_sign_path(bands):
     lapack = _lapack()
     *lu, info = lapack.dgttrf(*(band.copy() for band in bands))
     assert info == 0 and np.array_equal(lu[-1], np.arange(1, bands[1].size + 1))
-    solve = _tridiagonal_solver(*(band.copy() for band in bands))
+    solve, scale = factored(bands)
     assert solve.func is _signed_solve
     assert solve.args[0] is lapack.dpttrs
-    signs = solve.args[-1]
-    assert signs.tolist() == [(-1.0) ** k for k in range(bands[1].size)]
-    matrix = dense(*bands)
+    assert solve.args[-1].tolist() == [(-1.0) ** k for k in range(bands[1].size)]
+    assert np.all(scale == 1.0) and scale.size == bands[1].size
+    assert_matches_dense_solve(bands, solve, scale, 0)
     b = np.random.default_rng(0).standard_normal(bands[1].size)
-    for trans, oracle in (("N", matrix), ("T", matrix.T)):
-        want = np.linalg.solve(oracle, b)
-        via_lu, _ = lapack.dgttrs(*lu, b.copy(), trans=trans)
-        got, info = solve(b.copy(), trans=trans)
-        assert info == 0
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.abs(got - via_lu).max() <= 1e-14 * np.abs(via_lu).max()
+    via_lu, _ = lapack.dgttrs(*lu, b.copy())
+    got = solve_through(solve, scale, b)
+    assert np.abs(got - via_lu).max() <= 1e-14 * np.abs(via_lu).max()
 
 
 @pytest.mark.parametrize(
@@ -224,14 +242,13 @@ def test_other_bands_keep_the_lu_path_to_the_bit(bands):
     lapack = _lapack()
     *lu, info = lapack.dgttrf(*(band.copy() for band in bands))
     assert info == 0
-    solve = _tridiagonal_solver(*(band.copy() for band in bands))
+    solve, scale = factored(bands)
     assert solve.func is lapack.dgttrs
+    assert np.all(scale == 1.0) and scale.size == bands[1].size
+    assert_matches_dense_solve(bands, solve, scale, 6)
     b = np.random.default_rng(0).standard_normal(bands[1].size)
-    for trans in ("N", "T"):
-        want, _ = lapack.dgttrs(*lu, b.copy(), trans=trans)
-        got, info = solve(b.copy(), trans=trans)
-        assert info == 0
-        assert got.tobytes() == want.tobytes()
+    want, _ = lapack.dgttrs(*lu, b.copy())
+    assert solve_through(solve, scale, b).tobytes() == want.tobytes()
 
 
 def symmetrizable_bands(n, diag_shift, seed=0):
@@ -254,35 +271,29 @@ def symmetrized_copy(bands):
 
 def test_symmetrizable_solves_match_a_dense_solve():
     bands = symmetrizable_bands(40, 4.0)
-    matrix = dense(*bands)
-    solve = _tridiagonal_solver(*(band.copy() for band in bands))
-    assert solve.func is _symmetrized_solve
-    b = np.random.default_rng(1).standard_normal(40)
-    for trans, want in (("N", np.linalg.solve(matrix, b)), ("T", np.linalg.solve(matrix.T, b))):
-        got, info = solve(b.copy(), trans=trans)
-        assert info == 0
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    solve, scale = factored(bands)
+    assert solve.func is _lapack().dpttrs
+    assert not np.all(scale == 1.0)
+    assert_matches_dense_solve(bands, solve, scale, 1)
 
 
 def test_indefinite_symmetrizable_matrix_falls_back_to_lu():
     # a diagonal of ones minus 2 leaves the similar symmetric matrix indefinite,
     # so dpttrf stops at a pivot below zero and dgttrf factors the bands
     bands = symmetrizable_bands(40, -2.0)
-    matrix = dense(*bands)
     eigenvalues = np.linalg.eigvalsh(dense(*symmetrized_copy(bands)))
     assert eigenvalues[0] < 0.0 < eigenvalues[-1]
-    solve = _tridiagonal_solver(*(band.copy() for band in bands))
+    solve, scale = factored(bands)
     assert solve.func is _lapack().dgttrs
-    b = np.random.default_rng(2).standard_normal(40)
-    want = np.linalg.solve(matrix, b)
-    assert np.abs(solve(b.copy())[0] - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.all(scale == 1.0)
+    assert_matches_dense_solve(bands, solve, scale, 2)
 
 
 def test_singular_symmetrizable_matrix_raises():
     # couplings of one sign, diagonal [1, 2, 1]: positive semidefinite and
     # singular, so dpttrf stops and dgttrf meets a zero pivot
     with pytest.raises(NumericalError, match="factorization failed: dgttrf info="):
-        _tridiagonal_solver(np.ones(2), np.array([1.0, 2.0, 1.0]), np.ones(2))
+        _factor(np.ones(2), np.array([1.0, 2.0, 1.0]), np.ones(2))
 
 
 def test_default_halfline_bands_march_in_y():

@@ -193,14 +193,15 @@ def splu_dissipate(w0, T, dt, method, sample_every):
 
 def reference_modulation(flow, a0, b0):
     """Two loops over the samples, the <phi, w> dots before the adjoint solve,
-    which is ``dgttrs`` on the dense H[1:, 1:] with its last row eliminated."""
+    which is ``dgttrs`` on the LU of the transpose of the dense H[1:, 1:]
+    with its last row eliminated."""
     grid = flow.grid
     ell = grid.weights * gaussian_weight(grid)
     ell_w = np.array([np.dot(w, ell) for w in flow.states])
     a = a0 + ell_w[0] - ell_w
     A = a + ell_w
     T, m = eliminated(assemble_H(grid).toarray()[1:, 1:])
-    psi, info = dgttrs(*dense_lu(T), ell[1:], trans="T")
+    psi, info = dgttrs(*dense_lu(T.T), ell[1:])
     assert info == 0
     psi[-2] -= m * psi[-1]
     psi_w = np.array([np.dot(w[1:], psi) for w in flow.states])
@@ -329,9 +330,11 @@ class TestOperator:
             assert np.all(off == 0.0)
             assert abs(corner) <= np.finfo(float).eps * abs(matrix[-1, -3])
 
-    @pytest.mark.parametrize("h", [0.1, 0.04])
-    def test_adjoint_weight_matches_dense_solve(self, h):
-        grid = HalfLineGrid(40.0, h)
+    @pytest.mark.parametrize("extent, h", [(40.0, 0.1), (40.0, 0.04), (16.0, 1.0), (72.0, 0.05)])
+    def test_adjoint_weight_matches_dense_solve(self, extent, h):
+        # the default kind of grid, one past the couplings' sign change and one
+        # whose symmetrizing scale would fall below exp(-300)
+        grid = HalfLineGrid(extent, h)
         ell = grid.weights * gaussian_weight(grid)
         want = np.linalg.solve(assemble_H(grid).toarray()[1:, 1:].T, ell[1:])
         assert np.abs(_psi(grid, ell) - want).max() <= 1e-12 * np.abs(want).max()
