@@ -62,7 +62,7 @@ _PARAMS = {
         "seed": (0, lambda v: v >= 0),
     },
     "dissipate": {
-        "extent": (40.0, lambda v: v > 0),
+        "extent": (40.0, lambda v: 0 < v <= halfline.MAX_EXTENT),
         "spacing": (0.02, lambda v: v > 0),
         "T": (5.0, lambda v: 0 < v <= 1e4),
         "dt": (1e-3, lambda v: 0 < v <= 1),

@@ -18,11 +18,6 @@ _MAX_STEPS = 10**8
 # per-step arrays (times and probes): 2^28 floats are 2 GiB.
 _MAX_FLOATS = 2**28
 
-# The least natural log of an entry of a symmetrizing scale D, whose largest
-# entry is 1: below it, D b and b / D would lose bits to underflow.
-_LOG_SCALE_FLOOR = -300.0
-
-
 class NumericalError(RuntimeError):
     """A computation failed to converge or produced an unusable result.
 
@@ -138,34 +133,6 @@ def _lapack():
     return sys.modules[name]
 
 
-def _symmetrizer(lower, upper):
-    """A positive scale D and bands e with ``D A D^{-1}`` symmetric, or None.
-
-    For a tridiagonal A with these off-diagonal bands, ``D A D^{-1}`` has the
-    same diagonal and the couplings ``r[i] lower[i]`` below and
-    ``upper[i] / r[i]`` above, with ``r[i] = d[i+1] / d[i]``.  Both are
-    ``e[i] = sign(lower[i]) sqrt(lower[i] upper[i])`` when
-    ``r[i] = sqrt(upper[i] / lower[i])`` (1 where both couplings are zero),
-    which needs every pair of couplings to be both zero or of one sign.  D is
-    the running product of r, normalised to a largest entry of 1, and e is
-    ``r lower``.  None when a pair has opposite signs or one zero, or when an
-    entry of D would fall below ``exp(_LOG_SCALE_FLOOR)``; that is checked
-    on the sums of the logs, so the product neither overflows nor underflows.
-    """
-    if not np.array_equal(np.sign(lower), np.sign(upper)):
-        return None
-    coupled = lower != 0.0
-    logs = np.zeros((2, lower.size))  # log |upper| and log |lower|, 0.0 where both are 0.0
-    np.log(np.abs([upper, lower]), out=logs, where=coupled)
-    log_scale = np.concatenate(([0.0], np.cumsum(0.5 * (logs[0] - logs[1]))))
-    if not log_scale.min() - log_scale.max() >= _LOG_SCALE_FLOOR:
-        return None
-    ratio = np.sqrt(np.divide(upper, lower, out=np.ones(lower.size), where=coupled))
-    scale = np.cumprod(np.concatenate(([1.0], ratio)))
-    scale /= scale.max()
-    return scale, ratio * lower
-
-
 def _signed_solve(dpttrs, d, e, signs, b):
     """``A^{-1} b`` for ``A = L D_u J L^T J``, with ``J D_u`` = d and L's
     multipliers e from ``dgttrf`` and J = ``signs``: one ``dpttrs`` with them,
@@ -176,21 +143,17 @@ def _signed_solve(dpttrs, d, e, signs, b):
 
 
 def _factor(lower, diag, upper):
-    """``(solve, D)`` for the tridiagonal matrix A with these bands.
+    """``solve`` for the tridiagonal matrix A with these bands.
 
-    ``solve(b)`` overwrites a contiguous float array b with ``S^{-1} b``,
-    where S = D A D^{-1}, and returns it with LAPACK's info; D = ``scale``,
-    an array of A's size, is all ones except on the first path below.  So
-    ``A^{-1} b = solve(D b) / D`` on every path, and a caller that keeps its
-    states in y = D w (as :func:`_implicit_step` does) solves with S alone.
-    The routines come from :func:`_lapack`, by one of three paths that the
-    bands choose; this function is the one place that picks a path.
+    ``solve(b)`` overwrites a contiguous float array b with ``A^{-1} b`` and
+    returns it with LAPACK's info.  The routines come from :func:`_lapack`,
+    by one of three paths that the bands choose; this function is the one
+    place that picks a path.
 
-    * A diagonal similarity S = D A D^{-1} is symmetric positive definite
-      (:func:`_symmetrizer`, then ``dpttrf`` returns info 0): ``solve`` is
-      ``dpttrs`` with S's factors.  The half-line's ``I - theta dt H``
-      takes this path: its couplings have positive products while
-      ``|z| < 8 / h`` or so, and D is about ``|z| exp(-z^2/16)``.
+    * A is symmetric, ``lower == upper``, and ``dpttrf`` factors it as
+      positive definite (info 0): ``solve`` is ``dpttrs`` with those
+      factors.  The half-line's ``I - theta dt S``, S its symmetric H,
+      takes this path on every grid.
     * Otherwise A is factored by ``dgttrf``, which overwrites the bands;
       a zero pivot, so a singular A, raises NumericalError.  If the
       couplings are exact negatives, ``lower == -upper``, and ``dgttrf``
@@ -203,23 +166,18 @@ def _factor(lower, diag, upper):
       run at (no row is exchanged at N = 400 up to dt = 0.13, or at
       dt = 1e-3 up to N = 9999); at dt = 1.0 ``dgttrf`` exchanges N - 6
       rows from N = 7 on.
-    * Else ``solve`` is ``dgttrs`` with A's LU.  H itself is negative
-      definite, and the half-line's couplings have products below zero
-      where ``|z| > 8 / h``, so those take this path.
+    * Else ``solve`` is ``dgttrs`` with A's LU.
 
-    An identity row and column (zero couplings, diagonal 1) keep ``e = 0``
-    and a D entry equal to the one before it on the first path, and a zero
-    multiplier on the others; each leaves an entry of +0.0 there at +0.0
-    (on the sign path ``dpttrs`` divides it by ``J D_u = +-1``, and the
+    An identity row and column (zero couplings, diagonal 1) keep a zero
+    factor or multiplier on every path, and leave an entry of +0.0 there at
+    +0.0 (on the sign path ``dpttrs`` divides it by ``J D_u = +-1``, and the
     flip by J restores +0.0).
     """
     lapack = _lapack()
-    symmetrized = _symmetrizer(lower, upper)
-    if symmetrized is not None:
-        scale, e = symmetrized
-        d, e, info = lapack.dpttrf(diag, e, overwrite_e=True)
+    if np.array_equal(lower, upper):
+        d, e, info = lapack.dpttrf(diag, lower)  # copies: dgttrf below reads the bands
         if info == 0:
-            return functools.partial(lapack.dpttrs, d, e, overwrite_b=True), scale
+            return functools.partial(lapack.dpttrs, d, e, overwrite_b=True)
     skew = np.array_equal(lower, -upper)
     *lu, info = lapack.dgttrf(
         lower, diag, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True
@@ -227,43 +185,31 @@ def _factor(lower, diag, upper):
     if info != 0:  # a zero pivot: the matrix is singular
         raise NumericalError(f"tridiagonal factorization failed: dgttrf info={info}")
     dl, d, _, _, pivots = lu
-    ones = np.ones(d.size)
     if skew and np.array_equal(pivots, np.arange(1, d.size + 1)):  # no row exchanged
         signs = np.where(np.arange(d.size) % 2, -1.0, 1.0)
-        return functools.partial(_signed_solve, lapack.dpttrs, signs * d, dl, signs), ones
-    return functools.partial(lapack.dgttrs, *lu, overwrite_b=True), ones
+        return functools.partial(_signed_solve, lapack.dpttrs, signs * d, dl, signs)
+    return functools.partial(lapack.dgttrs, *lu, overwrite_b=True)
 
 
-def _implicit_step(lower, diag, upper, w0, m, fold):
-    """The first state y, the step that ``_march`` takes and the scale D, for a theta rule.
+def _implicit_step(lower, diag, upper, y0, fold):
+    """The first state and the step that ``_march`` takes, for a theta rule.
 
-    A is ``I - theta h G``, made tridiagonal by the caller with one row
-    operation: row n-1 minus m times row n-2 (m = 0.0 for none).  Its bands
-    ``lower``, ``diag`` and ``upper`` are factored once by :func:`_factor`,
-    which may overwrite them and returns ``(solve, D)``: ``solve`` applies
-    S^{-1}, S = D A D^{-1}, whichever path the bands took.  The states are
-    marched in y = D w, the coordinates of that factorization:
-    ``D A^{-1} D^{-1} = S^{-1}``, so a step is one ``solve``, and the row
-    operation on y is ``y[-1] -= m' y[-2]`` with ``m' = m D[-1] / D[-2]``,
-    formed once.  Where D is 1, y is w to the bit.  The caller gets w back
-    as ``y / D``, and the first state from w itself.  The returned D has
-    ``w0.size`` entries.
-
-    Backward Euler (theta = 1) takes ``y = S^{-1} y``.  The implicit
-    midpoint and Crank-Nicolson rules (theta = 1/2, ``fold``) need no
-    product with G:
+    A is ``I - theta h G``, with bands ``lower``, ``diag`` and ``upper``,
+    factored once by :func:`_factor`, which may overwrite them.  Backward
+    Euler (theta = 1) takes ``y = A^{-1} y``.  The implicit midpoint and
+    Crank-Nicolson rules (theta = 1/2, ``fold``) need no product with G:
 
         (I - h/2 G)^{-1} (I + h/2 G) = 2 (I - h/2 G)^{-1} - I,
 
     so a step is ``2 solve(y) - y``.  Each step forms the right side b = 2 y,
-    or y without the fold, takes the row operation as ``b[-1] -= m' * b[-2]``,
-    overwrites b with its solve and, with the fold, subtracts y.  Doubling
-    is exact outside the subnormal range, so there ``solve(2 y)`` is
-    ``2 solve(y)`` to the bit.
+    or y without the fold, overwrites b with its solve and, with the fold,
+    subtracts y.  Doubling is exact outside the subnormal range, so there
+    ``solve(2 y)`` is ``2 solve(y)`` to the bit.  The step has no branch on
+    the path that :func:`_factor` took.
 
-    The states are the first ``w0.size`` entries of two buffers of A's size,
+    The states are the first ``y0.size`` entries of two buffers of A's size,
     which alternate between steps, so a step allocates nothing; the entries
-    after them start at 0.0, and ``D w0`` is written into the first buffer.
+    after them start at 0.0, and y0 is copied into the first buffer.
 
     A node whose row and column of A are the identity's (zero couplings,
     diagonal 1) is a decoupled identity mode, which every path of
@@ -276,12 +222,10 @@ def _implicit_step(lower, diag, upper, w0, m, fold):
     one path; the half-line's Dirichlet node 0, at z = -Z, has an empty row
     and column of H.
     """
-    solve, scale = _factor(lower, diag, upper)
-    m = m * scale[-1] / scale[-2]
+    solve = _factor(lower, diag, upper)
     pads = (np.zeros(diag.size), np.zeros(diag.size))
-    heads = tuple(pad[: w0.size] for pad in pads)
-    scale = scale[: w0.size]
-    np.multiply(w0, scale, out=heads[0])
+    heads = tuple(pad[: y0.size] for pad in pads)
+    heads[0][:] = y0
 
     def step(y, k):
         # step k reads pads[(k - 1) % 2] and writes pads[k % 2]
@@ -290,13 +234,12 @@ def _implicit_step(lower, diag, upper, w0, m, fold):
             np.add(old, old, out=x)
         else:
             np.copyto(x, old)
-        x[-1] -= m * x[-2]
         solve(x)
         if fold:
             np.subtract(x, old, out=x)
         return heads[k % 2]
 
-    return heads[0], step, scale
+    return heads[0], step
 
 
 def _unscale(rows, scale, kept, times):

@@ -11,49 +11,46 @@ vanishes), so no boundary condition is imposed there; the domain is
 truncated at z = -Z with a homogeneous Dirichlet cutoff, where the
 quadratic damping has long since annihilated anything that arrives.
 
-Discretization (uniform grid z_j = -Z + j h, j = 0..J, z_J = 0):
+Discretization (uniform grid z_j = -Z + j h, j = 0..J, z_J = 0), in the
+self-adjoint form of H.  H is symmetric in L^2 with the weight
+rho = z^2 exp(-z^2/8): in Sturm-Liouville form
 
-* interior: centered second differences for ``-z w_zz - 3 w_z`` and a
-  conservative flux form for ``(z^2 w)_z / 4`` (differences of the
-  half-node products);
-* last node: diffusion coefficient is zero; one-sided second-order
-  stencils for the advection and flux terms;
-* j = 0: Dirichlet (row and column 0 of H empty, so node 0 is a
-  decoupled mode that every step leaves at 0.0).
+    H w = rho^{-1} (P w_z)_z + (z/2) w,   P = -z^3 exp(-z^2/8) > 0 on z < 0.
 
-So H has three bands and one entry below them, at (J, J-2), from the
-one-sided stencil.  Every linear solve removes that entry first: row J
-minus ``m = M[J, J-2] / M[J-1, J-2]`` times row J-1 leaves the matrix M
-tridiagonal, and the same row operation on the right side is
-``b[J] -= m b[J-1]``, which is all this module adds to the solves: the
-factorization of the result and the Crank-Nicolson fold
-``2 solve(w) - w`` are the package's one implicit tridiagonal step,
-``errors._implicit_step``, which the lattice flow shares.
+Node j owns the cell [z_j - h/2, z_j + h/2], cut to [-Z, 0] at the two
+ends, and the scheme is the finite-volume balance of rho H w over it:
 
-Where it can, the factorization is symmetric.  H is symmetric in L^2
-with the weight z^2 exp(-z^2/8) (its Sturm-Liouville form), and so,
-nearly, is the discrete one: while |z| < 8/h or so, every pair of
-couplings of the eliminated ``I - theta dt H`` has a positive product,
-and the diagonal similarity S = D (I - theta dt H) D^{-1}, with D about
-|z| exp(-z^2/16), is symmetric positive definite.
-``errors._factor``, whose docstring describes its three paths and the
-``(solve, D)`` it returns, finds that from the bands and factors S once
-with LAPACK's ``dpttrf``, and the flow marches in y = D w, the coordinates
-of S: a step is one bare ``dpttrs``, with the row operation scaled to
-``y[J] -= m D[J] / D[J-1] y[J-1]``, and w = y / D is formed only for
-the kept states.  The squared norm of every step is summed over y with
-the weights h / D^2, finite since D is at least exp(-300), and is also
-the check that each step is finite.  Unlike ``dgttrs``'s
-back-substitution, ``dpttrs``'s substitutions keep their divisions off
-the chain of dependent operations, which makes the step faster.
-Grids past the sign change (Z above about 8/h) or with D below
-exp(-300) (Z above about 70) take the LU path, ``dgttrf`` once and
-``dgttrs`` per solve, where D is 1, with the bits they always had.  No
-solve imports ``scipy.sparse`` or ``scipy.linalg``: the routines come
-from scipy's LAPACK extension module alone, which ``errors._lapack``
-loads from its file.
-:func:`assemble_H` builds the CSR matrix from the same bands for
-callers that want it.
+    m_j (H_h w)_j = (P_{j+1/2} (w_{j+1} - w_j) - P_{j-1/2} (w_j - w_{j-1})) / h
+                    + c_j w_j,
+
+with m_j the integral of rho over the cell, P_{j+-1/2} P at its edges and
+c_j the integral of rho z / 2.  So H_h = M^{-1} K with K symmetric
+tridiagonal and M = diag(m).  P(0) = 0 closes the last cell, so H_h has
+three bands and nothing below them; node 0 is Dirichlet (row and column
+0 of H_h empty, so node 0 is a decoupled mode that every step leaves at
+0.0).  The cell integrals are 8-point Gauss-Legendre sums with
+exp(-z_j^2/8) factored out of each cell, and every flux is divided by m_j
+in the same factored form, so H_h's entries, about |z| / h^2, never
+underflow though m_j does past |z| ~ 75.
+
+The similar matrix S = M^{1/2} H_h M^{-1/2} is symmetric, with couplings
+``P_{j+1/2} / (h sqrt(m_j m_{j+1}))`` = ``sqrt(H_{j,j+1} H_{j+1,j})`` > 0
+and H_h's diagonal, and -K is strictly diagonally dominant (c_j < 0), so
+S is negative definite and ``I - theta dt S`` is symmetric positive
+definite on every grid.  The flow marches in y = D w, D = sqrt(m)
+normalised to a largest entry of 1, formed from the logs of the masses:
+a step is one ``dpttrs`` with the factors of ``I - theta dt S``, which is
+the package's one implicit tridiagonal step, ``errors._implicit_step``,
+shared with the lattice flow (``errors._factor`` takes its symmetric
+positive definite path), and w = y / D is formed only for the kept
+states.  The squared norm of every step is one product of y with
+sqrt(weights) / D and one dot, and is also the check that each step is
+finite.  ``extent`` is at most 100, where D is still at least 1e-270,
+so D and 1 / D are normal floats.  No solve imports ``scipy.sparse`` or
+``scipy.linalg``: the routines come from scipy's LAPACK extension module
+alone, which ``errors._lapack`` loads from its file.
+:func:`assemble_H` builds the CSR matrix of H_h = D^{-1} S D from the
+same bands for callers that want it.
 
 Constraint bookkeeping.  With ``phi(z) = exp(-z^2/8)`` the functional
 ``A = a + <phi, w>`` is an exact invariant of the coupled system when
@@ -85,6 +82,11 @@ if TYPE_CHECKING:  # scipy is imported by the functions that use it
     import scipy.sparse as sp
 
 
+# The largest extent Z: the scale D = sqrt(m) falls like exp(-Z^2/16), to
+# about 1e-270 at Z = 100, and leaves the normal floats near Z = 106.
+MAX_EXTENT = 100.0
+
+
 @dataclass(frozen=True)
 class HalfLineGrid(RealGrid):
     """Uniform grid on [-Z, 0] with trapezoidal quadrature weights."""
@@ -101,6 +103,8 @@ class HalfLineGrid(RealGrid):
         ratio = self.extent / self.spacing
         if not np.isfinite(ratio):
             raise ValueError("extent / spacing must be finite")
+        if self.extent > MAX_EXTENT:
+            raise ValueError(f"extent must be at most {MAX_EXTENT:g}")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ValueError("extent must be an integer multiple of spacing")
         if round(ratio) < 16:
@@ -144,56 +148,57 @@ def gaussian_weight(grid: HalfLineGrid) -> np.ndarray:
     return np.exp(-z * z / 8.0)
 
 
-def _h_bands(grid: HalfLineGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The bands of H at offsets -2, -1, 0 and 1 (row and column 0 empty: Dirichlet).
+def _s_bands(grid: HalfLineGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coupling band and diagonal of S and the scale D = sqrt(m) / max sqrt(m).
 
-    The band at offset -2 holds one nonzero entry, at (J, J-2), from the
-    one-sided stencil at z = 0.
+    Row and column 0 are empty (Dirichlet).  Each cell integral is an 8-point
+    Gauss-Legendre sum of ``exp(-(x^2 - z_j^2)/8)`` times z^2 (the mass) or
+    z^3 / 2 (the source), and each flux ``P(s) / (h m_j)`` carries
+    ``exp(-(s^2 - z_j^2)/8)``, both exponents formed as ``-d (z_j + x) / 8``
+    from the offset d = x - z_j; only the logs of the masses keep
+    ``-z_j^2/8``.  S's couplings are ``sqrt(H_{j,j+1} H_{j+1,j})``, from
+    those fluxes.
     """
-    J = grid.n_intervals
-    z = grid.nodes
-    h = grid.spacing
-    q = 0.25 * z * z
-    zh = z + 0.5 * h            # half nodes z_{j+1/2}
-    qh = 0.25 * zh * zh
+    z, h = grid.nodes, grid.spacing
+    hi = np.full(z.size, 0.5 * h)  # node j's cell is [z_j - hi_j, z_j + hi_j], cut at the ends
+    lo = -hi
+    lo[0] = hi[-1] = 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    d = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * nodes
+    x = z[:, None] + d
+    q = 0.5 * (hi - lo)[:, None] * weights * np.exp(-d * (z[:, None] + x) / 8.0) * x * x
+    mass = np.sum(q, axis=1)  # m_j exp(z_j^2 / 8)
 
-    # Entries of rows 1..J-1 by column offset; the terms of each entry are
-    # summed in the order -z w'', -3 w', (q w)'.
-    zi, qlo, qhi = z[1:J], qh[: J - 1], qh[1:J]
-    lower = np.zeros(J)
-    diag = np.zeros(J + 1)
-    upper = np.zeros(J)
-    lower[: J - 1] = -zi / h**2 + 3.0 / (2.0 * h) + -qlo / (2.0 * h)
-    lower[0] = 0.0  # Dirichlet: column 0 empty too, so node 0 is decoupled
-    diag[1:J] = 2.0 * zi / h**2 + (qhi - qlo) / (2.0 * h)
-    upper[1:] = -zi / h**2 + -3.0 / (2.0 * h) + qhi / (2.0 * h)
-    # z_J = 0: no diffusion term; one-sided second-order backward stencils
-    # for -3 w' and for (q w)' with q_J = 0
-    diag[J] = -3.0 * 3.0 / (2.0 * h)
-    lower[J - 1] = 3.0 * 4.0 / (2.0 * h) + -4.0 * q[J - 1] / (2.0 * h)
-    lower2 = np.zeros(J - 1)
-    lower2[J - 2] = -3.0 / (2.0 * h) + q[J - 2] / (2.0 * h)
-    return lower2, lower, diag, upper
+    def flux(offset):
+        """``P(s) / (h m_j)`` at the edge s = z_j + offset."""
+        s = z + offset
+        return -s * s * s * np.exp(-offset * (z + s) / 8.0) / (h * mass)
+
+    left, right = flux(-0.5 * h), flux(0.5 * h)
+    right[-1] = 0.0  # P(0) = 0 closes the last cell
+    diag = 0.5 * np.sum(q * x, axis=1) / mass - left - right
+    diag[0] = left[1] = right[0] = 0.0  # Dirichlet: node 0 decoupled
+    log_mass = np.log(mass) - z * z / 8.0
+    return np.sqrt(left[1:] * right[:-1]), diag, np.exp(0.5 * (log_mass - log_mass.max()))
+
+
+def _h_bands(grid: HalfLineGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bands of H_h = D^{-1} S D at offsets -1, 0 and 1.
+
+    Formed from the stored D, so that the flow's similarity is exact to
+    roundoff in each entry: D itself carries the rounding of its exponent,
+    about 1e-13 relative at Z = 40.
+    """
+    e, diag, scale = _s_bands(grid)
+    ratio = scale[1:] / scale[:-1]
+    return e / ratio, diag, e * ratio
 
 
 def assemble_H(grid: HalfLineGrid) -> sp.csr_matrix:
     """Sparse discretization of H on the grid (row and column 0 empty: Dirichlet)."""
     import scipy.sparse as sp
 
-    return sp.diags(_h_bands(grid), [-2, -1, 0, 1], format="csr")
-
-
-def _eliminate_corner(corner: float, lower, diag, upper) -> float:
-    """Make the matrix with these bands and ``corner`` at (n-1, n-3) tridiagonal.
-
-    Subtracts ``m = corner / lower[-2]`` times row n-2 from row n-1, in the
-    band arrays, and returns m: a right side b takes the same row operation
-    as ``b[-1] -= m * b[-2]``.
-    """
-    m = corner / lower[-2]
-    lower[-1] -= m * diag[-2]
-    diag[-1] -= m * upper[-1]
-    return m
+    return sp.diags(_h_bands(grid), [-1, 0, 1], format="csr")
 
 
 def flux_boundary_value(h_matrix: sp.spmatrix, grid: HalfLineGrid, w) -> float:
@@ -229,41 +234,38 @@ def evolve_dissipative(
 
     Both steppers are unconditionally contractive here (the symmetric
     part of the discrete operator is negative definite), so the discrete
-    L2 norm is non-increasing step by step.  ``I - theta dt H`` (theta =
-    1/2 or 1) is made tridiagonal by the row elimination of the module
-    docstring and stepped by ``errors._implicit_step``, with the
-    Crank-Nicolson fold, in the symmetrized coordinates y = D w of the
-    module docstring where they apply (D = 1 elsewhere).  The state
-    starts at 0.0 at z = -Z, whatever w0 holds there, and node 0 is a
-    decoupled mode of that matrix, so every step keeps it at +0.0 (see
-    there).  The step count ``round(T / dt)``, sampling and storage are
-    the package's one step loop, ``errors._march``, which the lattice
-    flow shares.  The first state is w0 to the bit, node 0 aside; the
-    others are y / D.  ``step_l2`` is the square root of each step's sum
-    of squares of y with weights ``grid.weights / D^2``, which agrees
-    with ``grid.norm`` of w to roundoff (1e-14 relative), not to the bit.
+    L2 norm is non-increasing step by step.  ``I - theta dt S`` (theta =
+    1/2 or 1, S the symmetric form of H of the module docstring) is
+    stepped by ``errors._implicit_step``, with the Crank-Nicolson fold, in
+    the coordinates y = D w.  The state starts at 0.0 at z = -Z, whatever
+    w0 holds there, and node 0 is a decoupled mode of that matrix, so
+    every step keeps it at +0.0 (see there).  The step count
+    ``round(T / dt)``, sampling and storage are the package's one step
+    loop, ``errors._march``, which the lattice flow shares.  The first
+    state is w0 to the bit, node 0 aside; the others are y / D.
+    ``step_l2`` is the square root of each step's sum of squares of
+    ``y sqrt(grid.weights) / D``, which agrees with ``grid.norm`` of w to
+    roundoff (1e-14 relative), not to the bit.
     """
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
     if method not in ("cn", "be"):
         raise ValueError(f"unknown method {method!r}")
     grid = w0.grid
-    lower2, lower, diag, upper = _h_bands(grid)
-    # theta rule: E (I - theta dt H), E the row elimination
+    e, diag, scale = _s_bands(grid)
     theta_dt = (0.5 if method == "cn" else 1.0) * dt
-    bands = -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper
-    m = _eliminate_corner(-theta_dt * lower2[-1], *bands)
     w = w0.w.copy()
     w[0] = 0.0
-    y, step, scale = _implicit_step(*bands, w, m, fold=method == "cn")
-    # the squared norm of w = y / D is a sum of squares of y with weights
-    # h / D^2, at most h exp(600), summed into one reused buffer
-    weights = grid.weights / (scale * scale)
-    squares = np.empty(w.size)
+    y, step = _implicit_step(-theta_dt * e, 1.0 - theta_dt * diag, -theta_dt * e, w * scale,
+                             fold=method == "cn")
+    # the squared norm of w = y / D: y times sqrt(h) / D, at most 1e270 sqrt(h),
+    # into one reused buffer, and one dot
+    root_weights = np.sqrt(grid.weights) / scale
+    terms = np.empty(w.size)
 
     def squared_norm(y):
-        np.multiply(y, y, out=squares)
-        return np.dot(weights, squares)
+        np.multiply(y, root_weights, out=terms)
+        return np.dot(terms, terms)
 
     times, kept, states, _, squared_l2 = _march(
         step, y, w0.t, T, dt, sample_every, squared_norm, squared_norm
@@ -292,22 +294,17 @@ class ModulationTrajectory:
 
 
 def _psi(grid: HalfLineGrid, ell: np.ndarray) -> np.ndarray:
-    """``psi = H[1:, 1:]^{-T} ell[1:]``, the weight that telescopes b.
+    """``psi = H_h[1:, 1:]^{-T} ell[1:]``, the weight that telescopes b.
 
-    With E the row elimination of the module docstring, E H[1:, 1:] = T is
-    tridiagonal, so psi = E^T T^{-T} ell[1:].  T^T, the bands of T swapped,
-    is factored by ``errors._factor``, whose ``(solve, D)`` gives
-    ``T^{-T} ell[1:] = solve(D ell[1:]) / D`` on any path (T is negative
-    definite, so it takes the LU path, where D is 1); then E^T's one
-    off-diagonal entry.
+    H_h = D^{-1} S D with S symmetric, so ``H_h^{-T} = D S^{-1} D^{-1}``
+    (``M K^{-1}``, with the normalisation of D cancelled): psi is
+    ``-D (-S)^{-1} (ell / D)`` on nodes 1..J, one ``dpttrs`` on the
+    positive definite -S through ``errors._factor``.
     """
-    lower2, lower, diag, upper = _h_bands(grid)
-    bands = lower[1:], diag[1:], upper[1:]
-    m = _eliminate_corner(lower2[-1], *bands)
-    solve, scale = _factor(*reversed(bands))
-    psi, _ = solve(ell[1:] * scale)
-    psi /= scale
-    psi[-2] -= m * psi[-1]
+    e, diag, scale = _s_bands(grid)
+    solve = _factor(-e[1:], -diag[1:], -e[1:])
+    psi, _ = solve(ell[1:] / scale[1:])
+    psi *= -scale[1:]
     return psi
 
 

@@ -21,12 +21,9 @@ and a step ``2 solve(a) - a``, with no product with M.  M is skew, so
 shadow of ``D M D^{-1}`` being -i times half the Jacobi finite section,
 D = diag(i^k); ``errors._factor`` describes the sign path that uses it
 and the LU path that the lattice takes when ``dgttrf`` exchanges rows.
-On both, the scale of the factorization is 1 and the state marched is a
-itself.  What this module builds is the pad, one decoupled identity mode
-after the N lattice modes (see ``_implicit_step``), so that N = 2 takes
-the one path too.  The pad's row has no entry off the bands, so the
-step's row multiplier is the constant 0.0 (as ``corner / lower[-2]`` it
-would be 0/0 once ``h/2 beta`` underflows, as at dt = 5e-324).  RK4
+The state marched is a itself.  What this module builds is the pad, one
+decoupled identity mode after the N lattice modes (see
+``_implicit_step``), so that N = 2 takes the one path too.  RK4
 writes its four stages into its buffers through slices cut once per
 call and performs the operations of the plain formulas in their order,
 so the buffers change no bit.  The step count, sampling and storage are the package's one
@@ -180,8 +177,8 @@ def evolve(
     if method == "midpoint":
         # I - h/2 M with one decoupled identity mode appended (zero couplings,
         # diagonal 1); _march sees the first N entries of each state, a itself
-        y, step, _ = _implicit_step(np.append(0.5 * h * beta, 0.0), np.ones(n_modes + 1),
-                                    np.append(-0.5 * h * beta, 0.0), a0.a, 0.0, fold=True)
+        y, step = _implicit_step(np.append(0.5 * h * beta, 0.0), np.ones(n_modes + 1),
+                                 np.append(-0.5 * h * beta, 0.0), a0.a, fold=True)
     else:
         # work buffers, once per call: each step writes its state into ``y``,
         # a copy of a0.a, and its intermediates into the others, so a step

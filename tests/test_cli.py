@@ -523,6 +523,7 @@ class TestConfigHandling:
             ["reconstruct", "--z", 1e300],
             ["reconstruct", "--m-max", 5000],  # basis index 2 m_max + 1 above MAX_INDEX
             ["dissipate", "--extent", 1e308, "--spacing", 1e-10],
+            ["dissipate", "--extent", 100.01, "--spacing", 0.01],
             ["dissipate", "--T", 1e-9],
             ["dissipate", "--dt", 1e-320],
             ["dissipate", "--center", -100],
@@ -804,14 +805,14 @@ assert _lapack().dgttrf is scipy.linalg.lapack.dgttrf
         assert not list(tmp_path.iterdir())
 
     def test_grid_beyond_memory_exits_1_with_one_line(self, tmp_path):
-        # 10^15 nodes ask for 7.11 PiB; the child's address space is capped so
-        # that the allocation fails at once on any host
+        # 10^15 nodes at the largest extent ask for 7.11 PiB; the child's
+        # address space is capped so that the allocation fails at once on any host
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30))
 
         proc = run_module(
             "logkdv",
-            ["dissipate", "--extent", 1e10, "--spacing", 1e-5, "--outdir", tmp_path],
+            ["dissipate", "--extent", 100, "--spacing", 1e-13, "--outdir", tmp_path],
             preexec_fn=cap_memory,
         )
         assert proc.returncode == 1

@@ -1,7 +1,7 @@
 """The shared step loop ``errors._march``: its check for non-finite states, its caps on
 the step count and the floats stored, and its sums; the one factorization ``_factor``,
-its choice of path, its ``(solve, D)`` and its check for a singular matrix; the
-coordinates the shared implicit step marches in."""
+its choice of path and its check for a singular matrix; the states the shared
+implicit step starts from."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from logkdv.errors import (
     _signed_solve,
     _unscale,
 )
-from logkdv.halfline import HalfLineGrid, _eliminate_corner, _h_bands
+from logkdv.halfline import HalfLineGrid, _h_bands, _s_bands
 from logkdv.lattice import offdiagonal
 
 
@@ -148,7 +148,7 @@ def test_sums_are_those_of_the_kept_rows(sample_every):
 
 @pytest.mark.parametrize(
     "factor",
-    [_factor, lambda *bands: _implicit_step(*bands, np.ones(3), 0.0, True)],
+    [_factor, lambda *bands: _implicit_step(*bands, np.ones(3), True)],
     ids=["solver", "implicit_step"],
 )
 @pytest.mark.parametrize(
@@ -162,11 +162,15 @@ def test_zero_pivot_raises(factor, diag):
 
 
 def halfline_bands(extent, spacing, theta_dt=0.5e-3):
-    """The eliminated bands of ``I - theta dt H`` that ``evolve_dissipative`` factors."""
-    lower2, lower, diag, upper = _h_bands(HalfLineGrid(extent, spacing))
-    bands = -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper
-    _eliminate_corner(-theta_dt * lower2[-1], *bands)
-    return bands
+    """The symmetric bands of ``I - theta dt S`` that ``evolve_dissipative`` factors."""
+    e, diag, _ = _s_bands(HalfLineGrid(extent, spacing))
+    return -theta_dt * e, 1.0 - theta_dt * diag, -theta_dt * e
+
+
+def unsymmetrized_halfline_bands(extent, spacing, theta_dt=0.5e-3):
+    """The bands of ``I - theta dt H_h`` itself, neither symmetric nor skew."""
+    lower, diag, upper = _h_bands(HalfLineGrid(extent, spacing))
+    return -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper
 
 
 def lattice_bands(n_modes, h=1e-3):
@@ -180,31 +184,31 @@ def dense(lower, diag, upper):
 
 
 def factored(bands):
-    """``_factor``'s ``(solve, D)`` for copies of the bands, which it may overwrite."""
+    """``_factor``'s ``solve`` for copies of the bands, which it may overwrite."""
     return _factor(*(band.copy() for band in bands))
 
 
-def solve_through(solve, scale, b):
-    """``A^{-1} b = solve(D b) / D``; the solve overwrites the array it is given."""
-    x = b * scale
+def solve_through(solve, b):
+    """``A^{-1} b``; the solve overwrites the array it is given."""
+    x = b.copy()
     got, info = solve(x)
     assert info == 0 and got is x
-    return got / scale
+    return got
 
 
-def assert_matches_dense_solve(bands, solve, scale, seed):
+def assert_matches_dense_solve(bands, solve, seed):
     b = np.random.default_rng(seed).standard_normal(bands[1].size)
     want = np.linalg.solve(dense(*bands), b)
-    got = solve_through(solve, scale, b)
+    got = solve_through(solve, b)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_default_halfline_bands_take_the_symmetrized_path():
+    # S is symmetric as built and I - theta dt S positive definite
     bands = halfline_bands(40.0, 0.02)
-    solve, scale = factored(bands)
+    solve = factored(bands)
     assert solve.func is _lapack().dpttrs
-    assert not np.all(scale == 1.0)
-    assert_matches_dense_solve(bands, solve, scale, 5)
+    assert_matches_dense_solve(bands, solve, 5)
 
 
 @pytest.mark.parametrize(
@@ -218,75 +222,56 @@ def test_skew_lattice_bands_take_the_sign_path(bands):
     lapack = _lapack()
     *lu, info = lapack.dgttrf(*(band.copy() for band in bands))
     assert info == 0 and np.array_equal(lu[-1], np.arange(1, bands[1].size + 1))
-    solve, scale = factored(bands)
+    solve = factored(bands)
     assert solve.func is _signed_solve
     assert solve.args[0] is lapack.dpttrs
     assert solve.args[-1].tolist() == [(-1.0) ** k for k in range(bands[1].size)]
-    assert np.all(scale == 1.0) and scale.size == bands[1].size
-    assert_matches_dense_solve(bands, solve, scale, 0)
+    assert_matches_dense_solve(bands, solve, 0)
     b = np.random.default_rng(0).standard_normal(bands[1].size)
     via_lu, _ = lapack.dgttrs(*lu, b.copy())
-    got = solve_through(solve, scale, b)
+    got = solve_through(solve, b)
     assert np.abs(got - via_lu).max() <= 1e-14 * np.abs(via_lu).max()
 
 
 @pytest.mark.parametrize(
     "bands",
-    [lattice_bands(10, h=1.0), halfline_bands(16.0, 1.0), halfline_bands(72.0, 0.05)],
+    [lattice_bands(10, h=1.0), unsymmetrized_halfline_bands(16.0, 1.0),
+     unsymmetrized_halfline_bands(72.0, 0.05)],
     ids=["lattice-exchanging-rows", "coarse-halfline", "halfline-past-the-scale-floor"],
 )
 def test_other_bands_keep_the_lu_path_to_the_bit(bands):
-    # the half-line's couplings have products below zero where |z| > 8/h; at
-    # Z = 72 the scale would fall below exp(-300); at dt = 1.0 dgttrf exchanges
-    # 4 rows of the 10-mode lattice, so its LU has no sign similarity to use
+    # bands neither symmetric nor skew, as H_h's own are, or skew ones whose LU
+    # exchanged rows (at dt = 1.0 dgttrf exchanges 4 rows of the 10-mode
+    # lattice), so there is no symmetry for dpttrs to use
     lapack = _lapack()
     *lu, info = lapack.dgttrf(*(band.copy() for band in bands))
     assert info == 0
-    solve, scale = factored(bands)
+    solve = factored(bands)
     assert solve.func is lapack.dgttrs
-    assert np.all(scale == 1.0) and scale.size == bands[1].size
-    assert_matches_dense_solve(bands, solve, scale, 6)
+    assert_matches_dense_solve(bands, solve, 6)
     b = np.random.default_rng(0).standard_normal(bands[1].size)
     want, _ = lapack.dgttrs(*lu, b.copy())
-    assert solve_through(solve, scale, b).tobytes() == want.tobytes()
+    assert solve_through(solve, b).tobytes() == want.tobytes()
 
 
-def symmetrizable_bands(n, diag_shift, seed=0):
-    """Couplings of one sign per pair, both signs along the bands, a decoupled
-    pair in the middle, and ``diag_shift`` added to a diagonal of ones."""
+def symmetric_bands(n, diag_shift, seed=0):
+    """Symmetric couplings of both signs, a decoupled pair in the middle, and
+    ``diag_shift`` added to a diagonal of ones."""
     rng = np.random.default_rng(seed)
-    sign = np.where(np.arange(n - 1) % 3 == 0, -1.0, 1.0)
-    lower = sign * rng.uniform(0.1, 2.0, n - 1)
-    upper = sign * rng.uniform(0.1, 2.0, n - 1)
-    lower[n // 2] = upper[n // 2] = 0.0
-    return lower, np.ones(n) + diag_shift, upper
-
-
-def symmetrized_copy(bands):
-    """The bands of the symmetric matrix similar to ``dense(*bands)``."""
-    lower, diag, upper = bands
-    e = np.sign(lower) * np.sqrt(lower * upper)
-    return e, diag, e
-
-
-def test_symmetrizable_solves_match_a_dense_solve():
-    bands = symmetrizable_bands(40, 4.0)
-    solve, scale = factored(bands)
-    assert solve.func is _lapack().dpttrs
-    assert not np.all(scale == 1.0)
-    assert_matches_dense_solve(bands, solve, scale, 1)
+    e = np.where(np.arange(n - 1) % 3 == 0, -1.0, 1.0) * rng.uniform(0.1, 2.0, n - 1)
+    e[n // 2] = 0.0
+    return e, np.ones(n) + diag_shift, e.copy()
 
 
 def test_indefinite_symmetrizable_matrix_falls_back_to_lu():
-    # a diagonal of ones minus 2 leaves the similar symmetric matrix indefinite,
-    # so dpttrf stops at a pivot below zero and dgttrf factors the bands
-    bands = symmetrizable_bands(40, -2.0)
-    eigenvalues = np.linalg.eigvalsh(dense(*symmetrized_copy(bands)))
+    # a diagonal of ones minus 2 leaves the symmetric matrix indefinite, so
+    # dpttrf stops at a pivot below zero and dgttrf factors the bands
+    bands = symmetric_bands(40, -2.0)
+    eigenvalues = np.linalg.eigvalsh(dense(*bands))
     assert eigenvalues[0] < 0.0 < eigenvalues[-1]
-    solve, scale = factored(bands)
+    solve = factored(bands)
     assert solve.func is _lapack().dgttrs
-    assert np.all(scale == 1.0)
-    assert_matches_dense_solve(bands, solve, scale, 2)
+    assert_matches_dense_solve(bands, solve, 2)
 
 
 def test_singular_symmetrizable_matrix_raises():
@@ -297,28 +282,33 @@ def test_singular_symmetrizable_matrix_raises():
 
 
 def test_default_halfline_bands_march_in_y():
-    # the symmetrized factorization's D comes with the step: the first state is
-    # D w0, to the bit, and D spans about 40 decades at Z = 40
-    lower2, lower, diag, upper = _h_bands(HalfLineGrid(40.0, 0.02))
-    theta_dt = 0.5e-3
-    bands = -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper
-    m = _eliminate_corner(-theta_dt * lower2[-1], *bands)
-    w0 = np.random.default_rng(3).standard_normal(diag.size)
-    y, step, scale = _implicit_step(*bands, w0, m, True)
+    # the half-line's own D = sqrt(m) spans about 40 decades at Z = 40, and
+    # D H_h D^{-1} is its symmetric S; the step starts from the y0 = D w0 it is
+    # given, to the bit
+    grid = HalfLineGrid(40.0, 0.02)
+    lower, diag, upper = _h_bands(grid)
+    e, s_diag, scale = _s_bands(grid)
     assert scale.max() == 1.0 and scale.min() < 1e-40
-    assert y.tobytes() == (w0 * scale).tobytes()
+    assert s_diag.tobytes() == diag.tobytes()
+    for similar in (scale[:-1] * upper / scale[1:], scale[1:] * lower / scale[:-1]):
+        assert np.abs(similar - e).max() <= 1e-15 * e.max()
+    y0 = np.random.default_rng(3).standard_normal(diag.size) * scale
+    y, step = _implicit_step(*halfline_bands(40.0, 0.02), y0, True)
+    assert y.tobytes() == y0.tobytes()
 
 
 @pytest.mark.parametrize(
     "bands",
-    [lattice_bands(400), halfline_bands(16.0, 1.0), halfline_bands(72.0, 0.05)],
+    [lattice_bands(400), unsymmetrized_halfline_bands(16.0, 1.0),
+     unsymmetrized_halfline_bands(72.0, 0.05)],
     ids=["lattice", "coarse-halfline", "halfline-past-the-scale-floor"],
 )
 def test_lu_bands_march_in_w(bands):
-    # no D on the sign or LU path: the scale is 1 and the first state is w0's bits
+    # the first state is w0's bits on the sign and LU paths too; H_h's own
+    # bands, here on a coarse grid and on one whose cell masses fall below
+    # 1e-300, are neither symmetric nor skew
     w0 = np.random.default_rng(4).standard_normal(bands[1].size)
-    y, step, scale = _implicit_step(*bands, w0, 0.0, True)
-    assert np.all(scale == 1.0) and scale.size == w0.size
+    y, step = _implicit_step(*bands, w0, True)
     assert y.tobytes() == w0.tobytes()
 
 

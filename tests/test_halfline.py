@@ -8,14 +8,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
-from logkdv.errors import NumericalError, _implicit_step
+from logkdv import errors
+from logkdv.errors import NumericalError, _implicit_step, _lapack
 from logkdv.halfline import (
     HalfLineFlow,
     HalfLineGrid,
     HalfLineState,
-    _eliminate_corner,
     _h_bands,
     _psi,
+    _s_bands,
     assemble_H,
     constraint_functional,
     evolve_dissipative,
@@ -27,83 +28,33 @@ from logkdv.halfline import (
 from logkdv.jacobi import find_eigenvalues
 
 
-def eliminated(matrix):
-    """A copy of ``matrix`` with row n-1 minus ``m = M[n-1, n-3] / M[n-2, n-3]``
-    times row n-2, and m."""
-    matrix = matrix.copy()
-    m = matrix[-1, -3] / matrix[-2, -3]
-    matrix[-1] -= m * matrix[-2]
-    return matrix, m
-
-
-def dense_lu(matrix):
-    """``dgttrf``'s factors of the three bands of a dense matrix."""
-    *lu, info = dgttrf(np.diagonal(matrix, -1), np.diagonal(matrix), np.diagonal(matrix, 1))
+def symmetric_factors(grid, theta_dt):
+    """``dpttrf``'s factors of ``I - theta dt S``, and D."""
+    e, diag, scale = _s_bands(grid)
+    d, f, info = dpttrf(1.0 - theta_dt * diag, -theta_dt * e)
     assert info == 0
-    return lu
+    return d, f, scale
 
 
-def symmetrized_factors(matrix):
-    """D and ``dpttrf``'s factors d, e of ``S = D M D^{-1}``, for a tridiagonal M.
+def lu_dissipate(w0, T, dt, method, sample_every):
+    """Step-by-step loop with list appends, in w, pinning after the check.
 
-    ``d[i+1] / d[i] = sqrt(M[i, i+1] / M[i+1, i])``, or 1 where both are 0.0,
-    normalised to a largest entry of 1; the couplings of S are that ratio
-    times those of M below the diagonal.
-    """
-    lower, upper = np.diagonal(matrix, -1), np.diagonal(matrix, 1)
-    ratio = np.sqrt([u / l if l else 1.0 for l, u in zip(lower, upper)])
-    scale = np.cumprod([1.0, *ratio])
-    scale /= scale.max()
-    d, e, info = dpttrf(np.diagonal(matrix).copy(), ratio * lower)
-    assert info == 0
-    return scale, d, e
-
-
-def symmetrized_solver(matrix):
-    """The solve of a tridiagonal M by ``dpttrf``'s factors of ``D M D^{-1}``:
-    the right side times D, one ``dpttrs``, divided by D."""
-    scale, d, e = symmetrized_factors(matrix)
-
-    def solve(b):
-        x, info = dpttrs(d, e, b * scale)
-        assert info == 0
-        return x / scale
-
-    return solve
-
-
-def lu_solver(matrix):
-    """The solve of a tridiagonal M by one ``dgttrs`` on ``dgttrf``'s LU."""
-    lu = dense_lu(matrix)
-
-    def solve(b):
-        x, info = dgttrs(*lu, b)
-        assert info == 0
-        return x
-
-    return solve
-
-
-def dissipate_loop(w0, T, dt, method, sample_every, solver):
-    """Step-by-step loop with list appends, pinning after the check.
-
-    The dense ``I - theta dt H`` with its last row eliminated goes to
-    ``solver`` once; each step one solve x of the eliminated right side,
-    taken as the new state (backward Euler) or as ``2 x - w``
-    (Crank-Nicolson).
+    The dense ``I - theta dt H_h``, not symmetrized, goes to ``dgttrf`` once;
+    each step one ``dgttrs`` solve x of the state, taken as the new state
+    (backward Euler) or as ``2 x - w`` (Crank-Nicolson).
     """
     grid = w0.grid
     theta = 0.5 if method == "cn" else 1.0
-    L, m = eliminated(np.eye(grid.n_intervals + 1) - theta * dt * assemble_H(grid).toarray())
-    solve = solver(L)
+    L = np.eye(grid.n_intervals + 1) - theta * dt * assemble_H(grid).toarray()
+    *lu, info = dgttrf(np.diagonal(L, -1), np.diagonal(L), np.diagonal(L, 1))
+    assert info == 0
     n_steps = int(round(T / dt))
     w = w0.w.copy()
     w[0] = 0.0
     ts, states, step_ts, step_l2 = [w0.t], [w.copy()], [w0.t], [grid.norm(w)]
     for k in range(n_steps):
-        b = w.copy()
-        b[-1] -= m * b[-2]
-        x = solve(b)
+        x, info = dgttrs(*lu, w)
+        assert info == 0
         w = 2.0 * x - w if method == "cn" else x
         assert np.all(np.isfinite(w))
         w[0] = 0.0
@@ -117,52 +68,35 @@ def dissipate_loop(w0, T, dt, method, sample_every, solver):
 
 
 def reference_dissipate(w0, T, dt, method, sample_every):
-    """The plain loop in y = D w, as ``evolve_dissipative`` steps at grids
-    whose couplings allow it.
+    """The plain loop in y = D w, as ``evolve_dissipative`` steps.
 
-    Each step one ``dpttrs`` with the factors of ``S = D L D^{-1}``, L the
-    eliminated ``I - theta dt H``, on the right side 2 y (Crank-Nicolson,
-    then minus y) or y (backward Euler) with the row operation scaled to
-    ``m D[-1] / D[-2]``.  The norm is the sum of squares of y with weights
-    ``grid.weights / D^2``; a kept state is ``y / D``, but the first is w.
+    Each step one ``dpttrs`` with the factors of ``I - theta dt S`` on the
+    right side 2 y (Crank-Nicolson, then minus y) or y (backward Euler).  The
+    norm is the sum of squares of ``y sqrt(grid.weights) / D``; a kept state
+    is ``y / D``, but the first is w.
     """
     grid = w0.grid
-    theta = 0.5 if method == "cn" else 1.0
-    L, m = eliminated(np.eye(grid.n_intervals + 1) - theta * dt * assemble_H(grid).toarray())
-    scale, d, e = symmetrized_factors(L)
-    m = m * scale[-1] / scale[-2]
-    weights = grid.weights / scale**2
+    d, e, scale = symmetric_factors(grid, (0.5 if method == "cn" else 1.0) * dt)
+    root_weights = np.sqrt(grid.weights) / scale
     n_steps = int(round(T / dt))
     w = w0.w.copy()
     w[0] = 0.0
     y = w * scale
-    ts, states, step_ts, step_l2 = [w0.t], [w], [w0.t], [np.sqrt(np.dot(weights, y * y))]
+    ts, states, step_ts = [w0.t], [w], [w0.t]
+    step_l2 = [np.sqrt(np.dot(y * root_weights, y * root_weights))]
     for k in range(n_steps):
         b = 2.0 * y if method == "cn" else y.copy()
-        b[-1] -= m * b[-2]
         x, info = dpttrs(d, e, b)
         assert info == 0
         y = x - y if method == "cn" else x
         assert np.all(np.isfinite(y))
         t_now = w0.t + (k + 1) * dt
         step_ts.append(t_now)
-        step_l2.append(np.sqrt(np.dot(weights, y * y)))
+        step_l2.append(np.sqrt(np.dot(y * root_weights, y * root_weights)))
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             ts.append(t_now)
             states.append(y / scale)
     return np.array(ts), np.array(states), np.array(step_ts), np.array(step_l2)
-
-
-def symmetrized_dissipate(w0, T, dt, method, sample_every):
-    """The loop on the symmetrized ``dpttrs`` solve between a product and a
-    quotient by D, in w, as the flow stepped before it marched in y."""
-    return dissipate_loop(w0, T, dt, method, sample_every, symmetrized_solver)
-
-
-def lu_dissipate(w0, T, dt, method, sample_every):
-    """The loop on ``dgttrs``, with no scaling, as the flow stepped before it
-    was symmetrized and still steps where it cannot be."""
-    return dissipate_loop(w0, T, dt, method, sample_every, lu_solver)
 
 
 def splu_dissipate(w0, T, dt, method, sample_every):
@@ -191,19 +125,31 @@ def splu_dissipate(w0, T, dt, method, sample_every):
     return np.array(ts), np.array(states), np.array(step_ts), np.array(step_l2)
 
 
+def assert_agrees(flow, loop):
+    """A flow and a loop's ``(ts, states, step_ts, step_l2)`` agree: the times
+    exactly, each state and norm to 1e-12 of its own size."""
+    ts, states, step_ts, step_l2 = loop
+    assert np.array_equal(flow.ts, ts) and np.array_equal(flow.step_ts, step_ts)
+    scale = np.abs(states).max(axis=1)
+    assert np.all(np.abs(flow.states - states).max(axis=1) <= 1e-12 * scale)
+    assert np.all(np.abs(flow.step_l2 - step_l2) <= 1e-12 * step_l2)
+
+
 def reference_modulation(flow, a0, b0):
     """Two loops over the samples, the <phi, w> dots before the adjoint solve,
-    which is ``dgttrs`` on the LU of the transpose of the dense H[1:, 1:]
-    with its last row eliminated."""
+    which is ``dpttrs`` with the factors of -S on nodes 1..J between a
+    quotient and a product by -D."""
     grid = flow.grid
     ell = grid.weights * gaussian_weight(grid)
     ell_w = np.array([np.dot(w, ell) for w in flow.states])
     a = a0 + ell_w[0] - ell_w
     A = a + ell_w
-    T, m = eliminated(assemble_H(grid).toarray()[1:, 1:])
-    psi, info = dgttrs(*dense_lu(T.T), ell[1:])
+    e, diag, scale = _s_bands(grid)
+    d, f, info = dpttrf(-diag[1:], -e[1:])
     assert info == 0
-    psi[-2] -= m * psi[-1]
+    x, info = dpttrs(d, f, ell[1:] / scale[1:])
+    assert info == 0
+    psi = x * -scale[1:]
     psi_w = np.array([np.dot(w[1:], psi) for w in flow.states])
     b = b0 + 0.5 * (A[0] * (flow.ts - flow.ts[0]) + psi_w[0] - psi_w)
     return a, b, A, float(b0 + 0.5 * psi_w[0])
@@ -238,6 +184,14 @@ class TestGrid:
     def test_rejects_non_finite_ratio(self):
         with pytest.raises(ValueError, match="finite"):
             HalfLineGrid(extent=1e308, spacing=1e-10)
+
+    def test_rejects_extent_above_100(self):
+        # at Z = 100 the scale D and 1 / D are still normal floats
+        with pytest.raises(ValueError, match="extent must be at most 100"):
+            HalfLineGrid(extent=100.5, spacing=0.5)
+        scale = _s_bands(HalfLineGrid(extent=100.0, spacing=0.05))[2]
+        assert scale.max() == 1.0 and scale.min() > np.finfo(float).tiny
+        assert np.all(np.isfinite(1.0 / scale))
 
     def test_nodes_end_at_origin(self, grid):
         z = grid.nodes
@@ -293,14 +247,18 @@ class TestOperator:
         assert worst[0.02] <= -0.5
 
     def test_spectrum_is_minus_half_the_jacobi_eigenvalues(self, jacobi_z):
-        # the top eigenvalues of H (Dirichlet node removed) converge at order
-        # h^2 to -z_k/2, with z_k from shooting and a zeta tail: two routes
-        # that share no code
+        # the top eigenvalues of H (Dirichlet node removed), those of its
+        # symmetric S by one dstebz, converge at order h^2 to -z_k/2, with z_k
+        # from shooting and a zeta tail: two routes that share no code
         top = {}
         for h in (0.04, 0.02, 0.01):
-            H = assemble_H(HalfLineGrid(20.0, h))[1:, 1:].tocsc()
-            vals = spla.eigs(H, k=2, sigma=0, return_eigenvectors=False)
-            top[h] = np.sort(vals.real)[::-1]
+            e, diag, _ = _s_bands(HalfLineGrid(20.0, h))
+            n = diag.size - 1
+            m, vals, _, _, info = _lapack().dstebz(
+                diag[1:], e[1:], 2, 0.0, 0.0, n - 1, n, np.finfo(float).tiny, "E"
+            )
+            assert info == 0 and m == 2
+            top[h] = vals[:2][::-1]
         ratios = (top[0.04] - top[0.02]) / (top[0.02] - top[0.01])
         assert ratios == pytest.approx([4.0, 4.0], abs=0.05)
         extrapolated = (4.0 * top[0.01] - top[0.02]) / 3.0
@@ -310,30 +268,26 @@ class TestOperator:
         assert abs(extrapolated[1] + z[1] / 2) < 5e-7
 
     def test_sparse_operator_is_the_bands(self, grid):
-        lower2, *_ = bands = _h_bands(grid)
-        assert np.flatnonzero(lower2).tolist() == [grid.n_intervals - 2]
-        want = sp.diags(bands, [-2, -1, 0, 1]).toarray()
+        lower, diag, upper = _h_bands(grid)
+        want = sp.diags([lower, diag, upper], [-1, 0, 1]).toarray()
         assert assemble_H(grid).toarray().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
-    def test_row_elimination_leaves_three_bands(self, h):
-        # every entry off the three bands is 0.0 but the corner, which is
-        # left at most an ulp of the entry it removed by the rounding of m;
-        # the solves drop it, as dgttrf drops each entry it eliminates
-        H = assemble_H(HalfLineGrid(20.0, h)).toarray()
-        eye = np.eye(H.shape[0])
-        for matrix in (H[1:, 1:], eye - 0.5e-3 * H, eye - 1e-3 * H, eye - 0.05 * H):
-            out, _ = eliminated(matrix)
-            off = np.triu(out, 2) + np.tril(out, -2)
-            corner = off[-1, -3]
-            off[-1, -3] = 0.0
-            assert np.all(off == 0.0)
-            assert abs(corner) <= np.finfo(float).eps * abs(matrix[-1, -3])
+    def test_operator_has_three_bands(self, h):
+        # P(0) = 0 closes the last cell: no entry off the three bands, nothing
+        # at (J, J-2); the couplings are positive, and M H = K is symmetric,
+        # with M proportional to D^2
+        grid = HalfLineGrid(20.0, h)
+        H = assemble_H(grid).toarray()
+        assert np.all(np.triu(H, 2) == 0.0) and np.all(np.tril(H, -2) == 0.0)
+        assert np.all(np.diagonal(H, 1)[1:] > 0.0) and np.all(np.diagonal(H, -1)[1:] > 0.0)
+        K = _s_bands(grid)[2][:, None] ** 2 * H
+        assert np.abs(K - K.T).max() <= 1e-14 * np.abs(K).max()
 
     @pytest.mark.parametrize("extent, h", [(40.0, 0.1), (40.0, 0.04), (16.0, 1.0), (72.0, 0.05)])
     def test_adjoint_weight_matches_dense_solve(self, extent, h):
-        # the default kind of grid, one past the couplings' sign change and one
-        # whose symmetrizing scale would fall below exp(-300)
+        # the default kind of grid, a coarse one and one with m below 1e-300;
+        # psi is one dpttrs on -S between a quotient and a product by D
         grid = HalfLineGrid(extent, h)
         ell = grid.weights * gaussian_weight(grid)
         want = np.linalg.solve(assemble_H(grid).toarray()[1:, 1:].T, ell[1:])
@@ -360,11 +314,11 @@ class TestEvolution:
         grid = HalfLineGrid(extent, spacing)
         H = assemble_H(grid).toarray()
         assert not H[0].any() and not H[:, 0].any()
-        lower2, lower, diag, upper = _h_bands(grid)
+        e, diag, scale = _s_bands(grid)
         theta_dt = (0.5 if method == "cn" else 1.0) * dt
-        bands = -theta_dt * lower, 1.0 - theta_dt * diag, -theta_dt * upper
-        m = _eliminate_corner(-theta_dt * lower2[-1], *bands)
-        w, step, _ = _implicit_step(*bands, initial_gaussian_bump(grid).w, m, fold=method == "cn")
+        bands = -theta_dt * e, 1.0 - theta_dt * diag, -theta_dt * e
+        w, step = _implicit_step(*bands, initial_gaussian_bump(grid).w * scale,
+                                 fold=method == "cn")
         for k in range(1, 3001):
             w = step(w, k)
             assert w[0] == 0.0 and not np.signbit(w[0]), k
@@ -446,51 +400,38 @@ class TestEvolution:
                 assert got.tobytes() == want.tobytes()  # the signs of zeros too
 
     @pytest.mark.parametrize("method", ["cn", "be"])
-    @pytest.mark.parametrize("extent, spacing", [(16.0, 1.0), (72.0, 0.05)])
-    def test_lu_fallback_grids_bit_identical_to_lu_loop(self, extent, spacing, method):
-        # couplings of opposite signs where |z| > 8/h, or a symmetrizing scale
-        # below exp(-300) past |z| ~ 70: the step keeps dgttrs's LU, every bit
+    @pytest.mark.parametrize("extent, spacing", [(16.0, 1.0), (72.0, 0.05), (100.0, 0.05)])
+    def test_every_grid_takes_the_symmetric_path(self, monkeypatch, extent, spacing, method):
+        # a coarse grid, and two wide ones whose cell masses fall below 1e-300:
+        # each factors on dpttrf, once, and agrees with splu
+        factor, paths = errors._factor, []
+
+        def spy(*bands):
+            solve = factor(*bands)
+            paths.append(solve.func)
+            return solve
+
+        monkeypatch.setattr(errors, "_factor", spy)
         w0 = initial_gaussian_bump(HalfLineGrid(extent, spacing))
         flow = evolve_dissipative(w0, 0.1234, 1e-3, method=method, sample_every=7)
-        ref = lu_dissipate(w0, 0.1234, 1e-3, method, 7)
-        for got, want in zip((flow.ts, flow.states, flow.step_ts, flow.step_l2), ref):
-            assert got.tobytes() == want.tobytes()
+        assert paths == [_lapack().dpttrs]
+        assert_agrees(flow, splu_dissipate(w0, 0.1234, 1e-3, method, 7))
 
     @pytest.mark.parametrize("method", ["cn", "be"])
     def test_agrees_with_lu_loop(self, grid, method):
-        # 5000 steps of the symmetrized solve against dgttrs's LU of the
-        # unscaled matrix, on which the flow stepped before
+        # 5000 steps of dpttrs in y = D w against dgttrs's LU of the dense
+        # I - theta dt H_h, unscaled, in w
         w0 = initial_gaussian_bump(grid)
         flow = evolve_dissipative(w0, 5.0, 1e-3, method=method, sample_every=500)
-        ts, states, step_ts, step_l2 = lu_dissipate(w0, 5.0, 1e-3, method, 500)
-        assert np.array_equal(flow.ts, ts) and np.array_equal(flow.step_ts, step_ts)
-        scale = np.abs(states).max(axis=1)
-        assert np.all(np.abs(flow.states - states).max(axis=1) <= 1e-12 * scale)
-        assert np.all(np.abs(flow.step_l2 - step_l2) <= 1e-12 * step_l2)
-
-    @pytest.mark.parametrize("method", ["cn", "be"])
-    def test_agrees_with_symmetrized_loop(self, grid, method):
-        # 5000 steps marched in y = D w against the symmetrized solve between a
-        # product and a quotient by D, in w, on which the flow stepped before
-        w0 = initial_gaussian_bump(grid)
-        flow = evolve_dissipative(w0, 5.0, 1e-3, method=method, sample_every=500)
-        ts, states, step_ts, step_l2 = symmetrized_dissipate(w0, 5.0, 1e-3, method, 500)
-        assert np.array_equal(flow.ts, ts) and np.array_equal(flow.step_ts, step_ts)
-        scale = np.abs(states).max(axis=1)
-        assert np.all(np.abs(flow.states - states).max(axis=1) <= 1e-12 * scale)
-        assert np.all(np.abs(flow.step_l2 - step_l2) <= 1e-12 * step_l2)
+        assert_agrees(flow, lu_dissipate(w0, 5.0, 1e-3, method, 500))
 
     @pytest.mark.parametrize("method", ["cn", "be"])
     def test_agrees_with_splu_loop(self, grid, method):
-        # 5000 steps on the symmetrized tridiagonal solve, with Crank-Nicolson's
+        # 5000 steps on the symmetric tridiagonal solve, with Crank-Nicolson's
         # right side folded into it, against splu and a sparse product
         w0 = initial_gaussian_bump(grid)
         flow = evolve_dissipative(w0, 5.0, 1e-3, method=method, sample_every=500)
-        ts, states, step_ts, step_l2 = splu_dissipate(w0, 5.0, 1e-3, method, 500)
-        assert np.array_equal(flow.ts, ts) and np.array_equal(flow.step_ts, step_ts)
-        scale = np.abs(states).max(axis=1)
-        assert np.all(np.abs(flow.states - states).max(axis=1) <= 1e-12 * scale)
-        assert np.all(np.abs(flow.step_l2 - step_l2) <= 1e-12 * step_l2)
+        assert_agrees(flow, splu_dissipate(w0, 5.0, 1e-3, method, 500))
 
     @pytest.mark.parametrize(
         "method, dts, order", [("cn", (4e-3, 2e-3), 2), ("be", (2e-3, 1e-3), 1)]
@@ -511,7 +452,7 @@ class TestEvolution:
     @pytest.mark.parametrize("method", ["cn", "be"])
     def test_first_state_is_w0_and_node_0_stays_positive_zero(self, method):
         # node 0 of w0 is replaced by +0.0 and every other entry kept, to the
-        # bit, though the flow marches in y = D w; e[0] = 0 keeps node 0 there
+        # bit, though the flow marches in y = D w; S[0, 1] = 0 keeps node 0 there
         g = HalfLineGrid(20.0, 0.05)
         w = initial_gaussian_bump(g, center=-1.0, width=0.5).w.copy()
         w[0] = 0.75
@@ -523,7 +464,7 @@ class TestEvolution:
     @pytest.mark.parametrize("method", ["cn", "be"])
     @pytest.mark.parametrize("extent, spacing", [(40.0, 0.02), (16.0, 1.0), (72.0, 0.05)])
     def test_step_norms_are_the_norms_of_the_kept_states(self, extent, spacing, method):
-        # the squared norm is summed over y = D w with weights h / D^2, so it
+        # the squared norm is summed over y = D w times sqrt(h) / D, so it
         # agrees with grid.norm of w = y / D to roundoff, not to the bit
         g = HalfLineGrid(extent, spacing)
         w0 = initial_gaussian_bump(g)
