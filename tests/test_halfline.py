@@ -36,25 +36,19 @@ def symmetric_factors(grid, theta_dt):
     return d, f, scale
 
 
-def lu_dissipate(w0, T, dt, method, sample_every):
+def dissipate_loop(w0, T, dt, method, sample_every, solve):
     """Step-by-step loop with list appends, in w, pinning after the check.
 
-    The dense ``I - theta dt H_h``, not symmetrized, goes to ``dgttrf`` once;
-    each step one ``dgttrs`` solve x of the state, taken as the new state
-    (backward Euler) or as ``2 x - w`` (Crank-Nicolson).
+    Each step one ``solve`` x of the state by ``I - theta dt H_h``, taken as
+    the new state (backward Euler) or as ``2 x - w`` (Crank-Nicolson).
     """
     grid = w0.grid
-    theta = 0.5 if method == "cn" else 1.0
-    L = np.eye(grid.n_intervals + 1) - theta * dt * assemble_H(grid).toarray()
-    *lu, info = dgttrf(np.diagonal(L, -1), np.diagonal(L), np.diagonal(L, 1))
-    assert info == 0
     n_steps = int(round(T / dt))
     w = w0.w.copy()
     w[0] = 0.0
     ts, states, step_ts, step_l2 = [w0.t], [w.copy()], [w0.t], [grid.norm(w)]
     for k in range(n_steps):
-        x, info = dgttrs(*lu, w)
-        assert info == 0
+        x = solve(w)
         w = 2.0 * x - w if method == "cn" else x
         assert np.all(np.isfinite(w))
         w[0] = 0.0
@@ -65,6 +59,35 @@ def lu_dissipate(w0, T, dt, method, sample_every):
             ts.append(t_now)
             states.append(w.copy())
     return np.array(ts), np.array(states), np.array(step_ts), np.array(step_l2)
+
+
+def lu_dissipate(w0, T, dt, method, sample_every):
+    """The loop on ``dgttrs``: the dense ``I - theta dt H_h``, not
+    symmetrized, goes to ``dgttrf`` once."""
+    theta = 0.5 if method == "cn" else 1.0
+    L = np.eye(w0.grid.n_intervals + 1) - theta * dt * assemble_H(w0.grid).toarray()
+    *lu, info = dgttrf(np.diagonal(L, -1), np.diagonal(L), np.diagonal(L, 1))
+    assert info == 0
+
+    def solve(b):
+        x, info = dgttrs(*lu, b)
+        assert info == 0
+        return x
+
+    return dissipate_loop(w0, T, dt, method, sample_every, solve)
+
+
+def symmetrized_dissipate(w0, T, dt, method, sample_every):
+    """The loop on ``dpttrs`` with the factors of ``I - theta dt S``, in w:
+    each solve between a product and a quotient by D."""
+    d, f, scale = symmetric_factors(w0.grid, (0.5 if method == "cn" else 1.0) * dt)
+
+    def solve(b):
+        x, info = dpttrs(d, f, b * scale)
+        assert info == 0
+        return x / scale
+
+    return dissipate_loop(w0, T, dt, method, sample_every, solve)
 
 
 def reference_dissipate(w0, T, dt, method, sample_every):
@@ -424,6 +447,14 @@ class TestEvolution:
         w0 = initial_gaussian_bump(grid)
         flow = evolve_dissipative(w0, 5.0, 1e-3, method=method, sample_every=500)
         assert_agrees(flow, lu_dissipate(w0, 5.0, 1e-3, method, 500))
+
+    @pytest.mark.parametrize("method", ["cn", "be"])
+    def test_agrees_with_symmetrized_loop(self, grid, method):
+        # 5000 steps marched in y = D w against the same dpttrs solve between a
+        # product and a quotient by D, in w, each step
+        w0 = initial_gaussian_bump(grid)
+        flow = evolve_dissipative(w0, 5.0, 1e-3, method=method, sample_every=500)
+        assert_agrees(flow, symmetrized_dissipate(w0, 5.0, 1e-3, method, 500))
 
     @pytest.mark.parametrize("method", ["cn", "be"])
     def test_agrees_with_splu_loop(self, grid, method):
